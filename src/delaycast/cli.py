@@ -29,6 +29,7 @@ from .container import ModelFileError
 from .evalreport import (
     ComponentRow,
     ModelSummary,
+    _aligned,
     compare,
     evaluate,
     export_chart_data,
@@ -208,17 +209,6 @@ def cmd_preprocess(args) -> int:
                     started=started)
     sys.stdout.write(report.to_text())
     return 0
-
-
-def _aligned(header, rows) -> str:
-    table = [tuple(header)] + [tuple(r) for r in rows]
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-    out = []
-    for row in table:
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(w) for cell, w in zip(row[1:], widths[1:])]
-        out.append("  ".join(cells).rstrip())
-    return "\n".join(out) + "\n"
 
 
 def cmd_analyze(args) -> int:

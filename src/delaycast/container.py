@@ -1,8 +1,8 @@
 """Single-file tensor container: one JSON header line, then raw float64 data.
 
 Layout: a UTF-8 JSON object on the first line declaring format, version,
-caller metadata, tensor names/shapes in order, and an FNV-1a-64 checksum of
-the payload; then every tensor's bytes concatenated, little-endian float64,
+caller metadata, tensor names/shapes in order, and a CRC-32 (zlib) of the
+payload; then every tensor's bytes concatenated, little-endian float64,
 C order. The checksum covers the payload only; header corruption surfaces as
 a parse or schema error instead.
 """
@@ -10,27 +10,19 @@ a parse or schema error instead.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 FORMAT_NAME = "delaycast-model"
-FORMAT_VERSION = 1
-
-_FNV_OFFSET = 14695981039346656037
-_FNV_PRIME = 1099511628211
-_MASK64 = (1 << 64) - 1
+# 2: CRC-32 checksum and flat tree tensors (version 1 used FNV-1a-64 and
+# one node matrix per tree)
+FORMAT_VERSION = 2
 
 
 class ModelFileError(ValueError):
     """Raised for structural, version, or integrity problems in a container."""
-
-
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
 
 
 def write_container(path, meta: dict, tensors: dict) -> None:
@@ -46,7 +38,7 @@ def write_container(path, meta: dict, tensors: dict) -> None:
         "version": FORMAT_VERSION,
         "meta": meta,
         "tensors": declared,
-        "fnv1a64": str(fnv1a64(bytes(payload))),
+        "crc32": zlib.crc32(payload),
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
     if "\n" in line:
@@ -72,14 +64,14 @@ def read_container(path):
         raise ModelFileError(f"unsupported container version {header.get('version')!r}")
     payload = raw[newline + 1:]
     declared = header.get("tensors")
-    checksum = header.get("fnv1a64")
-    if not isinstance(declared, list) or not isinstance(checksum, str):
+    checksum = header.get("crc32")
+    if not isinstance(declared, list) or not isinstance(checksum, int):
         raise ModelFileError("header is missing tensor declarations or checksum")
     expected = sum(int(np.prod(t["shape"])) * 8 for t in declared)
     if len(payload) != expected:
         raise ModelFileError(
             f"payload is {len(payload)} bytes but header declares {expected}")
-    if str(fnv1a64(payload)) != checksum:
+    if zlib.crc32(payload) != checksum:
         raise ModelFileError("payload checksum mismatch, file is corrupt")
     tensors = {}
     offset = 0

@@ -1,94 +1,48 @@
 """Save/load for every trained model kind over the tensor container format.
 
-Trees are flattened to preorder matrices with one row per node:
-[feature, threshold, left_row, right_row, value...]; feature -1 marks a leaf
-(children -1, value populated), split rows carry child row indices and zero
-value slots. Forests add one bootstrap-index tensor per member, boosting
-chains store one matrix per round per target, and the neural kinds persist
-their parameter dict under a "net." prefix next to the rebuild spec.
+Tree kinds store their `TreeArrays` as six tensors, the same for a tree, a
+forest and a boosting model: trees.feature, trees.threshold, trees.left,
+trees.right (one entry per node; feature -1 marks a leaf, children are
+counted from the tree's root), trees.value (one row per node) and
+trees.roots (each tree's first node). Forest members are recomputed from
+the stored seed, not stored. The neural kinds persist their parameter dict
+under a "net." prefix next to the rebuild spec. The container checks a
+CRC-32 of the payload.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .container import ModelFileError, read_container, write_container
 from .features import Standardizer
 from .linear import LinearModel
-from .regressors import MODEL_KINDS, NEURAL_KINDS, TrainedModel
+from .regressors import MODEL_KINDS, TrainedModel
 from .neural import build_from_spec
-from .trees import ForestModel, GbtModel, TreeNode
+from .trees import ForestModel, GbtModel, TreeArrays
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "roots")
 
 
-def tree_to_matrix(node: TreeNode, n_targets: int) -> np.ndarray:
-    """Preorder (n_nodes, 4 + n_targets) float64 encoding of a tree."""
-    rows = []
-
-    def emit(n: TreeNode) -> int:
-        at = len(rows)
-        if n.is_leaf:
-            if n.value.shape[0] != n_targets:
-                raise ValueError(f"leaf width {n.value.shape[0]} != {n_targets}")
-            rows.append([-1.0, 0.0, -1.0, -1.0, *map(float, n.value)])
-            return at
-        rows.append(None)
-        left = emit(n.left)
-        right = emit(n.right)
-        rows[at] = [float(n.feature), float(n.threshold), float(left),
-                    float(right)] + [0.0] * n_targets
-        return at
-
-    emit(node)
-    return np.asarray(rows, dtype=np.float64)
+def _tree_tensors(trees: TreeArrays) -> dict:
+    return {f"trees.{name}": getattr(trees, name) for name in _TREE_FIELDS}
 
 
-def matrix_to_tree(mat: np.ndarray, n_targets: int) -> TreeNode:
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != 4 + n_targets or mat.shape[0] < 1:
-        raise ModelFileError(f"tree matrix must be (n, {4 + n_targets}), "
-                             f"got {mat.shape}")
-    n = mat.shape[0]
-    seen = set()
-
-    def build(at: int) -> TreeNode:
-        if not (0 <= at < n) or at in seen:
-            raise ModelFileError(f"tree matrix row index {at} invalid")
-        seen.add(at)
-        row = mat[at]
-        if row[0] < 0:
-            return TreeNode(value=row[4:4 + n_targets].copy())
-        return TreeNode(feature=int(row[0]), threshold=float(row[1]),
-                        left=build(int(row[2])), right=build(int(row[3])))
-
-    root = build(0)
-    if len(seen) != n:
-        raise ModelFileError(f"tree matrix has {n - len(seen)} unreachable rows")
-    return root
+def _load_trees(tensors) -> TreeArrays:
+    return TreeArrays(**{name: tensors[f"trees.{name}"] for name in _TREE_FIELDS})
 
 
 def _inner_tensors(trained: TrainedModel):
     """(tensors, payload) for the model-specific part of the file."""
-    k = trained.n_targets
     inner = trained.inner
     if trained.kind == "ols":
         return {"beta": inner.beta}, {"columns": list(trained.used_columns)}
     if trained.kind == "tree":
-        return {"nodes": tree_to_matrix(inner, k)}, {}
+        return _tree_tensors(inner), {}
     if trained.kind == "forest":
-        tensors = {}
-        for j, (tree, idx) in enumerate(zip(inner.trees, inner.bootstrap_indices)):
-            tensors[f"tree{j}.nodes"] = tree_to_matrix(tree, k)
-            tensors[f"tree{j}.bootstrap"] = np.asarray(idx, dtype=np.float64)
-        return tensors, {"seed": inner.seed, "n_estimators": len(inner.trees)}
+        return _tree_tensors(inner.trees), {"seed": inner.seed}
     if trained.kind == "gbt":
-        tensors = {"base_score": inner.base_score}
-        rounds = [len(chain) for chain in inner.chains]
-        for j, chain in enumerate(inner.chains):
-            for r, tree in enumerate(chain):
-                tensors[f"chain{j}.round{r}"] = tree_to_matrix(tree, 1)
+        tensors = {"base_score": inner.base_score, **_tree_tensors(inner.trees)}
         return tensors, {"learning_rate": inner.learning_rate,
-                         "reg_lambda": inner.reg_lambda,
-                         "gamma": inner.gamma, "rounds": rounds}
+                         "reg_lambda": inner.reg_lambda, "gamma": inner.gamma}
     # neural kinds: network params plus the input/target scaling state
     tensors = {f"net.{name}": value for name, value in inner.params.items()}
     tensors["scaler.means"] = trained.scaler.means
@@ -120,26 +74,12 @@ def _load_ols(meta, tensors):
     return LinearModel(beta=tensors["beta"])
 
 
-def _load_forest(meta, tensors, k):
-    count = meta["payload"]["n_estimators"]
-    trees, picks = [], []
-    for j in range(count):
-        trees.append(matrix_to_tree(tensors[f"tree{j}.nodes"], k))
-        picks.append(tensors[f"tree{j}.bootstrap"].astype(np.int64))
-    return ForestModel(trees=tuple(trees), seed=meta["payload"]["seed"],
-                       bootstrap_indices=tuple(picks))
-
-
 def _load_gbt(meta, tensors):
     payload = meta["payload"]
-    chains = []
-    for j, rounds in enumerate(payload["rounds"]):
-        chains.append(tuple(matrix_to_tree(tensors[f"chain{j}.round{r}"], 1)
-                            for r in range(rounds)))
     return GbtModel(base_score=tensors["base_score"],
                     learning_rate=payload["learning_rate"],
                     reg_lambda=payload["reg_lambda"], gamma=payload["gamma"],
-                    chains=tuple(chains))
+                    trees=_load_trees(tensors))
 
 
 def load_model(path) -> TrainedModel:
@@ -166,11 +106,14 @@ def load_model(path) -> TrainedModel:
             return TrainedModel(inner=_load_ols(meta, tensors),
                                 used_columns=tuple(meta["payload"]["columns"]),
                                 **common)
-        if kind == "tree":
-            return TrainedModel(inner=matrix_to_tree(tensors["nodes"], k),
-                                **common)
-        if kind == "forest":
-            return TrainedModel(inner=_load_forest(meta, tensors, k), **common)
+        if kind in ("tree", "forest"):
+            trees = _load_trees(tensors)
+            if trees.value.shape[1] != k:
+                raise ModelFileError(f"tree values are {trees.value.shape[1]} "
+                                     f"wide, expected {k}")
+            if kind == "forest":
+                trees = ForestModel(trees=trees, seed=meta["payload"]["seed"])
+            return TrainedModel(inner=trees, **common)
         if kind == "gbt":
             return TrainedModel(inner=_load_gbt(meta, tensors), **common)
         payload = meta["payload"]

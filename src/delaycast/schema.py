@@ -265,8 +265,9 @@ def read_csv(source, header_map: dict | None = None):
     `source` is a path or an open byte/text stream; content must be UTF-8
     with a header row. `header_map` maps column names to FlightRecord field
     names (default: the standard export header). Missing required columns
-    raise SchemaError; any bad cell skips its row and records a
-    CellDiagnostic. Returns (records, diagnostics).
+    raise SchemaError; a row with more or fewer cells than the header, or
+    any bad cell, skips its row and records a CellDiagnostic. Returns
+    (records, diagnostics).
     """
     header_map = DEFAULT_HEADER_MAP if header_map is None else header_map
     stream, owned = _open_text(source, "r")
@@ -291,11 +292,15 @@ def read_csv(source, header_map: dict | None = None):
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if len(row) != len(header):
+                diagnostics.append(CellDiagnostic(
+                    row_no, "*", f"expected {len(header)} cells, got {len(row)}"))
+                continue
             kwargs = {}
             bad = False
             for field_name, idx in col_to_idx.items():
                 col, required, decode, _ = _FIELD_INFO[field_name]
-                raw = row[idx].strip() if idx < len(row) else ""
+                raw = row[idx].strip()
                 if raw == "" or raw == "NA":
                     if required:
                         diagnostics.append(CellDiagnostic(row_no, col, "required cell is blank"))

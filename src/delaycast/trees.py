@@ -1,16 +1,31 @@
 """Regression trees, bagged ensembles, and gradient-boosted chains.
 
-All three share one node type and one candidate rule: split points are the
-midpoints of consecutive distinct sorted feature values, boundary ties route
-left (`x[f] <= threshold`), and equal-gain ties resolve to the lowest feature
-index, then the lowest threshold. Categorical codes are treated as ordinal
-numerics; that is a documented consequence of the integer label encoding.
+Every model here is one `TreeArrays`: flat node arrays (feature, threshold,
+left, right, value) holding one or more trees back to back, plus the offset
+of each tree's root. A single tree, a forest and a boosting model differ
+only in how many trees the arrays hold and how their leaves are combined.
+
+All three grow through one level-wise exact split search (`_grow`). Each
+feature is rank-coded once; the (row, feature) cells stay sorted by (node,
+feature, rank) and are stably partitioned into the children at each level,
+and one cumulative sum per level yields every node's left-side sums. The
+frozen split rules: candidates are the midpoints between a node's adjacent
+*present* feature values, boundary ties route left (`x[f] <= threshold`),
+and equal-gain ties resolve to the lowest feature index, then the lowest
+threshold. Gains that tie in real arithmetic can differ by a rounding step
+once sums are taken in another order, so gains within a relative
+`_TIE_REL` = 1e-12 of a node's best count as tied. Categorical codes are
+treated as ordinal numerics; that is a documented consequence of the
+integer label encoding.
+
+The split gain of the boosted trees is XGBoost's (Chen & Guestrin, KDD
+2016); grouping cells by rank follows LightGBM's histograms (Ke et al.,
+NeurIPS 2017), kept exact by grouping on each node's distinct values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,87 +33,252 @@ from .numerics import Rng, matrix
 
 # relative floor: a split must beat float noise on the parent's SSE scale
 _GAIN_EPS = 1e-10
+# gains this close (relative) to a node's best tie; the lowest (feature, rank) wins
+_TIE_REL = 1e-12
+# (row, tree) pairs routed per block at prediction: bounds its index arrays
+_ROUTE_ENTRIES = 1 << 20
+
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _index_array(name: str, data) -> np.ndarray:
+    a = np.asarray(data)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+    if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.round(a))).all():
+        raise ValueError(f"{name} must hold integers")
+    return a.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
-class TreeNode:
-    """Split node (feature, threshold, children) or leaf (value only)."""
+class TreeArrays:
+    """One or more regression trees as flat node arrays.
 
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    value: Optional[np.ndarray] = None
+    Tree t owns nodes roots[t] up to the next root (the last tree runs to the
+    end), numbered level by level from its root. Node i either splits rows
+    with `x[feature[i]] <= threshold[i]` to left[i], the rest to right[i]
+    (child indices counted from the tree's root), or is a leaf: feature,
+    left and right -1. value[i] is the node's prediction, used at leaves.
+    """
+
+    feature: np.ndarray    # (m,) int64
+    threshold: np.ndarray  # (m,) float64
+    left: np.ndarray       # (m,) int64
+    right: np.ndarray      # (m,) int64
+    value: np.ndarray      # (m, k) float64
+    roots: np.ndarray      # (t,) int64
 
     def __post_init__(self):
-        if self.feature is None:
-            if self.value is None or self.left is not None or self.right is not None:
-                raise ValueError("leaf nodes carry a value and no children")
-            v = np.asarray(self.value, dtype=np.float64)
-            if v.ndim != 1 or not np.isfinite(v).all():
-                raise ValueError("leaf value must be a finite 1-D vector")
-            object.__setattr__(self, "value", v)
-        else:
-            if self.left is None or self.right is None or self.value is not None:
-                raise ValueError("split nodes carry two children and no value")
-            if not np.isfinite(self.threshold):
-                raise ValueError("split threshold must be finite")
+        feature = _index_array("feature", self.feature)
+        left = _index_array("left", self.left)
+        right = _index_array("right", self.right)
+        roots = _index_array("roots", self.roots)
+        threshold = np.asarray(self.threshold, dtype=np.float64)
+        value = np.asarray(self.value, dtype=np.float64)
+        m = feature.size
+        if threshold.shape != (m,) or left.size != m or right.size != m \
+                or value.ndim != 2 or value.shape[0] != m:
+            raise ValueError("node arrays disagree in length")
+        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+            raise ValueError("node thresholds and values must be finite")
+        if (roots.size == 0) != (m == 0) or (m and (
+                roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= m)):
+            raise ValueError("roots must be increasing node offsets starting at 0")
+        sizes = np.diff(np.append(roots, m))
+        start = np.repeat(roots, sizes)
+        local = np.arange(m) - start
+        size = np.repeat(sizes, sizes)
+        split = feature >= 0
+        if (feature < -1).any() or (left[~split] != -1).any() \
+                or (right[~split] != -1).any():
+            raise ValueError("leaves need feature, left and right -1")
+        for child in (left[split], right[split]):
+            if ((child <= local[split]) | (child >= size[split])).any():
+                raise ValueError("child index must point past its parent "
+                                 "inside the same tree")
+        refs = np.bincount(np.concatenate([left[split], right[split]])
+                           + np.concatenate([start[split]] * 2), minlength=m)
+        if (refs != (local > 0)).any():
+            raise ValueError(f"node {int(np.argmax(refs != (local > 0)))} is "
+                             "unreachable or shared")
+        for name, a in zip(_NODE_FIELDS + ("roots",),
+                           (feature, threshold, left, right, value, roots)):
+            object.__setattr__(self, name, a)
 
     @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def n_trees(self) -> int:
+        return self.roots.size
+
+    def member(self, t: int) -> "TreeArrays":
+        """Tree t on its own."""
+        lo = self.roots[t]
+        hi = self.roots[t + 1] if t + 1 < self.n_trees else self.feature.size
+        return TreeArrays(*(getattr(self, name)[lo:hi] for name in _NODE_FIELDS),
+                          roots=np.zeros(1, dtype=np.int64))
 
 
-def _node_sse(y: np.ndarray) -> float:
-    centered = y - y.mean(axis=0)
-    return float((centered * centered).sum())
+def _concat(parts) -> TreeArrays:
+    """Trees of every part, in order, as one TreeArrays."""
+    offsets = np.cumsum([0] + [p.feature.size for p in parts])
+    fields = [np.concatenate([getattr(p, name) for p in parts])
+              for name in _NODE_FIELDS]
+    roots = np.concatenate([p.roots + o for p, o in zip(parts, offsets)])
+    return TreeArrays(*fields, roots=roots)
 
 
-def _variance_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (feature, threshold) by summed per-target SSE reduction, or None."""
-    m = x.shape[0]
-    sse_parent = _node_sse(y)
-    if sse_parent == 0.0:
-        return None
-    floor = _GAIN_EPS * (1.0 + sse_parent)
-    best_gain = floor
-    best = None
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        v = x[order, f]
-        ys = y[order]
-        cut = np.nonzero(v[1:] > v[:-1])[0] + 1  # left block sizes
-        cut = cut[(cut >= min_leaf) & (cut <= m - min_leaf)]
-        if cut.size == 0:
-            continue
-        cy = np.cumsum(ys, axis=0)
-        cy2 = np.cumsum(ys * ys, axis=0)
-        nl = cut.astype(np.float64)[:, None]
-        syl, sy2l = cy[cut - 1], cy2[cut - 1]
-        syr, sy2r = cy[-1] - syl, cy2[-1] - sy2l
-        sse = (sy2l - syl * syl / nl).sum(axis=1)
-        sse += (sy2r - syr * syr / (m - nl)).sum(axis=1)
-        gains = sse_parent - sse
-        j = int(np.argmax(gains))  # first max: lowest threshold in-feature
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best = (f, (v[cut[j] - 1] + v[cut[j]]) / 2.0)
-    return best
+# --- the shared split search ---------------------------------------------------
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth_left: int, min_leaf: int) -> TreeNode:
-    if depth_left == 0 or x.shape[0] < 2 * min_leaf:
-        return TreeNode(value=y.mean(axis=0))
-    found = _variance_split(x, y, min_leaf)
-    if found is None:
-        return TreeNode(value=y.mean(axis=0))
-    f, threshold = found
-    mask = x[:, f] <= threshold
-    return TreeNode(
-        feature=f, threshold=float(threshold),
-        left=_grow(x[mask], y[mask], depth_left - 1, min_leaf),
-        right=_grow(x[~mask], y[~mask], depth_left - 1, min_leaf),
-    )
+def _rank_code(x: np.ndarray):
+    """Rank-code every feature once.
+
+    Returns (values, cell_row, cell_code): `values` concatenates the features'
+    sorted distinct values, and the root's (row, feature) cells are listed
+    feature by feature in (rank, row) order, each with its row and the index
+    of its value in `values`.
+    """
+    p = x.shape[1]
+    uniques, codes = [], np.empty((p, x.shape[0]), dtype=np.int64)
+    offset = 0
+    for f in range(p):
+        u, inverse = np.unique(x[:, f], return_inverse=True)
+        codes[f] = inverse + offset
+        uniques.append(u)
+        offset += u.size
+    order = np.argsort(codes, axis=1, kind="stable")
+    return (np.concatenate(uniques), order.ravel(),
+            np.take_along_axis(codes, order, axis=1).ravel())
+
+
+class _Variance:
+    """Summed per-target SSE reduction; nodes predict their target means."""
+
+    def node(self, sums, sizes, sse):
+        floor = np.where(sse > 0.0, _GAIN_EPS * (1.0 + sse), np.inf)
+        return sums / sizes[:, None], floor
+
+    def gain(self, lc, rc, nl, nr, mean):
+        # lc, rc: sums of (target - node mean), so the gain carries no
+        # cancellation against the targets' own scale
+        tc = lc + rc
+        return (lc * lc / nl[:, None] + rc * rc / nr[:, None]
+                - tc * tc / (nl + nr)[:, None]).sum(axis=1)
+
+
+class _Boost:
+    """XGBoost gain for squared error (h = 1 per row); nodes hold -G/(H+lambda)."""
+
+    def __init__(self, reg_lambda: float, gamma: float):
+        self.reg_lambda = reg_lambda
+        self.gamma = gamma
+
+    def node(self, sums, sizes, sse):
+        weight = gbt_leaf_weight(sums[:, 0], sizes, self.reg_lambda)
+        return weight[:, None], np.zeros(sizes.size)  # strictly positive gain
+
+    def gain(self, lc, rc, nl, nr, mean):
+        gl = lc[:, 0] + nl * mean[:, 0]
+        gr = rc[:, 0] + nr * mean[:, 0]
+        return gbt_split_gain(gl, nl, gr, nr, self.reg_lambda, self.gamma)
+
+
+def _best_splits(cell_code, centered, mean, sizes, p, objective, min_leaf):
+    """Each node's best candidate as (node, feature, low code, high code, gain).
+
+    Nodes without a candidate are left out. Cells come in (node, feature,
+    rank) order, so each node's feature block is one segment; `centered`
+    holds each cell's row statistics minus its node's mean. A candidate is
+    a segment's last cell of one value, followed by a cell of the next.
+    """
+    seg_len = np.repeat(sizes, p)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    # centered sums return to about zero at every segment end, so one running
+    # sum gives each segment's prefix sums at the precision of its own
+    prefix = np.zeros((cell_code.size + 1, centered.shape[1]))
+    np.cumsum(centered, axis=0, out=prefix[1:])
+    step = cell_code[1:] != cell_code[:-1]
+    step[seg_end[:-1] - 1] = False
+    cand = np.flatnonzero(step)
+    seg = np.searchsorted(seg_end, cand, side="right")
+    nl = cand + 1 - seg_start[seg]
+    nr = seg_len[seg] - nl
+    ok = (nl >= min_leaf) & (nr >= min_leaf)
+    cand, seg, nl, nr = cand[ok], seg[ok], nl[ok], nr[ok]
+    node = seg // p
+    base = prefix[seg_start[seg]]
+    lc = prefix[cand + 1] - base
+    rc = prefix[seg_end[seg]] - base - lc
+    gain = objective.gain(lc, rc, nl, nr, mean[node])
+    if gain.size == 0:
+        return node, node, cand, cand, gain
+    head = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    top = np.repeat(np.maximum.reduceat(gain, head), np.diff(np.r_[head, node.size]))
+    tied = np.flatnonzero(gain >= top - _TIE_REL * np.abs(top))
+    pick = tied[np.r_[True, node[tied[1:]] != node[tied[:-1]]]]
+    at = cand[pick]
+    return node[pick], seg[pick] % p, cell_code[at], cell_code[at + 1], gain[pick]
+
+
+def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
+          min_leaf: int):
+    """Grow one tree level by level on per-row statistics w (n, k).
+
+    Returns the tree and the node (a leaf) each training row ends in.
+    """
+    values, cell_row, cell_code = coded
+    n, p = x.shape
+    rows = np.arange(n)                     # rows of this level's nodes
+    row_pos = np.zeros(n, dtype=np.int64)   # row -> its node's place in the level
+    row_node = np.zeros(n, dtype=np.int64)  # row -> node id
+    centered = np.zeros_like(w)             # row -> w minus its node's mean
+    sizes = np.array([n])
+    first = 0                               # id of the level's first node
+    levels = []
+    for depth in range(max_depth + 1):
+        count = sizes.size
+        pos = row_pos[rows]
+        sums = np.stack([np.bincount(pos, w[rows, j], minlength=count)
+                         for j in range(w.shape[1])], axis=1)
+        mean = sums / sizes[:, None]
+        centered[rows] = w[rows] - mean[pos]
+        sse = np.bincount(pos, (centered[rows] ** 2).sum(axis=1), minlength=count)
+        value, floor = objective.node(sums, sizes, sse)
+        feature = np.full(count, -1, dtype=np.int64)
+        threshold = np.zeros(count)
+        if depth < max_depth:
+            node, f, lo, hi, gain = _best_splits(
+                cell_code, centered[cell_row], mean, sizes, p, objective, min_leaf)
+            take = gain > floor[node]
+            feature[node[take]] = f[take]
+            threshold[node[take]] = (values[lo[take]] + values[hi[take]]) / 2.0
+        split = feature >= 0
+        n_split = int(split.sum())
+        left = np.full(count, -1, dtype=np.int64)
+        left[split] = first + count + 2 * np.arange(n_split)
+        right = np.where(split, left + 1, -1)
+        levels.append((feature, threshold, left, right, value))
+        if n_split == 0:
+            break
+        # route the rows of split nodes; children keep their parents' order
+        keep = split[pos]
+        rows, pos = rows[keep], pos[keep]
+        child = 2 * (np.cumsum(split) - 1)[pos] + (x[rows, feature[pos]] > threshold[pos])
+        first += count
+        row_pos[rows] = child
+        row_node[rows] = first + child
+        sizes = np.bincount(child, minlength=2 * n_split)
+        if depth + 1 < max_depth:
+            # cells follow their rows, stably, so they come in (child,
+            # feature, rank) order; cells of leaves sort last and drop off
+            cell_child = np.full(n, 2 * n_split,
+                                 dtype=np.min_scalar_type(2 * n_split))
+            cell_child[rows] = child
+            order = np.argsort(cell_child[cell_row], kind="stable")[:rows.size * p]
+            cell_row, cell_code = cell_row[order], cell_code[order]
+    tree = TreeArrays(*(np.concatenate(parts) for parts in zip(*levels)),
+                      roots=np.zeros(1, dtype=np.int64))
+    return tree, row_node
 
 
 def _check_xy(x, y):
@@ -111,7 +291,7 @@ def _check_xy(x, y):
     return x, y
 
 
-def tree_fit(x, y, max_depth: int = 10, min_samples_leaf: int = 5) -> TreeNode:
+def tree_fit(x, y, max_depth: int = 10, min_samples_leaf: int = 5) -> TreeArrays:
     """Greedy variance-reduction tree; leaves hold per-target means."""
     x, y = _check_xy(x, y)
     if max_depth < 0 or min_samples_leaf < 1:
@@ -119,33 +299,53 @@ def tree_fit(x, y, max_depth: int = 10, min_samples_leaf: int = 5) -> TreeNode:
     if x.shape[0] < 2 * min_samples_leaf:
         raise ValueError(
             f"need at least {2 * min_samples_leaf} rows, got {x.shape[0]}")
-    return _grow(x, y, max_depth, min_samples_leaf)
+    tree, _ = _grow(_rank_code(x), x, y, _Variance(), max_depth, min_samples_leaf)
+    return tree
 
 
-def tree_predict(node: TreeNode, x) -> np.ndarray:
+def _leaves(trees: TreeArrays, x: np.ndarray) -> np.ndarray:
+    """(n, t) node index of the leaf each row reaches in each tree.
+
+    Every row walks every tree at once, one vectorized step per level.
+    """
+    t = trees.n_trees
+    sizes = np.diff(np.append(trees.roots, trees.feature.size))
+    start = np.repeat(trees.roots, sizes)
+    left, right = trees.left + start, trees.right + start
+    node = np.tile(trees.roots, x.shape[0])  # entry e: row e // t, tree e % t
+    live = np.flatnonzero(trees.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = x[live // t, trees.feature[at]] <= trees.threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+        live = live[trees.feature[node[live]] >= 0]
+    return node.reshape(x.shape[0], t)
+
+
+def _leaf_blocks(trees: TreeArrays, x: np.ndarray):
+    """Yield (row slice, its rows' leaves) over blocks of rows.
+
+    A block holds about _ROUTE_ENTRIES (row, tree) pairs, so routing a large
+    table through many trees stays within a few index arrays of that size.
+    """
+    if trees.feature.size and trees.feature.max() >= x.shape[1]:
+        raise ValueError(f"tree splits on feature {trees.feature.max()} "
+                         f"but input has {x.shape[1]} columns")
+    step = max(1, _ROUTE_ENTRIES // max(trees.n_trees, 1))
+    for lo in range(0, x.shape[0], step):
+        yield slice(lo, lo + step), _leaves(trees, x[lo:lo + step])
+
+
+def tree_predict(trees: TreeArrays, x) -> np.ndarray:
+    """Leaf values per row, averaged over the trees (one tree: its own)."""
     x = matrix(x)
-    k = _leaf_width(node)
-    out = np.empty((x.shape[0], k))
-    _route(node, x, np.arange(x.shape[0]), out)
+    out = np.empty((x.shape[0], trees.value.shape[1]))
+    for rows, leaves in _leaf_blocks(trees, x):
+        total = trees.value[leaves[:, 0]]
+        for column in leaves.T[1:]:
+            total += trees.value[column]
+        out[rows] = total / trees.n_trees
     return out
-
-
-def _leaf_width(node: TreeNode) -> int:
-    while not node.is_leaf:
-        node = node.left
-    return node.value.shape[0]
-
-
-def _route(node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.value
-        return
-    if node.feature >= x.shape[1]:
-        raise ValueError(
-            f"tree splits on feature {node.feature} but input has {x.shape[1]} columns")
-    go_left = x[idx, node.feature] <= node.threshold
-    _route(node.left, x, idx[go_left], out)
-    _route(node.right, x, idx[~go_left], out)
 
 
 # --- bagged ensemble ---------------------------------------------------------
@@ -153,14 +353,16 @@ def _route(node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> N
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple
+    """Bagged trees. Member t was fit on rows Rng(seed).spawn(t).integers(0, n, n)
+    of the n training rows (on all of them when fit without bootstrap), so the
+    seed alone reproduces every member.
+    """
+
+    trees: TreeArrays
     seed: int
-    bootstrap_indices: tuple  # one (n,) int array per tree, kept for audit
 
     def __post_init__(self):
-        if len(self.trees) != len(self.bootstrap_indices):
-            raise ValueError("one bootstrap index array per tree required")
-        if not self.trees:
+        if self.trees.n_trees == 0:
             raise ValueError("forest needs at least one tree")
 
 
@@ -178,7 +380,6 @@ def forest_fit(x, y, n_estimators: int = 100, max_depth: int = 20,
     n = x.shape[0]
     root = Rng(seed)
     trees = []
-    picks = []
     for t in range(n_estimators):
         if bootstrap:
             idx = root.spawn(t).integers(0, n, n)
@@ -186,34 +387,37 @@ def forest_fit(x, y, n_estimators: int = 100, max_depth: int = 20,
             idx = np.arange(n, dtype=np.int64)
         trees.append(tree_fit(x[idx], y[idx], max_depth=max_depth,
                               min_samples_leaf=min_samples_leaf))
-        picks.append(idx)
-    return ForestModel(trees=tuple(trees), seed=seed,
-                       bootstrap_indices=tuple(picks))
+    return ForestModel(trees=_concat(trees), seed=seed)
 
 
 def forest_predict(model: ForestModel, x) -> np.ndarray:
-    preds = [tree_predict(t, x) for t in model.trees]
-    return np.mean(preds, axis=0)
+    return tree_predict(model.trees, x)
 
 
 # --- gradient-boosted trees --------------------------------------------------
 
 
-def gbt_leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
-    """Optimal leaf output for the regularized quadratic objective: -G/(H+lambda)."""
+def gbt_leaf_weight(grad_sum, hess_sum, reg_lambda: float):
+    """Optimal leaf output for the regularized quadratic objective: -G/(H+lambda).
+
+    Scalars or arrays of node sums.
+    """
     denom = hess_sum + reg_lambda
-    if denom <= 0.0:
-        raise ValueError(f"hessian sum plus lambda must be positive, got {denom}")
+    if np.any(denom <= 0.0):
+        raise ValueError(f"hessian sum plus lambda must be positive, got {np.min(denom)}")
     return -grad_sum / denom
 
 
-def gbt_split_gain(grad_left: float, hess_left: float, grad_right: float,
-                   hess_right: float, reg_lambda: float, gamma: float) -> float:
-    """Half the regularized score improvement of a split, minus the gamma toll."""
+def gbt_split_gain(grad_left, hess_left, grad_right, hess_right,
+                   reg_lambda: float, gamma: float):
+    """Half the regularized score improvement of a split, minus the gamma toll.
+
+    Scalars or arrays of candidate sums.
+    """
     dl = hess_left + reg_lambda
     dr = hess_right + reg_lambda
     dp = hess_left + hess_right + reg_lambda
-    if dl <= 0.0 or dr <= 0.0 or dp <= 0.0:
+    if np.any(dl <= 0.0) or np.any(dr <= 0.0) or np.any(dp <= 0.0):
         raise ValueError("all regularized hessian sums must be positive")
     score = grad_left ** 2 / dl + grad_right ** 2 / dr
     score -= (grad_left + grad_right) ** 2 / dp
@@ -222,65 +426,31 @@ def gbt_split_gain(grad_left: float, hess_left: float, grad_right: float,
 
 @dataclass(frozen=True, eq=False)
 class GbtModel:
-    """One boosting chain per target over a shared base score."""
+    """One boosting chain per target over a shared base score.
+
+    `trees` holds the chains back to back: target j's round r is tree
+    j * rounds + r, each with one-wide leaf values.
+    """
 
     base_score: np.ndarray  # (k,) train target means
     learning_rate: float
     reg_lambda: float
     gamma: float
-    chains: tuple  # k tuples of TreeNode, one tree per round
+    trees: TreeArrays
 
     def __post_init__(self):
         base = np.asarray(self.base_score, dtype=np.float64)
-        if base.ndim != 1 or not np.isfinite(base).all():
-            raise ValueError("base_score must be a finite 1-D vector")
+        if base.ndim != 1 or base.size == 0 or not np.isfinite(base).all():
+            raise ValueError("base_score must be a finite, non-empty 1-D vector")
         object.__setattr__(self, "base_score", base)
-        if len(self.chains) != base.shape[0]:
-            raise ValueError("one chain per target required")
+        if self.trees.n_trees % base.shape[0] or self.trees.value.shape[1] != 1:
+            raise ValueError("one chain of one-wide trees per target required")
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in [0, 1]")
 
     @property
     def rounds(self) -> int:
-        return len(self.chains[0]) if self.chains else 0
-
-
-def _gbt_grow(x: np.ndarray, g: np.ndarray, depth_left: int,
-              reg_lambda: float, gamma: float) -> TreeNode:
-    grad_sum = float(g.sum())
-    hess_sum = float(g.shape[0])  # squared error: h = 1 per sample
-    weight = gbt_leaf_weight(grad_sum, hess_sum, reg_lambda)
-    if depth_left == 0 or g.shape[0] < 2:
-        return TreeNode(value=np.array([weight]))
-    m = g.shape[0]
-    best_gain = 0.0  # split accepted only on strictly positive gain
-    best = None
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        v = x[order, f]
-        cut = np.nonzero(v[1:] > v[:-1])[0] + 1
-        if cut.size == 0:
-            continue
-        cg = np.cumsum(g[order])
-        gl = cg[cut - 1]
-        hl = cut.astype(np.float64)
-        gr = grad_sum - gl
-        gains = 0.5 * (gl * gl / (hl + reg_lambda)
-                       + gr * gr / (m - hl + reg_lambda)
-                       - grad_sum ** 2 / (hess_sum + reg_lambda)) - gamma
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best = (f, (v[cut[j] - 1] + v[cut[j]]) / 2.0)
-    if best is None:
-        return TreeNode(value=np.array([weight]))
-    f, threshold = best
-    mask = x[:, f] <= threshold
-    return TreeNode(
-        feature=f, threshold=float(threshold),
-        left=_gbt_grow(x[mask], g[mask], depth_left - 1, reg_lambda, gamma),
-        right=_gbt_grow(x[~mask], g[~mask], depth_left - 1, reg_lambda, gamma),
-    )
+        return self.trees.n_trees // self.base_score.shape[0]
 
 
 def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
@@ -294,25 +464,27 @@ def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
         raise ValueError("rounds must be >= 1")
     if reg_lambda < 0.0 or gamma < 0.0:
         raise ValueError("reg_lambda and gamma must be >= 0")
+    coded = _rank_code(x)
+    boost = _Boost(reg_lambda, gamma)
     base = y.mean(axis=0)
-    chains = []
+    trees = []
     for j in range(y.shape[1]):
         pred = np.full(x.shape[0], base[j])
-        target = y[:, j]
-        chain = []
         for _ in range(rounds):
-            tree = _gbt_grow(x, pred - target, max_depth, reg_lambda, gamma)
-            pred += learning_rate * tree_predict(tree, x)[:, 0]
-            chain.append(tree)
-        chains.append(tuple(chain))
+            tree, leaf = _grow(coded, x, (pred - y[:, j])[:, None], boost,
+                               max_depth, 1)
+            pred += learning_rate * tree.value[leaf, 0]
+            trees.append(tree)
     return GbtModel(base_score=base, learning_rate=learning_rate,
-                    reg_lambda=reg_lambda, gamma=gamma, chains=tuple(chains))
+                    reg_lambda=reg_lambda, gamma=gamma, trees=_concat(trees))
 
 
 def gbt_predict(model: GbtModel, x) -> np.ndarray:
     x = matrix(x)
+    k, rounds = model.base_score.shape[0], model.rounds
     out = np.tile(model.base_score, (x.shape[0], 1))
-    for j, chain in enumerate(model.chains):
-        for tree in chain:
-            out[:, j] += model.learning_rate * tree_predict(tree, x)[:, 0]
+    for rows, leaves in _leaf_blocks(model.trees, x):
+        step = model.trees.value[leaves, 0].reshape(leaves.shape[0], k, rounds)
+        for r in range(rounds):
+            out[rows] += model.learning_rate * step[:, :, r]
     return out

@@ -212,26 +212,31 @@ def test_c05_tree_and_ensemble_properties():
     step_y = np.array([[0.0], [0.0], [1.0], [1.0]])
     root = tree_fit(step_x, step_y, max_depth=1, min_samples_leaf=1)
     want_feature, want_threshold = _exhaustive_split(step_x, step_y)
-    if root.feature != want_feature or abs(root.threshold - want_threshold) > 0.0:
-        failures.append(f"step split ({root.feature}, {root.threshold}) vs "
+    if root.feature[0] != want_feature or abs(root.threshold[0] - want_threshold) > 0.0:
+        failures.append(f"step split ({root.feature[0]}, {root.threshold[0]}) vs "
                         f"exhaustive ({want_feature}, {want_threshold})")
 
     first = forest_fit(x, y, n_estimators=8, max_depth=4, seed=5)
     second = forest_fit(x, y, n_estimators=8, max_depth=4, seed=5)
     if not np.array_equal(forest_predict(first, x), forest_predict(second, x)):
         failures.append("forest predictions differ across runs with one seed")
-    if any(not np.array_equal(a, b) for a, b in
-           zip(first.bootstrap_indices, second.bootstrap_indices)):
-        failures.append("forest bootstrap draws differ across runs with one seed")
+    # members are recomputable from the seed: tree t sees draws spawn(t)
+    for t in range(8):
+        idx = Rng(5).spawn(t).integers(0, x.shape[0], x.shape[0])
+        again = tree_fit(x[idx], y[idx], max_depth=4, min_samples_leaf=1)
+        member = first.trees.member(t)
+        if any(not np.array_equal(getattr(member, name), getattr(again, name))
+               for name in ("feature", "threshold", "left", "right", "value")):
+            failures.append(f"forest member {t} is not the tree of its seeded bootstrap")
 
     table = make_table(count=400, seed=5)
     boosted = gbt_fit(table.x, table.y, rounds=100, learning_rate=0.3, max_depth=2)
     running = np.tile(boosted.base_score, (table.x.shape[0], 1))
     mses = []
     for round_idx in range(100):
-        for j, chain in enumerate(boosted.chains):
+        for j in range(table.y.shape[1]):
             running[:, j] += boosted.learning_rate * tree_predict(
-                chain[round_idx], table.x)[:, 0]
+                boosted.trees.member(j * boosted.rounds + round_idx), table.x)[:, 0]
         mses.append(float(((running - table.y) ** 2).mean()))
     rises = [r for r in range(1, 100) if mses[r] > mses[r - 1] + 1e-9]
     if rises:
@@ -241,7 +246,7 @@ def test_c05_tree_and_ensemble_properties():
     single = gbt_fit(step_x, step_y, rounds=1, learning_rate=1.0,
                      max_depth=3, reg_lambda=0.0, gamma=0.0)
     base = single.base_score + single.learning_rate * tree_predict(
-        single.chains[0][0], step_x)
+        single.trees.member(0), step_x)
     if not np.allclose(base, tree_predict(plain, step_x), atol=1e-12):
         failures.append("one-round unregularized boost differs from the plain tree")
     _verdict(5, "tree memorization, split oracle, forest determinism, boosting", failures)

@@ -18,7 +18,7 @@ from delaycast.evalreport import (
 )
 from delaycast.features import chronological_split
 from delaycast.regressors import FitOptions, TrainedModel, train_model
-from delaycast.trees import GbtModel
+from delaycast.trees import GbtModel, TreeArrays
 
 from test_regressors import make_table
 
@@ -30,9 +30,10 @@ def split_tables():
 
 def constant_mean_model(table):
     """A gbt shell with no boosting rounds: always predicts train means."""
-    k = table.y.shape[1]
     inner = GbtModel(base_score=table.y.mean(axis=0), learning_rate=0.3,
-                     reg_lambda=1.0, gamma=0.0, chains=((),) * k)
+                     reg_lambda=1.0, gamma=0.0,
+                     trees=TreeArrays(feature=[], threshold=[], left=[], right=[],
+                                      value=np.zeros((0, 1)), roots=[]))
     return TrainedModel(kind="gbt", target_mode=table.target_mode,
                         feature_names=table.feature_names,
                         codebook_columns=dict(table.codebook.columns),

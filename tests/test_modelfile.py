@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from delaycast.container import ModelFileError, read_container
+from delaycast.container import ModelFileError, read_container, write_container
 from delaycast.features import chronological_split
-from delaycast.modelfile import (
-    load_model,
-    matrix_to_tree,
-    save_model,
-    tree_to_matrix,
-)
+from delaycast.modelfile import load_model, save_model
 from delaycast.neural import TrainConfig, load_checkpoint, mlp_build, train
-from delaycast.regressors import FitOptions, predict_table, train_model
-from delaycast.trees import TreeNode, tree_predict
+from delaycast.regressors import FitOptions, TrainedModel, predict_table, train_model
+from delaycast.trees import TreeArrays, tree_predict
 
 from test_regressors import make_table
 
@@ -60,50 +55,60 @@ def test_save_is_deterministic(split_tables, tmp_path):
 
 
 class TestTreeMatrix:
-    def leaf(self, *v):
-        return TreeNode(value=np.asarray(v, dtype=np.float64))
+    # root splits on feature 2; its right child splits on feature 0
+    NODES = dict(feature=[2, -1, 0, -1, -1], threshold=[1.5, 0.0, -3.0, 0.0, 0.0],
+                 left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
+                 value=[[0.0], [1.0], [0.0], [3.0], [5.0]], roots=[0])
 
-    def test_preorder_layout(self):
-        root = TreeNode(feature=2, threshold=1.5,
-                        left=self.leaf(1.0, 2.0),
-                        right=TreeNode(feature=0, threshold=-3.0,
-                                       left=self.leaf(3.0, 4.0),
-                                       right=self.leaf(5.0, 6.0)))
-        mat = tree_to_matrix(root, 2)
-        assert mat.shape == (5, 6)
-        assert mat[0].tolist() == [2.0, 1.5, 1.0, 2.0, 0.0, 0.0]
-        assert mat[1].tolist() == [-1.0, 0.0, -1.0, -1.0, 1.0, 2.0]
-        assert mat[2].tolist() == [0.0, -3.0, 3.0, 4.0, 0.0, 0.0]
-        assert mat[4].tolist() == [-1.0, 0.0, -1.0, -1.0, 5.0, 6.0]
+    def saved(self, tmp_path, **changes):
+        tree = TreeArrays(**self.NODES)
+        trained = TrainedModel(kind="tree", target_mode="total",
+                               feature_names=("a", "b", "c"), codebook_columns={},
+                               window=1, inner=tree)
+        path = tmp_path / "tree.model"
+        save_model(trained, path)
+        if changes:
+            meta, tensors = read_container(path)
+            for name, value in changes.items():
+                tensors[f"trees.{name}"] = np.asarray(value, dtype=np.float64)
+            write_container(path, meta, tensors)
+        return path
 
-    def test_round_trip_routes_identically(self):
-        root = TreeNode(feature=1, threshold=0.25,
-                        left=TreeNode(feature=0, threshold=-1.0,
-                                      left=self.leaf(1.0), right=self.leaf(2.0)),
-                        right=self.leaf(3.0))
-        rebuilt = matrix_to_tree(tree_to_matrix(root, 1), 1)
-        x = np.linspace(-2, 2, 41).reshape(-1, 1).repeat(2, axis=1)
-        assert np.array_equal(tree_predict(root, x), tree_predict(rebuilt, x))
+    def test_level_order_layout(self, tmp_path):
+        _, tensors = read_container(self.saved(tmp_path))
+        assert tensors["trees.feature"].tolist() == [2.0, -1.0, 0.0, -1.0, -1.0]
+        assert tensors["trees.threshold"].tolist() == [1.5, 0.0, -3.0, 0.0, 0.0]
+        assert tensors["trees.left"].tolist() == [1.0, -1.0, 3.0, -1.0, -1.0]
+        assert tensors["trees.right"].tolist() == [2.0, -1.0, 4.0, -1.0, -1.0]
+        assert tensors["trees.value"].shape == (5, 1)
+        assert tensors["trees.roots"].tolist() == [0.0]
 
-    def test_leaf_width_checked(self):
-        with pytest.raises(ValueError, match="leaf width"):
-            tree_to_matrix(self.leaf(1.0, 2.0), 1)
+    def test_round_trip_routes_identically(self, tmp_path):
+        tree = TreeArrays(**self.NODES)
+        rebuilt = load_model(self.saved(tmp_path)).inner
+        x = np.linspace(-4, 4, 81).reshape(-1, 1).repeat(3, axis=1)
+        assert np.array_equal(tree_predict(tree, x), tree_predict(rebuilt, x))
 
-    def test_bad_child_index(self):
-        mat = np.array([[0.0, 1.0, 1.0, 9.0, 0.0],
-                        [-1.0, 0.0, -1.0, -1.0, 2.0]])
-        with pytest.raises(ModelFileError, match="row index"):
-            matrix_to_tree(mat, 1)
+    def test_leaf_width_checked(self, tmp_path):
+        path = self.saved(tmp_path, value=np.zeros((5, 2)))
+        with pytest.raises(ModelFileError, match="wide"):
+            load_model(path)
 
-    def test_unreachable_rows(self):
-        mat = np.array([[-1.0, 0.0, -1.0, -1.0, 2.0],
-                        [-1.0, 0.0, -1.0, -1.0, 3.0]])
+    def test_bad_child_index(self, tmp_path):
+        path = self.saved(tmp_path, right=[9, -1, 4, -1, -1])
+        with pytest.raises(ModelFileError, match="child index"):
+            load_model(path)
+
+    def test_unreachable_rows(self, tmp_path):
+        path = self.saved(tmp_path, feature=[2, -1, -1, -1, -1],
+                          left=[1, -1, -1, -1, -1], right=[2, -1, -1, -1, -1])
         with pytest.raises(ModelFileError, match="unreachable"):
-            matrix_to_tree(mat, 1)
+            load_model(path)
 
-    def test_wrong_width(self):
-        with pytest.raises(ModelFileError, match="tree matrix"):
-            matrix_to_tree(np.zeros((1, 4)), 1)
+    def test_wrong_width(self, tmp_path):
+        path = self.saved(tmp_path, threshold=[1.5, 0.0, -3.0, 0.0])
+        with pytest.raises(ModelFileError, match="disagree"):
+            load_model(path)
 
 
 class TestCorruption:
@@ -132,7 +137,7 @@ class TestCorruption:
     def test_header_tamper(self, split_tables, tmp_path):
         path = self._saved(split_tables, tmp_path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b'"version":1', b'"version":2', 1))
+        path.write_bytes(blob.replace(b'"version":2', b'"version":1', 1))
         with pytest.raises(ModelFileError, match="version"):
             load_model(path)
 

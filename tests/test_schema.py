@@ -180,6 +180,23 @@ def test_read_csv_blank_component_group_retained():
     assert records[0].arr_delay == 7.0
 
 
+def test_read_csv_short_row_skipped_with_diagnostic():
+    good = "2021-01-01,UA,ORD,SFO,0,0,12,0"
+    short = "2021-01-02,UA,ORD,SFO,0,0,9"
+    records, diags = read_csv(_csv_with_rows([good, short]))
+    assert len(records) == 1
+    assert diags == [CellDiagnostic(2, "*", "expected 8 cells, got 7")]
+
+
+def test_read_csv_long_row_skipped_with_diagnostic():
+    long = "2021-01-02,UA,ORD,SFO,0,0,9,0,0"
+    good = "2021-01-01,UA,ORD,SFO,0,0,12,0"
+    records, diags = read_csv(_csv_with_rows([long, good]))
+    assert len(records) == 1
+    assert records[0].arr_delay == 12.0
+    assert diags == [CellDiagnostic(1, "*", "expected 8 cells, got 9")]
+
+
 def test_read_csv_multiple_bad_cells_one_row_all_reported():
     bad = "2021-01-01,UA,ORD,SFO,7,0,abc,0"
     records, diags = read_csv(_csv_with_rows([bad]))

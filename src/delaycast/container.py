@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 FORMAT_NAME = "delaycast-model"
-# 2: CRC-32 checksum and flat tree tensors (version 1 used FNV-1a-64 and
-# one node matrix per tree)
-FORMAT_VERSION = 2
+# 3: one fused weight matrix and bias per LSTM (version 2 stored twelve
+# per-gate arrays; version 1 also used FNV-1a-64 and one node matrix per tree)
+FORMAT_VERSION = 3
 
 
 class ModelFileError(ValueError):

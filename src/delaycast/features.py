@@ -58,15 +58,6 @@ class LabelCodebook:
             idx[column] = table
         return table[value]
 
-    def decode(self, column: str, code: int) -> str:
-        cats = self.columns[column]
-        if not (0 <= code < len(cats)):
-            raise ValueError(f"code {code} out of range for {column}")
-        return cats[code]
-
-    def sizes(self) -> dict:
-        return {c: len(v) for c, v in self.columns.items()}
-
 
 def fit_codebook(records, columns=CATEGORICAL_FEATURES) -> LabelCodebook:
     """Collect sorted vocabularies for the categorical feature columns.
@@ -203,12 +194,6 @@ class Standardizer:
         out = np.array(x, dtype=np.float64, copy=True)
         for c, mean, std in zip(self._indices(), self.means, self.stds):
             out[:, c] = (out[:, c] - mean) / std
-        return out
-
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        out = np.array(x, dtype=np.float64, copy=True)
-        for c, mean, std in zip(self._indices(), self.means, self.stds):
-            out[:, c] = out[:, c] * std + mean
         return out
 
     def to_dict(self) -> dict:

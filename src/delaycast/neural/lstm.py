@@ -1,14 +1,17 @@
 """LSTM cell with analytic backward, plus sequence and bidirectional layers.
 
-Gate equations, elementwise over the batch:
+Each LSTM keeps its gates in one weight matrix `w` of shape (d+u, 4u) and
+one bias `b` of width 4u, for input width d and u units. Rows hold the x
+block first, then the h block; column blocks run i|f|o|g. Elementwise over
+the batch:
 
-    i = sigmoid(x W_xi + h_prev W_hi + b_i)
-    f = sigmoid(x W_xf + h_prev W_hf + b_f)
-    o = sigmoid(x W_xo + h_prev W_ho + b_o)
-    g = tanh   (x W_xg + h_prev W_hg + b_g)
+    z = [x | h_prev] w + b          (as x w[:d] + h_prev w[d:] + b)
+    i, f, o = sigmoid(z[:, :3u]) in blocks of u columns
+    g = tanh(z[:, 3u:])
     c = f * c_prev + i * g
     h = o * tanh(c)
 
+The sigmoid is computed as 0.5 * (1 + tanh(z / 2)), which cannot overflow.
 The forget-gate bias starts at 1.0 so early training does not erase state.
 """
 
@@ -19,78 +22,78 @@ import numpy as np
 from ..numerics import Rng
 from .layers import glorot
 
-PARAM_NAMES = ("w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
-               "w_xo", "w_ho", "b_o", "w_xg", "w_hg", "b_g")
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _blocks(gates, units):
+    """The i, f, o, g column blocks of an (n, 4u) gate array, as views."""
+    return (gates[:, :units], gates[:, units:2 * units],
+            gates[:, 2 * units:3 * units], gates[:, 3 * units:])
 
 
 def lstm_params(input_size: int, units: int, rng: Rng) -> dict:
-    """Fresh gate weights: glorot for W, zero biases except b_f = 1."""
-    params = {}
-    for gate in "ifog":
-        params[f"w_x{gate}"] = glorot(rng, (input_size, units), input_size, units)
-        params[f"w_h{gate}"] = glorot(rng, (units, units), units, units)
-        params[f"b_{gate}"] = np.ones(units) if gate == "f" else np.zeros(units)
-    return {name: params[name] for name in PARAM_NAMES}
+    """Fresh gate weights: glorot blocks, zero bias except the f block = 1.
+
+    Gates draw in the order i, f, o, g, each its x block and then its h block.
+    """
+    w = np.empty((input_size + units, 4 * units))
+    for k in range(4):
+        cols = slice(k * units, (k + 1) * units)
+        w[:input_size, cols] = glorot(rng, (input_size, units), input_size, units)
+        w[input_size:, cols] = glorot(rng, (units, units), units, units)
+    b = np.zeros(4 * units)
+    b[units:2 * units] = 1.0
+    return {"w": w, "b": b}
 
 
 def lstm_cell_forward(x, h_prev, c_prev, params):
-    """One step. Returns (h, c, cache); cache feeds lstm_cell_backward."""
-    units = params["w_hi"].shape[0]
-    if x.ndim != 2 or x.shape[1] != params["w_xi"].shape[0]:
-        raise ValueError(
-            f"cell expects x of shape (n, {params['w_xi'].shape[0]}), got {x.shape}")
+    """One step. Returns (h, c, cache); cache feeds lstm_cell_backward.
+
+    The cache holds the activated gates as one (n, 4u) array, blocks i|f|o|g.
+    """
+    w, b = params["w"], params["b"]
+    units = b.shape[0] // 4
+    d = w.shape[0] - units
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"cell expects x of shape (n, {d}), got {x.shape}")
     if h_prev.shape != (x.shape[0], units) or c_prev.shape != h_prev.shape:
         raise ValueError(
             f"state shapes {h_prev.shape}/{c_prev.shape} do not match (n, {units})")
-    i = _sigmoid(x @ params["w_xi"] + h_prev @ params["w_hi"] + params["b_i"])
-    f = _sigmoid(x @ params["w_xf"] + h_prev @ params["w_hf"] + params["b_f"])
-    o = _sigmoid(x @ params["w_xo"] + h_prev @ params["w_ho"] + params["b_o"])
-    g = np.tanh(x @ params["w_xg"] + h_prev @ params["w_hg"] + params["b_g"])
+    gates = x @ w[:d]
+    gates += h_prev @ w[d:]
+    gates += b
+    sig = gates[:, :3 * units]
+    sig *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2))
+    np.tanh(gates, out=gates)
+    sig += 1.0
+    sig *= 0.5
+    i, f, o, g = _blocks(gates, units)
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = (params, x, h_prev, c_prev, i, f, o, g, tanh_c)
+    cache = (params, x, h_prev, c_prev, gates, tanh_c)
     return h, c, cache
 
 
 def lstm_cell_backward(cache, grad_h, grad_c):
     """Gradients of a scalar loss through one step.
 
-    Returns (grads, grad_x, grad_h_prev, grad_c_prev) where grads carries all
-    twelve parameter names.
+    Returns (grads, grad_x, grad_h_prev, grad_c_prev) where grads carries
+    "w" and "b".
     """
-    params, x, h_prev, c_prev, i, f, o, g, tanh_c = cache
-    if grad_h.shape != i.shape or grad_c.shape != i.shape:
+    params, x, h_prev, c_prev, gates, tanh_c = cache
+    if grad_h.shape != tanh_c.shape or grad_c.shape != tanh_c.shape:
         raise ValueError("upstream gradient shapes do not match the cached step")
+    units = tanh_c.shape[1]
+    i, f, o, g = _blocks(gates, units)
     dc = grad_c + grad_h * o * (1.0 - tanh_c * tanh_c)
-    pre = {
-        "o": grad_h * tanh_c * o * (1.0 - o),
-        "i": dc * g * i * (1.0 - i),
-        "f": dc * c_prev * f * (1.0 - f),
-        "g": dc * i * (1.0 - g * g),
-    }
-    grads = {}
-    grad_x = np.zeros_like(x)
-    grad_h_prev = np.zeros_like(h_prev)
-    for gate in "ifog":
-        dz = pre[gate]
-        grads[f"w_x{gate}"] = x.T @ dz
-        grads[f"w_h{gate}"] = h_prev.T @ dz
-        grads[f"b_{gate}"] = dz.sum(axis=0)
-        grad_x += dz @ params[f"w_x{gate}"].T
-        grad_h_prev += dz @ params[f"w_h{gate}"].T
-    grad_c_prev = dc * f
-    grads = {name: grads[name] for name in PARAM_NAMES}
-    return grads, grad_x, grad_h_prev, grad_c_prev
+    # loss gradient at each activated gate, then back through its activation
+    dz = np.concatenate([dc * g, dc * c_prev, grad_h * tanh_c, dc * i], axis=1)
+    deriv = gates * (1.0 - gates)  # sigmoid' on i|f|o
+    deriv[:, 3 * units:] = 1.0 - g * g  # tanh' on g
+    dz *= deriv
+    grads = {"w": np.concatenate([x, h_prev], axis=1).T @ dz, "b": dz.sum(axis=0)}
+    grad_xh = dz @ params["w"].T
+    d = x.shape[1]
+    return grads, grad_xh[:, :d], grad_xh[:, d:], dc * f
 
 
 class LstmLayer:

@@ -18,6 +18,27 @@ from .layers import Conv1d, Dense, Flatten, MaxPool1d
 from .lstm import Bidirectional, LstmLayer
 
 
+def _forward_layers(layers, x):
+    """Run (name, layer) pairs in order. Returns (y, per-layer caches)."""
+    caches = []
+    for _, layer in layers:
+        x, cache = layer.forward(x)
+        caches.append(cache)
+    return x, caches
+
+
+def _backward_layers(layers, caches, grad_y, grads: dict):
+    """Walk the layers in reverse, filing gradients under "name.param" in grads.
+
+    Returns the gradient at the input of the first layer.
+    """
+    for (name, layer), cache in zip(reversed(layers), reversed(caches)):
+        grad_y, layer_grads = layer.backward(cache, grad_y)
+        for key, value in layer_grads.items():
+            grads[f"{name}.{key}"] = value
+    return grad_y
+
+
 class _Assembly:
     """Shared plumbing for named-layer models."""
 
@@ -75,20 +96,12 @@ class Sequential(_Assembly):
         return self.layers
 
     def forward_cached(self, x):
-        x = self._check_input(x)
-        caches = []
-        for _, layer in self.layers:
-            x, cache = layer.forward(x)
-            caches.append(cache)
-        return x, caches
+        return _forward_layers(self.layers, self._check_input(x))
 
     def backward(self, caches, grad_y):
         grads = {}
-        for (name, layer), cache in zip(reversed(self.layers), reversed(caches)):
-            grad_y, layer_grads = layer.backward(cache, grad_y)
-            for key, value in layer_grads.items():
-                grads[f"{name}.{key}"] = value
-        return grads, grad_y
+        grad_x = _backward_layers(self.layers, caches, grad_y, grads)
+        return grads, grad_x
 
 
 class HybridNet(_Assembly):
@@ -110,17 +123,10 @@ class HybridNet(_Assembly):
     def _named_layers(self):
         return [*self.cnn_layers, *self.lstm_layers, ("out", self.head)]
 
-    def _run_path(self, layers, x):
-        caches = []
-        for _, layer in layers:
-            x, cache = layer.forward(x)
-            caches.append(cache)
-        return x, caches
-
     def forward_cached(self, x):
         x = self._check_input(x)
-        y_cnn, caches_cnn = self._run_path(self.cnn_layers, x)
-        y_lstm, caches_lstm = self._run_path(self.lstm_layers, x)
+        y_cnn, caches_cnn = _forward_layers(self.cnn_layers, x)
+        y_lstm, caches_lstm = _forward_layers(self.lstm_layers, x)
         joined = np.concatenate([y_cnn, y_lstm], axis=1)
         y, cache_head = self.head.forward(joined)
         return y, (caches_cnn, caches_lstm, cache_head, y_cnn.shape[1])
@@ -129,16 +135,10 @@ class HybridNet(_Assembly):
         caches_cnn, caches_lstm, cache_head, cnn_width = caches
         grad_joined, head_grads = self.head.backward(cache_head, grad_y)
         grads = {f"out.{k}": v for k, v in head_grads.items()}
-
-        def back_path(layers, path_caches, grad):
-            for (name, layer), cache in zip(reversed(layers), reversed(path_caches)):
-                grad, layer_grads = layer.backward(cache, grad)
-                for key, value in layer_grads.items():
-                    grads[f"{name}.{key}"] = value
-            return grad
-
-        gx_cnn = back_path(self.cnn_layers, caches_cnn, grad_joined[:, :cnn_width])
-        gx_lstm = back_path(self.lstm_layers, caches_lstm, grad_joined[:, cnn_width:])
+        gx_cnn = _backward_layers(self.cnn_layers, caches_cnn,
+                                  grad_joined[:, :cnn_width], grads)
+        gx_lstm = _backward_layers(self.lstm_layers, caches_lstm,
+                                   grad_joined[:, cnn_width:], grads)
         return grads, gx_cnn + gx_lstm
 
 

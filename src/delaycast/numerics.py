@@ -1,8 +1,8 @@
-"""Shared numeric core: seeded RNG, matrix helpers, losses, Adam, gradient checking.
+"""Shared numeric core: seeded RNG, matrix validation, Adam, gradient checking.
 
 Matrices throughout the package are plain 2-D float64 numpy arrays in C
-(row-major) order. The helpers here add the shape and finiteness contracts the
-rest of the code relies on; hot paths call numpy directly.
+(row-major) order. `matrix` adds the shape and finiteness contract the rest of
+the code relies on; arithmetic calls numpy directly.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class Rng:
         return -mean * math.log1p(-self.uniform())
 
 
-# --- matrix helpers ---------------------------------------------------------
+# --- matrix validation ------------------------------------------------------
 
 
 def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -86,62 +86,6 @@ def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def _check_finite(a: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{op} produced non-finite entries")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _check_finite(a @ b, "matmul")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _check_finite(a + b, "add")
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return _check_finite(a * b, "hadamard")
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
-
-
-def slice_block(a: np.ndarray, rows, cols) -> np.ndarray:
-    """Submatrix by row/col index arrays or slices; copies."""
-    out = a[rows][:, cols]
-    if out.ndim != 2:
-        raise ValueError(f"slice_block must keep 2 dims, got shape {out.shape}")
-    return np.ascontiguousarray(out)
-
-
-# --- losses -----------------------------------------------------------------
-
-
-def mae(y_pred: np.ndarray, y_true: np.ndarray) -> float:
-    if y_pred.shape != y_true.shape:
-        raise ValueError(f"mae shape mismatch: {y_pred.shape} vs {y_true.shape}")
-    if y_pred.size == 0:
-        raise ValueError("mae of empty arrays")
-    return float(np.mean(np.abs(y_pred - y_true)))
-
-
-def mse(y_pred: np.ndarray, y_true: np.ndarray) -> float:
-    if y_pred.shape != y_true.shape:
-        raise ValueError(f"mse shape mismatch: {y_pred.shape} vs {y_true.shape}")
-    if y_pred.size == 0:
-        raise ValueError("mse of empty arrays")
-    d = y_pred - y_true
-    return float(np.mean(d * d))
 
 
 # --- Adam -------------------------------------------------------------------

@@ -35,13 +35,10 @@ def test_codebook_lexicographic_and_errors():
     cb = fit_codebook(small_records())
     assert cb.columns["AIRLINE"] == ("AA", "DL", "UA")
     assert cb.encode("AIRLINE", "DL") == 1
-    assert cb.decode("AIRLINE", 2) == "UA"
     with pytest.raises(ValueError, match="unknown AIRLINE"):
         cb.encode("AIRLINE", "WN")
     with pytest.raises(ValueError, match="no column"):
         cb.encode("NOPE", "x")
-    with pytest.raises(ValueError, match="out of range"):
-        cb.decode("AIRLINE", 9)
 
 
 def test_build_table_order_and_values():
@@ -118,8 +115,6 @@ def test_standardizer_round_trip_and_population_std():
     # unlisted columns untouched
     other = [i for i in range(11) if i not in idx]
     assert np.array_equal(scaled[:, other], x[:, other])
-    back = std.invert(scaled)
-    assert np.allclose(back, x, atol=1e-12)
 
 
 def test_standardizer_zero_variance_error_names_column():

@@ -137,7 +137,7 @@ class TestCorruption:
     def test_header_tamper(self, split_tables, tmp_path):
         path = self._saved(split_tables, tmp_path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b'"version":2', b'"version":1', 1))
+        path.write_bytes(blob.replace(b'"version":3', b'"version":2', 1))
         with pytest.raises(ModelFileError, match="version"):
             load_model(path)
 

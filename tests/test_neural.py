@@ -24,6 +24,7 @@ from delaycast.neural import (
     mlp_build,
     train,
 )
+from delaycast.neural.layers import glorot
 
 
 def layer_grad_check(layer, x, target, seed_note=""):
@@ -145,7 +146,7 @@ class TestLstmCell:
         x = np.zeros((1, 3))
         h, c, cache = lstm_cell_forward(x, np.zeros((1, 2)), np.zeros((1, 2)),
                                         params)
-        _, _, _, _, i, f, o, g, _ = cache
+        i, f, o, g = np.split(cache[4], 4, axis=1)
         assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
         assert np.allclose(i, 0.5) and np.allclose(f, 0.5)
         assert np.allclose(o, 0.5) and np.allclose(g, 0.0)
@@ -169,14 +170,30 @@ class TestLstmCell:
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        i = sig(x @ params["w_xi"] + h_prev @ params["w_hi"] + params["b_i"])
-        f = sig(x @ params["w_xf"] + h_prev @ params["w_hf"] + params["b_f"])
-        o = sig(x @ params["w_xo"] + h_prev @ params["w_ho"] + params["b_o"])
-        g = np.tanh(x @ params["w_xg"] + h_prev @ params["w_hg"] + params["b_g"])
+        def pre(k):  # gate k's column block: x rows, then h rows, then bias
+            cols = slice(3 * k, 3 * k + 3)
+            return (x @ params["w"][:4, cols] + h_prev @ params["w"][4:, cols]
+                    + params["b"][cols])
+
+        i = sig(pre(0))
+        f = sig(pre(1))
+        o = sig(pre(2))
+        g = np.tanh(pre(3))
         c_ref = f * c_prev + i * g
         h_ref = o * np.tanh(c_ref)
         assert np.allclose(c, c_ref, atol=1e-12)
         assert np.allclose(h, h_ref, atol=1e-12)
+
+    def test_params_blocks_are_per_gate_glorot_draws(self):
+        d, u = 3, 2
+        params = lstm_params(d, u, Rng(4))
+        assert set(params) == {"w", "b"} and params["w"].shape == (d + u, 4 * u)
+        rng = Rng(4)
+        for k in range(4):  # gates i, f, o, g: x block, then h block
+            cols = slice(k * u, (k + 1) * u)
+            assert np.array_equal(params["w"][:d, cols], glorot(rng, (d, u), d, u))
+            assert np.array_equal(params["w"][d:, cols], glorot(rng, (u, u), u, u))
+        assert np.array_equal(params["b"], [0, 0, 1, 1, 0, 0, 0, 0])
 
     def test_gradients_through_four_steps(self):
         rng = Rng(6)
@@ -201,8 +218,8 @@ class TestLstmCell:
         # so dC_T/dC_0 stays ~identity across many steps
         rng = Rng(8)
         params = lstm_params(2, 2, rng)
-        params["b_f"][...] = 20.0
-        params["b_i"][...] = -20.0
+        params["b"][2:4] = 20.0   # f block
+        params["b"][0:2] = -20.0  # i block
         x = rng.uniform_array((1, 2), -0.5, 0.5)
         c = np.full((1, 2), 0.3)
         h = np.zeros((1, 2))

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from delaycast import numerics
 from delaycast.numerics import (
-    AdamState, Rng, adam_init, adam_step, clip_global_norm, grad_check,
-    hadamard, mae, matmul, matrix, mse, slice_block, transpose, add,
+    AdamState, Rng, adam_init, adam_step, clip_global_norm, grad_check, matrix,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "rng_golden.txt"
@@ -56,50 +55,7 @@ def test_rng_integer_bounds():
         r.integer(3, 3)
 
 
-# --- matrix helpers ---------------------------------------------------------
-
-
-def _matmul_oracle(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-def test_matmul_against_triple_loop():
-    r = Rng(11)
-    a = r.uniform_array((4, 5), -2, 2)
-    b = r.uniform_array((5, 3), -2, 2)
-    assert np.allclose(matmul(a, b), _matmul_oracle(a, b), atol=1e-12)
-
-
-def test_matmul_shape_error_names_both_shapes():
-    a = np.zeros((2, 3))
-    b = np.zeros((2, 3))
-    with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
-        matmul(a, b)
-
-
-def test_add_hadamard_shape_errors():
-    a = np.zeros((2, 2))
-    b = np.zeros((3, 2))
-    with pytest.raises(ValueError, match=r"\(2, 2\) vs \(3, 2\)"):
-        add(a, b)
-    with pytest.raises(ValueError, match=r"\(2, 2\) vs \(3, 2\)"):
-        hadamard(a, b)
-
-
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32))
-@settings(max_examples=40, deadline=None)
-def test_transpose_of_product(n, k, m, seed):
-    r = Rng(seed)
-    a = r.uniform_array((n, k), -1, 1)
-    b = r.uniform_array((k, m), -1, 1)
-    assert np.allclose(transpose(matmul(a, b)), matmul(transpose(b), transpose(a)), atol=1e-12)
+# --- matrix validation ------------------------------------------------------
 
 
 def test_matrix_validation():
@@ -109,43 +65,6 @@ def test_matrix_validation():
         matrix(np.array([[np.inf, 1.0]]))
     m = matrix([[1, 2], [3, 4]], rows=2, cols=2)
     assert m.dtype == np.float64 and m.flags["C_CONTIGUOUS"]
-
-
-def test_slice_block():
-    a = np.arange(12, dtype=float).reshape(3, 4)
-    sub = slice_block(a, slice(0, 2), [1, 3])
-    assert np.array_equal(sub, np.array([[1.0, 3.0], [5.0, 7.0]]))
-
-
-# --- losses -----------------------------------------------------------------
-
-
-def test_mae_mse_hand_values():
-    yp = np.array([[1.0, 2.0], [3.0, 5.0]])
-    yt = np.array([[1.0, 0.0], [0.0, 5.0]])
-    # |diffs| = 0, 2, 3, 0 -> mae 5/4; squares 0, 4, 9, 0 -> mse 13/4
-    assert mae(yp, yt) == pytest.approx(1.25, abs=1e-15)
-    assert mse(yp, yt) == pytest.approx(3.25, abs=1e-15)
-
-
-def test_losses_zero_on_identical_and_shape_errors():
-    y = np.ones((3, 2))
-    assert mae(y, y.copy()) == 0.0
-    assert mse(y, y.copy()) == 0.0
-    with pytest.raises(ValueError):
-        mae(np.ones((2, 2)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        mse(np.ones((0, 2)), np.ones((0, 2)))
-
-
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
-@settings(max_examples=50, deadline=None)
-def test_mse_ge_zero_and_matches_naive(values):
-    yp = np.array(values).reshape(1, -1)
-    yt = np.zeros_like(yp)
-    naive = sum(v * v for v in values) / len(values)
-    assert mse(yp, yt) == pytest.approx(naive, rel=1e-12, abs=1e-12)
-    assert mse(yp, yt) >= 0.0
 
 
 # --- Adam -------------------------------------------------------------------

@@ -69,10 +69,10 @@ def main() -> None:
     args = parser.parse_args()
 
     started = time.time()
-    records, diagnostics = read_csv(args.data)
-    print(f"read {len(records)} records in {time.time() - started:.0f}s "
+    flights, diagnostics = read_csv(args.data)
+    print(f"read {len(flights)} records in {time.time() - started:.0f}s "
           f"({len(diagnostics)} skipped cells/rows)")
-    kept, report = run_pipeline(records)
+    kept, report = run_pipeline(flights)
 
     section("removal fractions (measured vs reference)")
     entering = report.input_count
@@ -89,11 +89,11 @@ def main() -> None:
         print(f"  {field:8s} {float(getattr(after, field)):8.3f}  reference {want:8.3f}")
 
     section("continuous-attribute correlations (measured vs reference)")
-    usable = [r for r in kept
-              if all(getattr(r, f) is not None for f in FIELDS.values())]
-    columns = {name: np.array([getattr(r, f) for r in usable])
-               for name, f in FIELDS.items()}
-    target = np.array([r.arr_delay for r in usable])
+    usable = ~np.isnan(kept.arr_delay)
+    for f in FIELDS.values():
+        usable &= ~np.isnan(getattr(kept, f))
+    columns = {name: getattr(kept, f)[usable] for name, f in FIELDS.items()}
+    target = kept.arr_delay[usable]
     for row in correlation_table(columns, target):
         print(f"  {row.attribute:18s} {row.r:8.4f}  "
               f"reference {REFERENCE_CORRELATION[row.attribute]:8.4f}")

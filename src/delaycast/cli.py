@@ -6,7 +6,10 @@ and every command writes a JSON run manifest recording the resolved
 configuration, seeds, fixed design constants, paths, and wall time. Manifests
 sit beside the primary output (or beside the input, name-qualified by the
 command, for commands that print to stdout); they carry wall time, so they
-are the one output exempt from byte-level reproducibility.
+are the one output exempt from byte-level reproducibility. The preprocess
+manifest also records `rows_in`, the count of skipped-cell `diagnostics`,
+`rows_out` after each prune stage, and `peak_rss_mb`, this process's peak
+resident memory so far (`resource.getrusage`).
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
@@ -19,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -132,25 +136,28 @@ def _problems(checks) -> None:
         raise ValueError("; ".join(bad))
 
 
-def _read_records(path):
-    records, diagnostics = read_csv(path)
+def _read_flights(path):
+    """(flights, diagnostics) of a CSV that must hold at least one usable row."""
+    flights, diagnostics = read_csv(path)
     if diagnostics:
         print(f"note: skipped {len(diagnostics)} malformed cells/rows in {path}",
               file=sys.stderr)
-    if not records:
+    if not len(flights):
         raise ValueError(f"no usable records in {path}")
-    return records
+    return flights, diagnostics
 
 
 def _write_manifest(command, anchor, *, config, seeds, decisions, inputs,
-                    outputs, started, qualify=False):
+                    outputs, started, qualify=False, **measured):
+    """Write the run manifest; `measured` adds top-level fields (counts, memory)."""
     name = f"{anchor}.{command}.manifest.json" if qualify \
         else f"{anchor}.manifest.json"
     manifest = {"command": command, "config": config, "seeds": seeds,
                 "decisions": decisions,
                 "inputs": [str(p) for p in inputs],
                 "outputs": [str(p) for p in outputs],
-                "wall_time_s": round(time.perf_counter() - started, 6)}
+                "wall_time_s": round(time.perf_counter() - started, 6),
+                **measured}
     Path(name).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
     return name
@@ -176,7 +183,7 @@ def cmd_synth(args) -> int:
         airports=flags.get("airports", 10, cast=int),
     )
     result = generate(config)
-    write_csv(result.records, out)
+    write_csv(result.flights, out)
     write_labels(result.labels, labels_path)
     _write_manifest("synth", out, config=flags.resolved,
                     seeds={"seed": config.seed},
@@ -184,7 +191,7 @@ def cmd_synth(args) -> int:
                                "zero_delay_rate": config.zero_delay_rate,
                                "delay_cap": config.delay_cap},
                     inputs=[], outputs=[out, labels_path], started=started)
-    print(f"wrote {len(result.records)} rows to {out}; labels to {labels_path}")
+    print(f"wrote {len(result.flights)} rows to {out}; labels to {labels_path}")
     return 0
 
 
@@ -195,18 +202,25 @@ def cmd_preprocess(args) -> int:
     out = flags.get("out", required=True, cast=str)
     report_path = flags.get("report", default=f"{out}.report.json", cast=str)
     tolerance = flags.get("sum-tolerance", DEFAULT_SUM_TOLERANCE, cast=float)
-    records = _read_records(in_path)
-    retained, report = run_pipeline(records, sum_tolerance=tolerance)
+    flights, diagnostics = _read_flights(in_path)
+    retained, report = run_pipeline(flights, sum_tolerance=tolerance)
     write_csv(retained, out)
     Path(report_path).write_text(
         json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
+    rows_out, left = {}, report.input_count
+    for stage in STAGE_NAMES:
+        left -= report.removed[stage]
+        rows_out[stage] = left
     _write_manifest("preprocess", out, config=flags.resolved, seeds={},
                     decisions={"sum_tolerance": tolerance,
                                "iqr_multiplier": IQR_MULTIPLIER,
                                "stage_order": list(STAGE_NAMES)},
                     inputs=[in_path], outputs=[out, report_path],
-                    started=started)
+                    started=started, rows_in=report.input_count,
+                    diagnostics=len(diagnostics), rows_out=rows_out,
+                    peak_rss_mb=resource.getrusage(
+                        resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     sys.stdout.write(report.to_text())
     return 0
 
@@ -217,16 +231,16 @@ def cmd_analyze(args) -> int:
     in_path = flags.get("in", required=True, cast=str)
     out = flags.get("out", cast=str)
     threshold = flags.get("threshold", DEFAULT_REDUNDANCY_THRESHOLD, cast=float)
-    records = _read_records(in_path)
+    flights, _ = _read_flights(in_path)
 
-    needed = list(_ANALYZE_FIELDS.values()) + ["arr_delay"]
-    usable = [r for r in records
-              if all(getattr(r, f) is not None for f in needed)]
-    if not usable:
+    usable = ~np.isnan(flights.arr_delay)
+    for f in _ANALYZE_FIELDS.values():
+        usable &= ~np.isnan(getattr(flights, f))
+    n_usable = int(np.count_nonzero(usable))
+    if not n_usable:
         raise ValueError("no rows carry all continuous attributes and ARR_DELAY")
-    columns = {name: np.array([getattr(r, f) for r in usable], dtype=np.float64)
-               for name, f in _ANALYZE_FIELDS.items()}
-    target = np.array([r.arr_delay for r in usable], dtype=np.float64)
+    columns = {name: getattr(flights, f)[usable] for name, f in _ANALYZE_FIELDS.items()}
+    target = flights.arr_delay[usable]
 
     corr = correlation_table(columns, target)
     lines = [_aligned(("Attribute", "Pearson's Correlation"),
@@ -234,9 +248,9 @@ def cmd_analyze(args) -> int:
 
     red_rows = []
     for kept, cand, kept_field, cand_field in _REDUNDANCY_PAIRS:
-        kept_vals = [getattr(r, kept_field) for r in usable]
-        cand_vals = [getattr(r, cand_field) for r in usable]
-        if all(v == "" for v in cand_vals):
+        kept_vals = getattr(flights, kept_field)[usable]
+        cand_vals = getattr(flights, cand_field)[usable]
+        if (cand_vals == "").all():
             red_rows.append((f"{kept} vs {cand}", "-", "-", "-", "no data"))
             continue
         kept_codes = np.unique(kept_vals, return_inverse=True)[1]
@@ -250,8 +264,8 @@ def cmd_analyze(args) -> int:
     lines.append("\nCategorical redundancy (stratified Kruskal-Wallis, "
                  f"p > {threshold:g} means redundant)\n")
     lines.append(_aligned(("Pair", "H", "dof", "p", "verdict"), red_rows))
-    if len(usable) != len(records):
-        lines.append(f"\nanalyzed {len(usable)} of {len(records)} rows "
+    if n_usable != len(flights):
+        lines.append(f"\nanalyzed {n_usable} of {len(flights)} rows "
                      "(others missing needed values)\n")
     text = "".join(lines)
 
@@ -305,9 +319,9 @@ def cmd_train(args) -> int:
          f"train-fraction must be in (0, 1), got {fraction}"),
     ])
 
-    records = _read_records(in_path)
-    codebook = fit_codebook(records)
-    table = build_table(records, codebook, targets)
+    flights, _ = _read_flights(in_path)
+    codebook = fit_codebook(flights)
+    table = build_table(flights, codebook, targets)
     train_t, test_t = chronological_split(table, fraction)
     options = FitOptions(seed=seed, window=window, max_depth=depth,
                          min_samples_leaf=min_leaf, n_estimators=trees,
@@ -333,9 +347,9 @@ def cmd_train(args) -> int:
 def _load_eval_table(in_path, trained):
     if Path(f"{in_path}.meta.json").exists():
         return load_table(in_path)
-    records = _read_records(in_path)
+    flights, _ = _read_flights(in_path)
     codebook = LabelCodebook(columns=dict(trained.codebook_columns))
-    return build_table(records, codebook, trained.target_mode)
+    return build_table(flights, codebook, trained.target_mode)
 
 
 def cmd_evaluate(args) -> int:

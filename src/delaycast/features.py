@@ -1,10 +1,12 @@
 """Feature table construction: fixed column order, label codes, splits, scaling.
 
-The model-facing matrix uses a fixed 11-column layout. Clock features are
-minutes past midnight, the date expands to YEAR/MONTH/DAY, and the three
-categorical columns carry integer codes from a lexicographic codebook. Rows
-are ordered chronologically (date, scheduled departure) so the 75/25 split
-and sequence windows respect time.
+The model-facing matrix uses a fixed 11-column layout, built column by
+column from a `Flights` value. Clock features are minutes past midnight, the
+date (a day ordinal) expands to YEAR/MONTH/DAY, and the three categorical
+columns carry integer codes from a lexicographic codebook. Rows are ordered
+chronologically (date, scheduled departure) so the 75/25 split and sequence
+windows respect time; `FeatureTable.timestamps` keeps that sort key as an
+(n, 2) int64 array of (day ordinal, scheduled departure minutes).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.dtypes import StringDType
 
-from .schema import COMPONENT_FIELDS, FlightRecord
+from .schema import COMPONENT_FIELDS, Flights
 
 FEATURE_NAMES = ("CRS_DEP_TIME", "TAXI_OUT", "CRS_ARR_TIME", "TAXI_IN",
                  "DISTANCE", "YEAR", "MONTH", "DAY", "AIRLINE", "ORIGIN", "DEST")
@@ -30,8 +33,30 @@ TARGET_TOTAL = "total"
 DEFAULT_TRAIN_FRACTION = 0.75
 
 
-def expand_date(d: dt.date) -> tuple[int, int, int]:
-    return d.year, d.month, d.day
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
+def expand_date(ordinals: np.ndarray):
+    """(year, month, day) int64 arrays of day ordinals."""
+    days = (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    months = days.astype("datetime64[M]")
+    years = days.astype("datetime64[Y]")
+    return (years.astype(np.int64) + 1970,
+            (months - years.astype("datetime64[M]")).astype(np.int64) + 1,
+            (days - months.astype("datetime64[D]")).astype(np.int64) + 1)
+
+
+def _date_ordinals(year, month, day) -> np.ndarray:
+    """Inverse of expand_date; a day outside its month is an error."""
+    year, month, day = (np.asarray(v, dtype=np.int64) for v in (year, month, day))
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    ordinals = (months.astype("datetime64[D]").astype(np.int64) + day - 1
+                + _EPOCH_ORDINAL)
+    bad = (np.stack(expand_date(ordinals)) != np.stack((year, month, day))).any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"invalid date {year[i]}-{month[i]}-{day[i]} in row {i}")
+    return ordinals
 
 
 @dataclass(frozen=True)
@@ -40,36 +65,38 @@ class LabelCodebook:
 
     columns: dict  # column name -> tuple of categories, sorted
 
-    def encode(self, column: str, value: str) -> int:
+    def encode(self, column: str, values) -> np.ndarray:
+        """Codes of a column's values, looked up once per distinct value.
+
+        An unknown value is an error naming it.
+        """
         cats = self.columns.get(column)
         if cats is None:
             raise ValueError(f"codebook has no column {column!r}")
-        # cats is sorted, but the vocabularies are tiny; linear scan keeps it simple
+        # np.unique, not np.searchsorted: numpy 2.4's searchsorted misorders
+        # StringDType arrays
+        distinct, inverse = np.unique(np.asarray(values, dtype=StringDType()),
+                                      return_inverse=True)
+        lookup = {c: i for i, c in enumerate(cats)}
         try:
-            return self._index(column, value)
-        except KeyError:
-            raise ValueError(f"unknown {column} category {value!r}") from None
-
-    def _index(self, column: str, value: str) -> int:
-        idx = self.__dict__.setdefault("_lookup", {})
-        table = idx.get(column)
-        if table is None:
-            table = {c: i for i, c in enumerate(self.columns[column])}
-            idx[column] = table
-        return table[value]
+            codes = np.array([lookup[v] for v in distinct.tolist()], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"unknown {column} category {exc.args[0]!r}") from None
+        return codes[inverse]
 
 
-def fit_codebook(records, columns=CATEGORICAL_FEATURES) -> LabelCodebook:
+_FIELD_OF = {"AIRLINE": "airline", "ORIGIN": "origin", "DEST": "dest"}
+
+
+def fit_codebook(flights: Flights, columns=CATEGORICAL_FEATURES) -> LabelCodebook:
     """Collect sorted vocabularies for the categorical feature columns.
 
     Fit over the full pruned dataset by default so both split halves share
     one code space; pass the train slice instead to scope codes to train.
     """
-    field_of = {"AIRLINE": "airline", "ORIGIN": "origin", "DEST": "dest"}
     out = {}
     for col in columns:
-        field_name = field_of[col]
-        vocab = sorted({getattr(r, field_name) for r in records})
+        vocab = sorted(np.unique(getattr(flights, _FIELD_OF[col])).tolist())
         if not vocab:
             raise ValueError(f"no categories for column {col}")
         out[col] = tuple(vocab)
@@ -83,78 +110,67 @@ class FeatureTable:
     feature_names: tuple
     x: np.ndarray            # (n, 11) float64
     y: np.ndarray            # (n, 5) components or (n, 1) total
-    timestamps: tuple        # per-row (date, minutes) sort keys
+    timestamps: np.ndarray   # (n, 2) int64 sort keys: day ordinal, minutes
     target_mode: str
     codebook: LabelCodebook
 
     def __post_init__(self):
-        if self.x.shape[0] != self.y.shape[0] or self.x.shape[0] != len(self.timestamps):
+        n = self.x.shape[0]
+        if self.y.shape[0] != n or np.shape(self.timestamps) != (n, 2):
             raise ValueError(
                 f"row count mismatch: x {self.x.shape}, y {self.y.shape}, "
-                f"{len(self.timestamps)} timestamps")
-        if any(self.timestamps[i] > self.timestamps[i + 1]
-               for i in range(len(self.timestamps) - 1)):
+                f"timestamps {np.shape(self.timestamps)}")
+        step = np.diff(self.timestamps, axis=0)
+        if ((step[:, 0] < 0) | ((step[:, 0] == 0) & (step[:, 1] < 0))).any():
             raise ValueError("timestamps must be nondecreasing")
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
-_NEEDED_FIELDS = ("crs_dep_time", "taxi_out", "crs_arr_time", "taxi_in",
-                  "distance", "fl_date", "airline", "origin", "dest")
+_NEEDED_FIELDS = ("crs_dep_time", "taxi_out", "crs_arr_time", "taxi_in", "distance")
 
 
-def build_table(records, codebook: LabelCodebook,
+def build_table(flights: Flights, codebook: LabelCodebook,
                 target_mode: str = TARGET_COMPONENTS) -> FeatureTable:
-    """Assemble the fixed-order feature matrix and targets from pruned records.
+    """Assemble the fixed-order feature matrix and targets from pruned flights.
 
     Rows are sorted by (date, scheduled departure), stable on ties. Any
-    missing needed field is an error naming the offending row.
+    missing needed value is an error naming the offending row, the first
+    one in that order.
     """
     if target_mode not in (TARGET_COMPONENTS, TARGET_TOTAL):
         raise ValueError(f"unknown target mode {target_mode!r}")
-    if not records:
+    if not len(flights):
         raise ValueError("build_table needs at least one record")
 
-    indexed = sorted(range(len(records)),
-                     key=lambda i: (records[i].fl_date, records[i].crs_dep_time
-                                    if records[i].crs_dep_time is not None else -1))
-    n = len(records)
-    x = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
-    k = len(COMPONENT_NAMES) if target_mode == TARGET_COMPONENTS else 1
-    y = np.empty((n, k), dtype=np.float64)
-    timestamps = []
-    for out_row, idx in enumerate(indexed):
-        rec = records[idx]
-        for name in _NEEDED_FIELDS:
-            if getattr(rec, name) is None:
-                raise ValueError(f"record {idx} missing {name}")
-        if target_mode == TARGET_COMPONENTS:
-            vec = rec.delay_components()
-            if vec is None:
-                raise ValueError(f"record {idx} missing delay components")
-            y[out_row] = vec.as_tuple()
-        else:
-            if rec.arr_delay is None:
-                raise ValueError(f"record {idx} missing arr_delay")
-            y[out_row, 0] = rec.arr_delay
-        year, month, day = expand_date(rec.fl_date)
-        x[out_row] = (
-            rec.crs_dep_time,
-            rec.taxi_out,
-            rec.crs_arr_time,
-            rec.taxi_in,
-            rec.distance,
-            year,
-            month,
-            day,
-            codebook.encode("AIRLINE", rec.airline),
-            codebook.encode("ORIGIN", rec.origin),
-            codebook.encode("DEST", rec.dest),
-        )
-        timestamps.append((rec.fl_date, int(rec.crs_dep_time)))
+    dep = flights.crs_dep_time
+    order = np.lexsort((np.where(np.isnan(dep), -1.0, dep), flights.fl_date))
+    if target_mode == TARGET_COMPONENTS:
+        targets = [("delay components", getattr(flights, f)) for f in COMPONENT_FIELDS]
+    else:
+        targets = [("arr_delay", flights.arr_delay)]
+    checked = [(name, getattr(flights, name)) for name in _NEEDED_FIELDS] + targets
+    missing = np.isnan(np.column_stack([values[order] for _, values in checked]))
+    if missing.any():
+        row, col = divmod(int(np.argmax(missing)), missing.shape[1])
+        raise ValueError(f"record {order[row]} missing {checked[col][0]}")
+
+    def column(name):
+        return getattr(flights, name)[order]
+
+    dates = column("fl_date")
+    year, month, day = expand_date(dates)
+    x = np.column_stack([
+        column("crs_dep_time"), column("taxi_out"), column("crs_arr_time"),
+        column("taxi_in"), column("distance"), year, month, day,
+        *(codebook.encode(col, column(_FIELD_OF[col]))
+          for col in CATEGORICAL_FEATURES),
+    ])
+    y = np.column_stack([values[order] for _, values in targets])
+    timestamps = np.column_stack([dates, column("crs_dep_time").astype(np.int64)])
     return FeatureTable(feature_names=FEATURE_NAMES, x=x, y=y,
-                        timestamps=tuple(timestamps), target_mode=target_mode,
+                        timestamps=timestamps, target_mode=target_mode,
                         codebook=codebook)
 
 
@@ -277,9 +293,9 @@ def load_table(base_path) -> FeatureTable:
     names = tuple(meta["feature_names"])
     year_i, month_i, day_i = names.index("YEAR"), names.index("MONTH"), names.index("DAY")
     dep_i = names.index("CRS_DEP_TIME")
-    timestamps = tuple(
-        (dt.date(int(row[year_i]), int(row[month_i]), int(row[day_i])), int(row[dep_i]))
-        for row in x)
+    timestamps = np.column_stack([
+        _date_ordinals(x[:, year_i], x[:, month_i], x[:, day_i]),
+        x[:, dep_i].astype(np.int64)])
     codebook = LabelCodebook(columns={c: tuple(v) for c, v in meta["codebook"].items()})
     return FeatureTable(feature_names=names, x=x, y=y, timestamps=timestamps,
                         target_mode=meta["target_mode"], codebook=codebook)

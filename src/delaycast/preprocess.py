@@ -1,8 +1,11 @@
 """Record pruning: flagged rows, incomplete component groups, sum checks, IQR outliers.
 
-The four stages run in a fixed order; counts are tracked per stage so
-input_count == retained + sum(removed) always holds. Arrival-delay summary
-stats are captured before and after the outlier stage.
+Each stage takes a `Flights` value, computes one boolean mask over its
+columns and returns the rows the mask keeps. The four stages run in a fixed
+order; counts are tracked per stage so input_count == retained +
+sum(removed) always holds. Arrival-delay summary stats are captured before
+and after the outlier stage. A blank number is NaN in its column, so "has a
+value" is "is not NaN" throughout.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .schema import COMPONENT_FIELDS, FlightRecord
+import numpy as np
+
+from .schema import COMPONENT_FIELDS, Flights
 
 DEFAULT_SUM_TOLERANCE = 0.5  # minutes; absorbs float ingestion noise
 IQR_MULTIPLIER = 1.5
@@ -18,19 +23,24 @@ IQR_MULTIPLIER = 1.5
 STAGE_NAMES = ("cancelled_or_diverted", "missing_components", "sum_mismatch", "outlier")
 
 
-def drop_cancelled_diverted(records):
+def _keep(flights: Flights, mask):
+    return flights.select(mask), len(flights) - int(np.count_nonzero(mask))
+
+
+def drop_cancelled_diverted(flights: Flights):
     """Remove rows with either flag set. Returns (retained, removed_count)."""
-    retained = [r for r in records if r.cancelled == 0 and r.diverted == 0]
-    return retained, len(records) - len(retained)
+    return _keep(flights, (flights.cancelled == 0) & (flights.diverted == 0))
 
 
-def drop_missing_components(records):
+def drop_missing_components(flights: Flights):
     """Keep only rows where all five delay components are present."""
-    retained = [r for r in records if r.delay_components() is not None]
-    return retained, len(records) - len(retained)
+    present = np.ones(len(flights), dtype=bool)
+    for name in COMPONENT_FIELDS:
+        present &= ~np.isnan(getattr(flights, name))
+    return _keep(flights, present)
 
 
-def verify_component_sum(records, tolerance: float = DEFAULT_SUM_TOLERANCE):
+def verify_component_sum(flights: Flights, tolerance: float = DEFAULT_SUM_TOLERANCE):
     """Drop rows whose component sum disagrees with ARR_DELAY beyond tolerance.
 
     Inputs must already have the full component group. A missing ARR_DELAY
@@ -40,22 +50,16 @@ def verify_component_sum(records, tolerance: float = DEFAULT_SUM_TOLERANCE):
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    retained = []
-    removed = 0
-    worst = 0.0
-    for r in records:
-        vec = r.delay_components()
-        if vec is None:
-            raise ValueError("verify_component_sum requires the full component group")
-        if r.arr_delay is None:
-            removed += 1
-            continue
-        residual = abs(vec.total() - r.arr_delay)
-        worst = max(worst, residual)
-        if residual <= tolerance:
-            retained.append(r)
-        else:
-            removed += 1
+    # summed left to right, carrier first, as DelayVector.total does
+    total = getattr(flights, COMPONENT_FIELDS[0])
+    for name in COMPONENT_FIELDS[1:]:
+        total = total + getattr(flights, name)
+    if np.isnan(total).any():
+        raise ValueError("verify_component_sum requires the full component group")
+    has_arr = ~np.isnan(flights.arr_delay)
+    residual = np.abs(total - flights.arr_delay)
+    worst = max(0.0, float(residual[has_arr].max())) if has_arr.any() else 0.0
+    retained, removed = _keep(flights, has_arr & (residual <= tolerance))
     return retained, removed, worst
 
 
@@ -77,29 +81,27 @@ def iqr_bounds(values, multiplier: float = IQR_MULTIPLIER):
     x(floor(p)) + frac(p) * (x(floor(p)+1) - x(floor(p))). Single-element
     input yields a degenerate zero-width fence around that value.
     """
-    vals = sorted(float(v) for v in values)
-    if not vals:
+    vals = np.sort(np.asarray(values, dtype=np.float64))
+    if not len(vals):
         raise ValueError("iqr_bounds of empty input")
-    q1 = _quantile(vals, 0.25)
-    q3 = _quantile(vals, 0.75)
+    q1 = float(_quantile(vals, 0.25))
+    q3 = float(_quantile(vals, 0.75))
     iqr = q3 - q1
     return q1 - multiplier * iqr, q3 + multiplier * iqr
 
 
-def filter_outliers(records, multiplier: float = IQR_MULTIPLIER):
+def filter_outliers(flights: Flights, multiplier: float = IQR_MULTIPLIER):
     """Drop rows whose ARR_DELAY falls outside the IQR fence (bounds inclusive).
 
     Bounds are computed from the input rows themselves. Returns
     (retained, removed_count, (lower, upper)).
     """
-    delays = []
-    for r in records:
-        if r.arr_delay is None:
-            raise ValueError("filter_outliers requires ARR_DELAY on every row")
-        delays.append(r.arr_delay)
+    delays = flights.arr_delay
+    if np.isnan(delays).any():
+        raise ValueError("filter_outliers requires ARR_DELAY on every row")
     lower, upper = iqr_bounds(delays, multiplier)
-    retained = [r for r in records if lower <= r.arr_delay <= upper]
-    return retained, len(records) - len(retained), (lower, upper)
+    retained, removed = _keep(flights, (lower <= delays) & (delays <= upper))
+    return retained, removed, (lower, upper)
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,17 @@ class DelayStats:
     maximum: float
 
 
-def _delay_stats(records) -> DelayStats:
-    vals = [r.arr_delay for r in records]
+def _delay_stats(flights: Flights) -> DelayStats:
+    vals = flights.arr_delay
     n = len(vals)
-    mean = sum(vals) / n
+    # running sums (np.cumsum), not np.sum's pairwise ones: the report's
+    # floats keep the left-to-right summation order
+    mean = float(np.cumsum(vals)[-1]) / n
     if n > 1:
-        var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+        var = float(np.cumsum((vals - mean) ** 2)[-1]) / (n - 1)
     else:
         var = 0.0
-    return DelayStats(n, mean, math.sqrt(var), min(vals), max(vals))
+    return DelayStats(n, mean, math.sqrt(var), float(vals.min()), float(vals.max()))
 
 
 @dataclass(frozen=True)
@@ -182,15 +186,15 @@ class PruneReport:
         return "\n".join(lines) + "\n"
 
 
-def run_pipeline(records, sum_tolerance: float = DEFAULT_SUM_TOLERANCE,
+def run_pipeline(flights: Flights, sum_tolerance: float = DEFAULT_SUM_TOLERANCE,
                  iqr_multiplier: float = IQR_MULTIPLIER):
-    """All four stages in order. Returns (retained_records, PruneReport).
+    """All four stages in order. Returns (retained_flights, PruneReport).
 
     Raises if any stage empties the survivor set: downstream stages and the
     report stats are meaningless without survivors.
     """
-    input_count = len(records)
-    stage1, n_flagged = drop_cancelled_diverted(records)
+    input_count = len(flights)
+    stage1, n_flagged = drop_cancelled_diverted(flights)
     if not stage1:
         raise ValueError("no records survive the cancelled/diverted stage")
     stage2, n_missing = drop_missing_components(stage1)

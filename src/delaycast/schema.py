@@ -1,9 +1,27 @@
-"""On-time flight records: typed rows, hhmm clock handling, CSV ingest/emit.
+"""On-time flight records as columns: hhmm clock handling, CSV ingest/emit.
 
-Records mirror the public BTS on-time performance export (32 columns). Clock
-columns arrive as 3-4 digit hhmm strings and are stored as minutes past
-midnight; dates are ISO YYYY-MM-DD. Ingest is strict per cell: a bad cell
-skips the whole row and leaves a diagnostic, never a silently-coerced value.
+Records mirror the public BTS on-time performance export (32 columns). A set
+of flights is one `Flights` value holding one numpy array per field, after
+the Apache Arrow columnar layout, with sentinel values in place of validity
+bitmaps:
+
+- numbers (delays, durations, distance, FL_NUMBER) are float64, NaN where
+  the cell was blank;
+- clock columns arrive as 3-4 digit hhmm strings and are stored as minutes
+  past midnight, float64, NaN where blank;
+- FL_DATE (required, ISO YYYY-MM-DD only) is an int64 day ordinal, as
+  `datetime.date.toordinal` counts;
+- CANCELLED and DIVERTED (required, 0 or 1) are int8;
+- text is a numpy `StringDType` array, "" where blank.
+
+A cell is blank when it is empty or "NA" after stripping whitespace.
+`Flights.row(i)` is one row as a `FlightRecord`, blank numbers as None.
+
+Ingest is strict per cell: a bad cell skips the whole row and leaves a
+diagnostic, never a silently-coerced value. The reader takes CHUNK_ROWS rows
+at a time and decodes each column of a chunk in one vectorized step; only
+the cells that step rejects go through the scalar decoders, which word every
+diagnostic.
 """
 
 from __future__ import annotations
@@ -11,12 +29,24 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-from dataclasses import dataclass, fields
+import itertools
+import math
+import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+from numpy.dtypes import StringDType
+
 # Minutes past midnight produced by hhmm conversion; 0..1440 ("2400" is valid).
 ClockMinutes = int
+
+# Rows decoded per vectorized step; bounds the reader's and writer's
+# transient memory independently of the file's length.
+CHUNK_ROWS = 8192
+
+_TEXT = StringDType()
 
 
 class SchemaError(ValueError):
@@ -55,8 +85,6 @@ COMPONENT_FIELDS = (
 
 _HHMM_FIELDS = ("crs_dep_time", "dep_time", "wheels_off", "wheels_on",
                 "crs_arr_time", "arr_time")
-_MINUTE_FIELDS = ("dep_delay", "arr_delay", "taxi_out", "taxi_in",
-                  "crs_elapsed_time", "elapsed_time", "air_time")
 
 
 @dataclass(frozen=True)
@@ -72,13 +100,10 @@ class DelayVector:
     def total(self) -> float:
         return self.carrier + self.weather + self.nas + self.security + self.late_aircraft
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.carrier, self.weather, self.nas, self.security, self.late_aircraft)
-
 
 @dataclass(frozen=True)
 class FlightRecord:
-    """One flight row. Optional fields are None when the source cell is blank."""
+    """One flight row: numbers are None and text is "" where the cell was blank."""
 
     fl_date: dt.date
     airline: str
@@ -89,7 +114,7 @@ class FlightRecord:
     airline_dot: str = ""
     airline_code: str = ""
     dot_code: str = ""
-    fl_number: int = 0
+    fl_number: Optional[int] = None
     origin_city: str = ""
     dest_city: str = ""
     crs_dep_time: Optional[ClockMinutes] = None
@@ -106,7 +131,7 @@ class FlightRecord:
     elapsed_time: Optional[float] = None
     air_time: Optional[float] = None
     distance: Optional[float] = None
-    cancellation_code: Optional[str] = None
+    cancellation_code: str = ""
     delay_due_carrier: Optional[float] = None
     delay_due_weather: Optional[float] = None
     delay_due_nas: Optional[float] = None
@@ -147,14 +172,23 @@ class CellDiagnostic:
         return f"row={self.row} col={self.column} err={self.message}"
 
 
-# --- cell decoding/encoding ---------------------------------------------------
+# --- scalar cell decoding/encoding ---------------------------------------------------
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _decode_date(raw: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(raw)
-    except ValueError:
-        raise ValueError(f"invalid ISO date {raw!r}") from None
+    # fromisoformat alone also takes 20220103 and 2022-W01-1
+    if _ISO_DATE.fullmatch(raw):
+        try:
+            return dt.date.fromisoformat(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"invalid ISO date {raw!r}")
+
+
+def _decode_day(raw: str) -> int:
+    return _decode_date(raw).toordinal()
 
 
 def _decode_int(raw: str) -> int:
@@ -162,7 +196,7 @@ def _decode_int(raw: str) -> int:
         f = float(raw)
     except ValueError:
         raise ValueError(f"invalid integer {raw!r}") from None
-    if f != int(f):
+    if not math.isfinite(f) or f != int(f):
         raise ValueError(f"invalid integer {raw!r}")
     return int(f)
 
@@ -191,63 +225,252 @@ def _decode_component(raw: str) -> float:
     return v
 
 
-def _encode_date(v: dt.date) -> str:
-    return v.isoformat()
-
-
 def _encode_number(v) -> str:
     f = float(v)
     return str(int(f)) if f == int(f) else repr(f)
 
 
-def _encode_str(v) -> str:
-    return v
+# Column kinds: how a cell decodes, how its column is stored and encoded.
+_DECODERS = {"date": _decode_day, "text": str, "int": _decode_int,
+             "flag": _decode_flag, "hhmm": parse_hhmm, "number": _decode_float,
+             "component": _decode_component}
+_DTYPES = {"date": np.int64, "text": _TEXT, "flag": np.int8}  # others float64
 
-
-# (column, field, required, decoder, encoder); order is the export column order.
+# (column, field, required, kind); order is the export column order.
 _COLUMN_SPEC = (
-    ("FL_DATE", "fl_date", True, _decode_date, _encode_date),
-    ("AIRLINE", "airline", True, str, _encode_str),
-    ("AIRLINE_DOT", "airline_dot", False, str, _encode_str),
-    ("AIRLINE_CODE", "airline_code", False, str, _encode_str),
-    ("DOT_CODE", "dot_code", False, str, _encode_str),
-    ("FL_NUMBER", "fl_number", False, _decode_int, _encode_number),
-    ("ORIGIN", "origin", True, str, _encode_str),
-    ("ORIGIN_CITY", "origin_city", False, str, _encode_str),
-    ("DEST", "dest", True, str, _encode_str),
-    ("DEST_CITY", "dest_city", False, str, _encode_str),
-    ("CRS_DEP_TIME", "crs_dep_time", False, parse_hhmm, format_hhmm),
-    ("DEP_TIME", "dep_time", False, parse_hhmm, format_hhmm),
-    ("DEP_DELAY", "dep_delay", False, _decode_float, _encode_number),
-    ("TAXI_OUT", "taxi_out", False, _decode_float, _encode_number),
-    ("WHEELS_OFF", "wheels_off", False, parse_hhmm, format_hhmm),
-    ("WHEELS_ON", "wheels_on", False, parse_hhmm, format_hhmm),
-    ("TAXI_IN", "taxi_in", False, _decode_float, _encode_number),
-    ("CRS_ARR_TIME", "crs_arr_time", False, parse_hhmm, format_hhmm),
-    ("ARR_TIME", "arr_time", False, parse_hhmm, format_hhmm),
-    ("ARR_DELAY", "arr_delay", False, _decode_float, _encode_number),
-    ("CANCELLED", "cancelled", True, _decode_flag, _encode_number),
-    ("CANCELLATION_CODE", "cancellation_code", False, str, _encode_str),
-    ("DIVERTED", "diverted", True, _decode_flag, _encode_number),
-    ("CRS_ELAPSED_TIME", "crs_elapsed_time", False, _decode_float, _encode_number),
-    ("ELAPSED_TIME", "elapsed_time", False, _decode_float, _encode_number),
-    ("AIR_TIME", "air_time", False, _decode_float, _encode_number),
-    ("DISTANCE", "distance", False, _decode_float, _encode_number),
-    ("DELAY_DUE_CARRIER", "delay_due_carrier", False, _decode_component, _encode_number),
-    ("DELAY_DUE_WEATHER", "delay_due_weather", False, _decode_component, _encode_number),
-    ("DELAY_DUE_NAS", "delay_due_nas", False, _decode_component, _encode_number),
-    ("DELAY_DUE_SECURITY", "delay_due_security", False, _decode_component, _encode_number),
-    ("DELAY_DUE_LATE_AIRCRAFT", "delay_due_late_aircraft", False, _decode_component, _encode_number),
+    ("FL_DATE", "fl_date", True, "date"),
+    ("AIRLINE", "airline", True, "text"),
+    ("AIRLINE_DOT", "airline_dot", False, "text"),
+    ("AIRLINE_CODE", "airline_code", False, "text"),
+    ("DOT_CODE", "dot_code", False, "text"),
+    ("FL_NUMBER", "fl_number", False, "int"),
+    ("ORIGIN", "origin", True, "text"),
+    ("ORIGIN_CITY", "origin_city", False, "text"),
+    ("DEST", "dest", True, "text"),
+    ("DEST_CITY", "dest_city", False, "text"),
+    ("CRS_DEP_TIME", "crs_dep_time", False, "hhmm"),
+    ("DEP_TIME", "dep_time", False, "hhmm"),
+    ("DEP_DELAY", "dep_delay", False, "number"),
+    ("TAXI_OUT", "taxi_out", False, "number"),
+    ("WHEELS_OFF", "wheels_off", False, "hhmm"),
+    ("WHEELS_ON", "wheels_on", False, "hhmm"),
+    ("TAXI_IN", "taxi_in", False, "number"),
+    ("CRS_ARR_TIME", "crs_arr_time", False, "hhmm"),
+    ("ARR_TIME", "arr_time", False, "hhmm"),
+    ("ARR_DELAY", "arr_delay", False, "number"),
+    ("CANCELLED", "cancelled", True, "flag"),
+    ("CANCELLATION_CODE", "cancellation_code", False, "text"),
+    ("DIVERTED", "diverted", True, "flag"),
+    ("CRS_ELAPSED_TIME", "crs_elapsed_time", False, "number"),
+    ("ELAPSED_TIME", "elapsed_time", False, "number"),
+    ("AIR_TIME", "air_time", False, "number"),
+    ("DISTANCE", "distance", False, "number"),
+    ("DELAY_DUE_CARRIER", "delay_due_carrier", False, "component"),
+    ("DELAY_DUE_WEATHER", "delay_due_weather", False, "component"),
+    ("DELAY_DUE_NAS", "delay_due_nas", False, "component"),
+    ("DELAY_DUE_SECURITY", "delay_due_security", False, "component"),
+    ("DELAY_DUE_LATE_AIRCRAFT", "delay_due_late_aircraft", False, "component"),
 )
 
 BTS_COLUMNS = tuple(col for col, *_ in _COLUMN_SPEC)
 DEFAULT_HEADER_MAP = {col: field_name for col, field_name, *_ in _COLUMN_SPEC}
 
-_FIELD_INFO = {field_name: (col, required, dec, enc)
-               for col, field_name, required, dec, enc in _COLUMN_SPEC}
-_STRING_FIELDS = {"airline", "airline_dot", "airline_code", "dot_code",
-                  "origin", "origin_city", "dest", "dest_city"}
-_REQUIRED_FIELDS = tuple(f for f, (_, req, _, _) in _FIELD_INFO.items() if req)
+_FIELD_INFO = {field_name: (col, required, kind)
+               for col, field_name, required, kind in _COLUMN_SPEC}
+_REQUIRED_FIELDS = tuple(f for f, (_, req, _) in _FIELD_INFO.items() if req)
+
+
+# --- columns --------------------------------------------------------------------------
+
+
+def _as_column(kind: str, values) -> np.ndarray:
+    """One field's values as its stored array; a list may hold None for blank."""
+    dtype = _DTYPES.get(kind, np.float64)
+    if isinstance(values, np.ndarray):
+        return values.astype(dtype, copy=False)
+    if kind == "date":
+        return np.array([d.toordinal() for d in values], dtype=dtype)
+    if kind == "text":
+        return np.array(["" if v is None else v for v in values], dtype=dtype)
+    return np.array(values, dtype=dtype)  # None becomes NaN
+
+
+def _cell(kind: str, v):
+    if kind == "date":
+        return dt.date.fromordinal(int(v))
+    if kind == "text":
+        return str(v)
+    if kind == "flag":
+        return int(v)
+    if v != v:
+        return None
+    return int(v) if kind in ("int", "hhmm") else float(v)
+
+
+class Flights:
+    """Flight rows as columns: attribute `<field>` is one FlightRecord field's array.
+
+    Every column has one entry per row; the module docstring gives each
+    kind's dtype and blank value. `len()` counts rows, `row(i)` is one row
+    as a FlightRecord and `select(index)` keeps the rows a boolean mask or
+    an index array picks, in that order.
+    """
+
+    FIELDS = tuple(_FIELD_INFO)
+
+    def __init__(self, columns):
+        """`columns` maps every field name to an array or a list (None for blank)."""
+        wrong = sorted(set(columns) ^ set(self.FIELDS))
+        if wrong:
+            raise SchemaError(f"missing or unknown flight fields: {', '.join(wrong)}")
+        given = {name: _as_column(_FIELD_INFO[name][2], columns[name])
+                 for name in self.FIELDS}
+        self._n = len(given["fl_date"])
+        for name, values in given.items():
+            if values.shape != (self._n,):
+                raise SchemaError(
+                    f"column {name} has shape {values.shape}, expected ({self._n},)")
+        self.__dict__.update(given)
+
+    @classmethod
+    def from_records(cls, records) -> "Flights":
+        records = list(records)
+        return cls({name: [getattr(r, name) for r in records] for name in cls.FIELDS})
+
+    def __len__(self) -> int:
+        return self._n
+
+    def select(self, index) -> "Flights":
+        return Flights({name: getattr(self, name)[index] for name in self.FIELDS})
+
+    def row(self, i: int) -> FlightRecord:
+        return FlightRecord(**{name: _cell(kind, getattr(self, name)[i])
+                               for name, (_, _, kind) in _FIELD_INFO.items()})
+
+
+# --- vectorized decoding/encoding --------------------------------------------------------
+
+# Checks that parsed numbers must pass; a cell failing one is handed to the
+# scalar decoder, which words its diagnostic.
+_NUMBER_OK = {
+    "number": np.isfinite,
+    "component": lambda v: np.isfinite(v) & (v >= 0),
+    "int": lambda v: np.isfinite(v) & (v == np.trunc(v)),
+    "flag": lambda v: (v == 0) | (v == 1),
+}
+
+
+def _decode_column(kind: str, cells: np.ndarray, blank: np.ndarray):
+    """Decode one column of a chunk: (values, failed).
+
+    `cells` are stripped strings; `failed` marks the non-blank cells the
+    vectorized step rejected, whose values are left blank.
+    """
+    present = ~blank
+    failed = np.zeros(len(cells), dtype=bool)
+    if kind == "text":
+        values = cells.copy()
+        values[blank] = ""
+        return values, failed
+    given = cells[present]
+    if kind == "date":
+        # few distinct dates per chunk: the scalar decoder runs once per value
+        values = np.zeros(len(cells), dtype=np.int64)
+        distinct, inverse = np.unique(given, return_inverse=True)
+        days = np.zeros(len(distinct), dtype=np.int64)
+        ok = np.ones(len(distinct), dtype=bool)
+        for i, raw in enumerate(distinct.tolist()):
+            try:
+                days[i] = _decode_day(raw)
+            except ValueError:
+                ok[i] = False
+        values[present] = days[inverse]
+        failed[present] = ~ok[inverse]
+        return values, failed
+    values = np.full(len(cells), np.nan)
+    if kind == "hhmm":
+        width = np.strings.str_len(given)
+        ok = (width >= 3) & (width <= 4) & (np.strings.strip(given, "0123456789") == "")
+        hhmm = np.zeros(len(given), dtype=np.int64)
+        hhmm[ok] = given[ok].astype(np.int64)
+        hh, mm = np.divmod(hhmm, 100)
+        ok &= ((hh <= 23) & (mm <= 59)) | (hhmm == 2400)
+        parsed = (hh * 60 + mm).astype(np.float64)
+    else:
+        try:
+            parsed = given.astype(np.float64)
+        except ValueError:  # some cell does not parse: the scalar decoder takes them all
+            failed[present] = True
+            return values, failed
+        ok = _NUMBER_OK[kind](parsed)
+    values[present] = np.where(ok, parsed, np.nan)
+    failed[present] = ~ok
+    return values, failed
+
+
+def _decode_chunk(block, first_row: int, width: int, fields, diagnostics) -> dict:
+    """Decode csv rows numbered from `first_row`; returns the good rows' columns.
+
+    Appends the chunk's diagnostics in (row, header column) order.
+    """
+    rows, row_nos, found = [], [], []
+    for row_no, row in enumerate(block, start=first_row):
+        if not row:
+            continue
+        if len(row) != width:
+            found.append((row_no, -1, "*", f"expected {width} cells, got {len(row)}"))
+        else:
+            rows.append(row)
+            row_nos.append(row_no)
+    cells = np.strings.strip(np.array(rows, dtype=_TEXT).reshape(len(rows), width))
+    blank = (cells == "") | (cells == "NA")
+    bad = np.zeros(len(rows), dtype=bool)
+    columns = {}
+    for field_name, idx in fields:
+        col, required, kind = _FIELD_INFO[field_name]
+        values, failed = _decode_column(kind, cells[:, idx], blank[:, idx])
+        if required:
+            for i in np.flatnonzero(blank[:, idx]):
+                found.append((row_nos[i], idx, col, "required cell is blank"))
+            bad |= blank[:, idx]
+        decode = _DECODERS[kind]
+        for i in np.flatnonzero(failed):
+            try:
+                values[i] = decode(str(cells[i, idx]))
+            except ValueError as exc:
+                found.append((row_nos[i], idx, col, str(exc)))
+                bad[i] = True
+        columns[field_name] = values
+    found.sort(key=lambda d: d[:2])
+    diagnostics.extend(CellDiagnostic(row_no, col, msg) for row_no, _, col, msg in found)
+    return {name: values[~bad] for name, values in columns.items()}
+
+
+def _encode_column(kind: str, values: np.ndarray) -> list:
+    """One column's cells as CSV text; blank cells are ""."""
+    if kind == "text":
+        return values.tolist()
+    if kind == "flag":
+        return values.astype(str).tolist()
+    if kind == "date":
+        distinct, inverse = np.unique(values, return_inverse=True)
+        text = np.array([dt.date.fromordinal(d).isoformat() for d in distinct.tolist()],
+                        dtype=object)
+        return text[inverse].tolist()
+    out = np.full(len(values), "", dtype=object)
+    present = ~np.isnan(values)
+    if kind == "hhmm":
+        minutes = values[present].astype(np.int64)
+        out[present] = np.strings.zfill((minutes // 60 * 100 + minutes % 60).astype(str), 4)
+        return out.tolist()
+    whole = present & (values == np.trunc(values)) & (np.abs(values) < 2.0 ** 53)
+    out[whole] = values[whole].astype(np.int64).astype(str)
+    rest = np.flatnonzero(present & ~whole)
+    out[rest] = [_encode_number(v) for v in values[rest].tolist()]
+    return out.tolist()
+
+
+# --- CSV ---------------------------------------------------------------------------------
 
 
 def _open_text(source, mode: str):
@@ -260,14 +483,15 @@ def _open_text(source, mode: str):
 
 
 def read_csv(source, header_map: dict | None = None):
-    """Parse a BTS-style CSV into records.
+    """Parse a BTS-style CSV into columns.
 
     `source` is a path or an open byte/text stream; content must be UTF-8
     with a header row. `header_map` maps column names to FlightRecord field
     names (default: the standard export header). Missing required columns
     raise SchemaError; a row with more or fewer cells than the header, or
-    any bad cell, skips its row and records a CellDiagnostic. Returns
-    (records, diagnostics).
+    any bad cell, skips its row and records a CellDiagnostic. Rows are read
+    and decoded CHUNK_ROWS at a time. Returns (flights, diagnostics), the
+    diagnostics ordered by row, then by header column.
     """
     header_map = DEFAULT_HEADER_MAP if header_map is None else header_map
     stream, owned = _open_text(source, "r")
@@ -287,67 +511,41 @@ def read_csv(source, header_map: dict | None = None):
             cols = ", ".join(_FIELD_INFO[f][0] for f in missing)
             raise SchemaError(f"missing required columns: {cols}")
 
-        records: list[FlightRecord] = []
+        fields = tuple(col_to_idx.items())
+        parts = {name: [_as_column(_FIELD_INFO[name][2], [])] for name in col_to_idx}
         diagnostics: list[CellDiagnostic] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                diagnostics.append(CellDiagnostic(
-                    row_no, "*", f"expected {len(header)} cells, got {len(row)}"))
-                continue
-            kwargs = {}
-            bad = False
-            for field_name, idx in col_to_idx.items():
-                col, required, decode, _ = _FIELD_INFO[field_name]
-                raw = row[idx].strip()
-                if raw == "" or raw == "NA":
-                    if required:
-                        diagnostics.append(CellDiagnostic(row_no, col, "required cell is blank"))
-                        bad = True
-                    elif field_name in _STRING_FIELDS:
-                        kwargs[field_name] = ""
-                    # optional non-string fields default to None
-                    continue
-                try:
-                    kwargs[field_name] = decode(raw)
-                except ValueError as exc:
-                    diagnostics.append(CellDiagnostic(row_no, col, str(exc)))
-                    bad = True
-            if bad:
-                continue
-            try:
-                records.append(FlightRecord(**kwargs))
-            except SchemaError as exc:
-                diagnostics.append(CellDiagnostic(row_no, "*", str(exc)))
-        return records, diagnostics
+        first_row = 1
+        while block := list(itertools.islice(reader, CHUNK_ROWS)):
+            chunk = _decode_chunk(block, first_row, len(header), fields, diagnostics)
+            for name, values in chunk.items():
+                parts[name].append(values)
+            first_row += len(block)
+        columns = {name: np.concatenate(parts.pop(name)) for name in col_to_idx}
+        n = len(columns["fl_date"])
+        for name, (_, _, kind) in _FIELD_INFO.items():
+            if name not in columns:  # optional column absent from the header
+                columns[name] = _as_column(kind, [None] * n)
+        return Flights(columns), diagnostics
     finally:
         if owned:
             stream.close()
 
 
-def write_csv(records, sink) -> int:
-    """Write records in the standard column order; returns the row count.
+def write_csv(flights: Flights, sink) -> int:
+    """Write flights in the standard column order; returns the row count.
 
-    Values round-trip: read_csv(write_csv(records)) reproduces the records
+    Values round-trip: read_csv(write_csv(flights)) reproduces the columns
     (field values, not byte-level cell formatting).
     """
     stream, owned = _open_text(sink, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(BTS_COLUMNS)
-        n = 0
-        for rec in records:
-            row = []
-            for col, field_name, _, _, encode in _COLUMN_SPEC:
-                v = getattr(rec, field_name)
-                if v is None:
-                    row.append("")
-                else:
-                    row.append(encode(v))
-            writer.writerow(row)
-            n += 1
-        return n
+        for start in range(0, len(flights), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            writer.writerows(zip(*(_encode_column(kind, getattr(flights, name)[rows])
+                                   for _, name, _, kind in _COLUMN_SPEC)))
+        return len(flights)
     finally:
         if owned:
             stream.close()

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .numerics import Rng
 from .preprocess import iqr_bounds
-from .schema import FlightRecord
+from .schema import Flights
 
 LABELS = ("clean", "cancelled", "missing", "mismatch", "outlier")
 
@@ -100,14 +100,14 @@ def _weather_mean(month: int) -> float:
 
 @dataclass(frozen=True)
 class SynthResult:
-    records: tuple
+    flights: Flights
     labels: tuple
     iqr_lower: float
     iqr_upper: float
 
 
 def generate(config: SynthConfig) -> SynthResult:
-    """Build `count` chronologically ordered records plus per-row labels."""
+    """Build `count` chronologically ordered flights plus per-row labels."""
     rng_setup = Rng(config.seed).spawn(0)
     rng_label = Rng(config.seed).spawn(1)
     rng_sched = Rng(config.seed).spawn(2)
@@ -195,7 +195,7 @@ def generate(config: SynthConfig) -> SynthResult:
         raise ValueError("outliers need at least one clean row to define the fence")
 
     outlier_seen = 0
-    records = []
+    records = []  # one field -> value dict per row
     for row, label in zip(rows, labels):
         comps = row["comps"]
         if label == "outlier":
@@ -216,7 +216,7 @@ def generate(config: SynthConfig) -> SynthResult:
     # self-check: the pipeline must see exactly the planted structure
     if clean_totals:
         survivor_totals = [sum(r["comps"]) for r, lab in zip(rows, labels) if lab == "clean"]
-        survivor_totals += [float(r.arr_delay) for r, lab in zip(records, labels)
+        survivor_totals += [float(r["arr_delay"]) for r, lab in zip(records, labels)
                             if lab == "outlier"]
         check_lower, check_upper = iqr_bounds(survivor_totals)
         if not (math.isclose(check_lower, lower, abs_tol=1e-9)
@@ -225,7 +225,8 @@ def generate(config: SynthConfig) -> SynthResult:
         if any(not (lower <= t <= upper) for t in clean_totals):
             raise RuntimeError("a clean total landed outside the planted fence")
 
-    return SynthResult(records=tuple(records), labels=tuple(labels),
+    flights = Flights({name: [r.get(name) for r in records] for name in Flights.FIELDS})
+    return SynthResult(flights=flights, labels=tuple(labels),
                        iqr_lower=lower, iqr_upper=upper)
 
 
@@ -254,9 +255,9 @@ def _make_record(row, label, comps, arr_delay, airlines, airports, rng: Rng):
     )
     if label == "cancelled":
         if rng.uniform() < 2.0 / 3.0:
-            return FlightRecord(cancelled=1, diverted=0,
-                                cancellation_code="ABCD"[rng.integer(0, 4)], **common)
-        return FlightRecord(cancelled=0, diverted=1, **common)
+            return dict(cancelled=1, diverted=0,
+                        cancellation_code="ABCD"[rng.integer(0, 4)], **common)
+        return dict(cancelled=0, diverted=1, **common)
 
     dep_delay = float(comps[0] + comps[3] + comps[4] + rng.integer(0, 4))
     dep_actual = int(dep_sched + dep_delay) % 1440
@@ -276,8 +277,8 @@ def _make_record(row, label, comps, arr_delay, airlines, airports, rng: Rng):
         air_time=air_time,
     )
     if label == "missing":
-        return FlightRecord(**common, **flown)
-    return FlightRecord(
+        return dict(**common, **flown)
+    return dict(
         **common, **flown,
         delay_due_carrier=float(comps[0]),
         delay_due_weather=float(comps[1]),

@@ -67,7 +67,7 @@ def test_c01_prune_counts_match_planted_labels():
     result = generate(SynthConfig(count=1000, seed=7, cancelled_rate=0.03,
                                   missing_rate=0.80, mismatch_rate=0.005,
                                   outlier_rate=0.012))
-    kept, report = run_pipeline(result.records)
+    kept, report = run_pipeline(result.flights)
     elapsed = time.perf_counter() - started
 
     for label, stage in _STAGE_OF_LABEL.items():
@@ -319,7 +319,7 @@ def test_c07_learning_beats_baseline_and_lag_is_exploited():
     failures = []
     started = time.perf_counter()
     cfg = SynthConfig(count=5000, seed=21, zero_delay_rate=0.05, late_coupling=1.2)
-    records, _ = run_pipeline(generate(cfg).records)
+    records, _ = run_pipeline(generate(cfg).flights)
     table = build_table(records, fit_codebook(records), target_mode="components")
     train_part, test_part = chronological_split(table)
 
@@ -526,11 +526,11 @@ def test_c11_full_dataset_reproduction():
         if abs(got - want) > 0.05:
             failures.append(f"{stage} removed {got:.3f}% vs {want}%")
 
-    usable = [r for r in kept
-              if all(getattr(r, f) is not None for f in _ANALYZE_FIELDS.values())]
-    columns = {name: np.array([getattr(r, f) for r in usable])
-               for name, f in _ANALYZE_FIELDS.items()}
-    target = np.array([r.arr_delay for r in usable])
+    usable = np.ones(len(kept), dtype=bool)
+    for f in _ANALYZE_FIELDS.values():
+        usable &= ~np.isnan(getattr(kept, f))
+    columns = {name: getattr(kept, f)[usable] for name, f in _ANALYZE_FIELDS.items()}
+    target = kept.arr_delay[usable]
     for row in correlation_table(columns, target):
         want = _REFERENCE_CORRELATION[row.attribute]
         if abs(row.r - want) > 0.0005:

@@ -1,6 +1,5 @@
 """End-to-end subcommand behavior: chains, flag resolution, error paths."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -76,9 +75,8 @@ class TestChain:
 
 class TestTrainCommand:
     def test_ols_recovers_planted_coefficients(self, tmp_path):
-        base = generate(SynthConfig(count=60, seed=3)).records
-        doctored = [dataclasses.replace(r, arr_delay=1.0 + 2.0 * r.taxi_in)
-                    for r in base]
+        doctored = generate(SynthConfig(count=60, seed=3)).flights
+        doctored.arr_delay[:] = 1.0 + 2.0 * doctored.taxi_in
         flights = tmp_path / "line.csv"
         write_csv(doctored, flights)
         model_path = tmp_path / "ols.bin"
@@ -204,6 +202,27 @@ class TestManifests:
             assert manifest["command"] in ("synth", "preprocess", "analyze",
                                            "train", "evaluate", "report")
             assert isinstance(manifest["config"], dict)
+
+    def test_preprocess_manifest_counts_rows_and_memory(self, tmp_path):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 2, "--cancelled-rate", 0.05,
+                    "--missing-rate", 0.2, "--out", flights]) == 0
+        with open(flights, "a", encoding="utf-8") as fh:
+            fh.write("2022-01-03,X\n")  # one short row: one diagnostic
+        assert run(["preprocess", "--in", flights, "--out", pruned,
+                    "--report", tmp_path / "r.json"]) == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert manifest["rows_in"] == report["input_count"] == 300
+        assert manifest["diagnostics"] == 1
+        left, want = 300, {}
+        for stage in ("cancelled_or_diverted", "missing_components",
+                      "sum_mismatch", "outlier"):
+            left -= report["removed"][stage]
+            want[stage] = left
+        assert manifest["rows_out"] == want
+        assert want["outlier"] == report["retained_count"]
+        assert manifest["peak_rss_mb"] > 0
 
     def test_missing_input_file_is_single_line_error(self, tmp_path, capsys):
         assert run(["preprocess", "--in", tmp_path / "absent.csv",

@@ -9,7 +9,7 @@ from delaycast.features import (
     fit_standardizer, load_table, positive_variance_columns, save_table,
 )
 
-from test_schema import make_record
+from test_schema import flights, make_record
 
 
 def feature_record(date, dep_minutes, airline="UA", origin="ORD", dest="SFO", **over):
@@ -19,16 +19,19 @@ def feature_record(date, dep_minutes, airline="UA", origin="ORD", dest="SFO", **
 
 def small_records():
     d = dt.date
-    return [
+    return flights([
         feature_record(d(2021, 3, 2), 610, airline="AA", origin="ATL", dest="LAX"),
         feature_record(d(2021, 3, 1), 500, airline="UA", origin="ORD", dest="SFO"),
         feature_record(d(2021, 3, 1), 930, airline="DL", origin="ATL", dest="SFO"),
         feature_record(d(2021, 3, 3), 200, airline="AA", origin="ORD", dest="LAX"),
-    ]
+    ])
 
 
 def test_expand_date():
-    assert expand_date(dt.date(2021, 3, 14)) == (2021, 3, 14)
+    days = [dt.date(1999, 12, 25) + dt.timedelta(days=k) for k in range(500)]
+    year, month, day = expand_date(np.array([d.toordinal() for d in days]))
+    assert list(zip(year.tolist(), month.tolist(), day.tolist())) == [
+        (d.year, d.month, d.day) for d in days]
 
 
 def test_codebook_lexicographic_and_errors():
@@ -46,12 +49,12 @@ def test_build_table_order_and_values():
     cb = fit_codebook(recs)
     table = build_table(recs, cb)
     # sorted by (date, dep time): rows 1, 2, 0, 3 of the input
-    assert table.timestamps == (
-        (dt.date(2021, 3, 1), 500),
-        (dt.date(2021, 3, 1), 930),
-        (dt.date(2021, 3, 2), 610),
-        (dt.date(2021, 3, 3), 200),
-    )
+    assert table.timestamps.tolist() == [
+        [dt.date(2021, 3, 1).toordinal(), 500],
+        [dt.date(2021, 3, 1).toordinal(), 930],
+        [dt.date(2021, 3, 2).toordinal(), 610],
+        [dt.date(2021, 3, 3).toordinal(), 200],
+    ]
     assert table.feature_names == FEATURE_NAMES
     assert table.x.shape == (4, 11)
     assert table.y.shape == (4, 5)
@@ -74,20 +77,21 @@ def test_build_table_total_mode():
 
 def test_build_table_missing_field_errors():
     recs = small_records()
-    recs[2] = make_record(taxi_in=None)
-    with pytest.raises(ValueError, match="taxi_in"):
+    recs.taxi_in[2] = np.nan
+    with pytest.raises(ValueError, match="record 2 missing taxi_in"):
         build_table(recs, fit_codebook(recs))
     with pytest.raises(ValueError, match="unknown target mode"):
         build_table(small_records(), fit_codebook(small_records()), target_mode="both")
 
 
 def test_chronological_split_floor():
-    recs = small_records() * 2
+    recs = small_records()
+    recs = recs.select(np.tile(np.arange(len(recs)), 2))
     cb = fit_codebook(recs)
     table = build_table(recs, cb)
     train, test = chronological_split(table)  # n=8 -> 6/2
     assert len(train) == 6 and len(test) == 2
-    assert max(train.timestamps) <= min(test.timestamps)
+    assert max(train.timestamps.tolist()) <= min(test.timestamps.tolist())
     # concatenation restores the original order
     assert np.array_equal(np.vstack([train.x, test.x]), table.x)
     assert np.array_equal(np.vstack([train.y, test.y]), table.y)
@@ -152,7 +156,7 @@ def test_table_persistence_round_trip(tmp_path):
     back = load_table(tmp_path / "t")
     assert np.array_equal(back.x, table.x)
     assert np.array_equal(back.y, table.y)
-    assert back.timestamps == table.timestamps
+    assert np.array_equal(back.timestamps, table.timestamps)
     assert back.target_mode == table.target_mode
     assert back.codebook.columns == table.codebook.columns
 
@@ -162,7 +166,7 @@ def test_table_invariant_checks():
     table = build_table(recs, fit_codebook(recs))
     with pytest.raises(ValueError, match="nondecreasing"):
         FeatureTable(feature_names=table.feature_names, x=table.x, y=table.y,
-                     timestamps=tuple(reversed(table.timestamps)),
+                     timestamps=table.timestamps[::-1],
                      target_mode=table.target_mode, codebook=table.codebook)
     with pytest.raises(ValueError, match="row count"):
         FeatureTable(feature_names=table.feature_names, x=table.x[:2], y=table.y,

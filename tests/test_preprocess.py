@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycast.preprocess import (
-    drop_cancelled_diverted, drop_missing_components, filter_outliers,
+    _delay_stats, drop_cancelled_diverted, drop_missing_components, filter_outliers,
     iqr_bounds, run_pipeline, verify_component_sum,
 )
-from delaycast.schema import FlightRecord
 
-from test_schema import make_record
+from test_schema import flights, make_record, rows
 
 
 def delayed_record(arr_delay, components=None, **overrides):
@@ -28,18 +27,18 @@ def delayed_record(arr_delay, components=None, **overrides):
 
 def test_drop_cancelled_diverted():
     recs = [make_record(), make_record(cancelled=1), make_record(diverted=1)]
-    kept, removed = drop_cancelled_diverted(recs)
+    kept, removed = drop_cancelled_diverted(flights(recs))
     assert removed == 2 and len(kept) == 1
-    assert all(r.cancelled == 0 and r.diverted == 0 for r in kept)
+    assert all(r.cancelled == 0 and r.diverted == 0 for r in rows(kept))
 
 
 def test_drop_missing_components_partial_group_removed():
     full = make_record()
     partial = make_record(delay_due_weather=None)
     zeroes = delayed_record(0.0, (0.0, 0.0, 0.0, 0.0, 0.0))
-    kept, removed = drop_missing_components([full, partial, zeroes])
+    kept, removed = drop_missing_components(flights([full, partial, zeroes]))
     assert removed == 1
-    assert kept == [full, zeroes]
+    assert rows(kept) == [full, zeroes]
 
 
 def test_verify_component_sum_tolerance_edges():
@@ -50,20 +49,20 @@ def test_verify_component_sum_tolerance_edges():
     no_arr = make_record(arr_delay=None, delay_due_carrier=10.0, delay_due_weather=0.0,
                          delay_due_nas=5.0, delay_due_security=0.0,
                          delay_due_late_aircraft=0.0)
-    kept, removed, worst = verify_component_sum([exact, at_tol, beyond, no_arr])
-    assert kept == [exact, at_tol]
+    kept, removed, worst = verify_component_sum(flights([exact, at_tol, beyond, no_arr]))
+    assert rows(kept) == [exact, at_tol]
     assert removed == 2
     assert worst == pytest.approx(1.0)
 
 
 def test_verify_component_sum_requires_group():
     with pytest.raises(ValueError, match="component group"):
-        verify_component_sum([make_record(delay_due_nas=None)])
+        verify_component_sum(flights([make_record(delay_due_nas=None)]))
 
 
 def test_verify_component_sum_rejects_negative_tolerance():
     with pytest.raises(ValueError, match="tolerance"):
-        verify_component_sum([], tolerance=-0.1)
+        verify_component_sum(flights([]), tolerance=-0.1)
 
 
 # --- iqr --------------------------------------------------------------------
@@ -122,26 +121,26 @@ def test_iqr_bounds_property_vs_oracle(values):
 
 def test_filter_outliers_inclusive_bounds():
     # values 1..8 plus 100: fences computed over all nine values
-    recs = [delayed_record(v) for v in list(range(1, 9)) + [100]]
+    recs = flights([delayed_record(v) for v in list(range(1, 9)) + [100]])
     kept, removed, (lo, hi) = filter_outliers(recs)
     assert removed == 1
-    assert all(lo <= r.arr_delay <= hi for r in kept)
-    assert max(r.arr_delay for r in kept) == 8.0
+    assert all(lo <= r.arr_delay <= hi for r in rows(kept))
+    assert max(r.arr_delay for r in rows(kept)) == 8.0
     # boundary rows stay: plant one exactly at the upper fence
     recs2 = [delayed_record(v) for v in range(1, 9)]
-    _, _, (lo2, hi2) = filter_outliers(recs2)
+    _, _, (lo2, hi2) = filter_outliers(flights(recs2))
     recs2.append(delayed_record(hi2))
-    kept2, removed2, _ = filter_outliers(recs2)
+    kept2, removed2, _ = filter_outliers(flights(recs2))
     # the appended row shifts the fence; recompute to confirm inclusivity logic
-    assert all(r.arr_delay <= filter_outliers(recs2)[2][1] for r in kept2)
+    assert all(r.arr_delay <= filter_outliers(flights(recs2))[2][1] for r in rows(kept2))
 
 
 def test_filter_outliers_idempotent_on_clean_data():
-    recs = [delayed_record(v) for v in (10, 12, 13, 15, 18, 20, 21, 22)]
+    recs = flights([delayed_record(v) for v in (10, 12, 13, 15, 18, 20, 21, 22)])
     kept, removed, _ = filter_outliers(recs)
     assert removed == 0
     kept2, removed2, _ = filter_outliers(kept)
-    assert removed2 == 0 and kept2 == kept
+    assert removed2 == 0 and rows(kept2) == rows(kept)
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -154,7 +153,7 @@ def test_run_pipeline_accounting_and_stats():
     mismatch = [delayed_record(50.0, (10.0, 0.0, 5.0, 0.0, 0.0), fl_number=91)]
     outlier = [delayed_record(500.0, (500.0, 0.0, 0.0, 0.0, 0.0), fl_number=92)]
     recs = clean + flagged + missing + mismatch + outlier
-    kept, report = run_pipeline(recs)
+    kept, report = run_pipeline(flights(recs))
     assert report.input_count == len(recs)
     assert report.removed == {
         "cancelled_or_diverted": 2,
@@ -174,22 +173,22 @@ def test_run_pipeline_accounting_and_stats():
 
 def test_run_pipeline_no_removals():
     recs = [delayed_record(v) for v in (10, 12, 13, 15, 18, 20, 21, 22)]
-    kept, report = run_pipeline(recs)
-    assert kept == recs
+    kept, report = run_pipeline(flights(recs))
+    assert rows(kept) == recs
     assert sum(report.removed.values()) == 0
 
 
 def test_run_pipeline_empty_survivors_raises():
     with pytest.raises(ValueError, match="cancelled/diverted"):
-        run_pipeline([make_record(cancelled=1)])
+        run_pipeline(flights([make_record(cancelled=1)]))
     with pytest.raises(ValueError, match="component-presence"):
-        run_pipeline([make_record(delay_due_nas=None)])
+        run_pipeline(flights([make_record(delay_due_nas=None)]))
 
 
 def test_report_serialization():
     recs = [delayed_record(v) for v in (10, 12, 13, 15, 18, 20, 21, 22)]
     recs.append(make_record(cancelled=1))
-    _, report = run_pipeline(recs)
+    _, report = run_pipeline(flights(recs))
     text = report.to_text()
     assert "input_count=9" in text
     assert "removed_cancelled_or_diverted=1" in text
@@ -207,9 +206,21 @@ def test_report_pct_of_entering_differs_from_pct_of_input():
     recs = [make_record(cancelled=1),
             make_record(delay_due_carrier=None),
             delayed_record(10.0), delayed_record(12.0)]
-    _, report = run_pipeline(recs)
+    _, report = run_pipeline(flights(recs))
     rows = {r[0]: r for r in report.stage_rows()}
     _, n, pct_in, pct_step = rows["missing_components"]
     assert n == 1
     assert pct_in == pytest.approx(25.0)
     assert pct_step == pytest.approx(100.0 / 3.0)
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_delay_stats_sum_left_to_right(values):
+    # bit-identical to Python's left-to-right sum over the rows, not np.sum's
+    # pairwise sum, so the report's floats stay the same
+    stats = _delay_stats(flights([make_record(arr_delay=v) for v in values]))
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1) if len(values) > 1 else 0.0
+    assert (stats.count, stats.mean, stats.std) == (len(values), mean, math.sqrt(var))
+    assert (stats.minimum, stats.maximum) == (min(values), max(values))

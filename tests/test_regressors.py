@@ -27,7 +27,7 @@ from delaycast.trees import gbt_fit, gbt_predict
 def make_table(count=240, seed=11, target_mode="components", **cfg):
     """Clean synthetic rows through the real pruning + encoding path."""
     result = generate(SynthConfig(count=count, seed=seed, **cfg))
-    records, _ = run_pipeline(result.records)
+    records, _ = run_pipeline(result.flights)
     codebook = fit_codebook(records)
     return build_table(records, codebook, target_mode)
 

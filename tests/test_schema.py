@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from delaycast import schema
 from delaycast.schema import (
-    BTS_COLUMNS, CellDiagnostic, DelayVector, FlightRecord, SchemaError,
+    BTS_COLUMNS, CellDiagnostic, DelayVector, FlightRecord, Flights, SchemaError,
     format_hhmm, parse_hhmm, read_csv, write_csv,
 )
 
@@ -48,6 +49,14 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return FlightRecord(**base)
+
+
+def flights(records):
+    return Flights.from_records(records)
+
+
+def rows(table):
+    return [table.row(i) for i in range(len(table))]
 
 
 # --- hhmm -------------------------------------------------------------------
@@ -129,12 +138,12 @@ def test_write_read_round_trip():
                     dep_time=None, arr_time=None),
     ]
     buf = io.StringIO()
-    assert write_csv(records, buf) == 3
+    assert write_csv(flights(records), buf) == 3
     text = buf.getvalue()
     assert text.splitlines()[0] == ",".join(BTS_COLUMNS)
     back, diags = read_csv(io.BytesIO(text.encode()))
     assert diags == []
-    assert back == records
+    assert rows(back) == records
 
 
 def test_read_csv_missing_required_header():
@@ -167,7 +176,7 @@ def test_read_csv_bad_flag_skips_row_with_diagnostic():
 def test_read_csv_negative_component_rejected():
     bad = "2021-01-01,UA,ORD,SFO,0,0,5,-3"
     records, diags = read_csv(_csv_with_rows([bad]))
-    assert records == []
+    assert len(records) == 0
     assert diags[0].column == "DELAY_DUE_WEATHER"
 
 
@@ -176,8 +185,8 @@ def test_read_csv_blank_component_group_retained():
     records, diags = read_csv(_csv_with_rows([row]))
     assert diags == []
     assert len(records) == 1
-    assert records[0].delay_due_weather is None
-    assert records[0].arr_delay == 7.0
+    assert records.row(0).delay_due_weather is None
+    assert records.row(0).arr_delay == 7.0
 
 
 def test_read_csv_short_row_skipped_with_diagnostic():
@@ -193,14 +202,14 @@ def test_read_csv_long_row_skipped_with_diagnostic():
     good = "2021-01-01,UA,ORD,SFO,0,0,12,0"
     records, diags = read_csv(_csv_with_rows([long, good]))
     assert len(records) == 1
-    assert records[0].arr_delay == 12.0
+    assert records.row(0).arr_delay == 12.0
     assert diags == [CellDiagnostic(1, "*", "expected 8 cells, got 9")]
 
 
 def test_read_csv_multiple_bad_cells_one_row_all_reported():
     bad = "2021-01-01,UA,ORD,SFO,7,0,abc,0"
     records, diags = read_csv(_csv_with_rows([bad]))
-    assert records == []
+    assert len(records) == 0
     assert {d.column for d in diags} == {"CANCELLED", "ARR_DELAY"}
 
 
@@ -209,7 +218,7 @@ def test_read_csv_accepts_float_formatted_flags_and_quotes():
     row = '2021-01-01,"Delta, Inc.",ATL,LAX,0.0,1.0,1946.0'
     records, diags = read_csv(io.BytesIO(f"{header}\n{row}\n".encode()))
     assert diags == []
-    rec = records[0]
+    rec = records.row(0)
     assert rec.airline == "Delta, Inc."
     assert rec.diverted == 1
     assert rec.distance == 1946.0
@@ -220,15 +229,15 @@ def test_read_csv_hhmm_2400_accepted():
     row = "2021-01-01,UA,ORD,SFO,0,0,2400"
     records, diags = read_csv(io.BytesIO(f"{header}\n{row}\n".encode()))
     assert diags == []
-    assert records[0].crs_dep_time == 1440
+    assert records.row(0).crs_dep_time == 1440
 
 
 def test_write_csv_path_round_trip(tmp_path):
     path = tmp_path / "flights.csv"
     records = [make_record()]
-    write_csv(records, path)
+    write_csv(flights(records), path)
     back, diags = read_csv(path)
-    assert diags == [] and back == records
+    assert diags == [] and rows(back) == records
 
 
 @given(
@@ -245,6 +254,148 @@ def test_round_trip_property(dep_minutes, distance, carrier_delay, drop_componen
         overrides.update({f: None for f in schema.COMPONENT_FIELDS})
     rec = make_record(**overrides)
     buf = io.StringIO()
-    write_csv([rec], buf)
+    write_csv(flights([rec]), buf)
     back, diags = read_csv(io.BytesIO(buf.getvalue().encode()))
-    assert diags == [] and back == [rec]
+    assert diags == [] and rows(back) == [rec]
+
+
+def test_blank_fl_number_stays_blank(tmp_path):
+    rec = make_record(fl_number=None)
+    path = tmp_path / "flights.csv"
+    write_csv(flights([rec]), path)
+    assert path.read_text().splitlines()[1].split(",")[5] == ""
+    back, diags = read_csv(path)
+    assert diags == [] and rows(back) == [rec]
+    assert back.row(0).fl_number is None
+
+
+@pytest.mark.parametrize("column", ["FL_NUMBER", "CANCELLED", "DIVERTED"])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_integer_is_a_diagnostic(column, raw):
+    header = "FL_DATE,AIRLINE,ORIGIN,DEST,CANCELLED,DIVERTED,FL_NUMBER"
+    cells = dict(zip(header.split(","), "2021-01-01,UA,ORD,SFO,0,0,12".split(",")))
+    cells[column] = raw
+    text = f"{header}\n{','.join(cells.values())}\n"
+    records, diags = read_csv(io.BytesIO(text.encode()))
+    assert len(records) == 0
+    assert diags == [CellDiagnostic(1, column, f"invalid integer {raw!r}")]
+
+
+@pytest.mark.parametrize("raw", ["20220103", "2022-W01-1", "2022-003", "２０２２-01-03",
+                                 "2022-1-03", "2022-02-30"])
+def test_dates_must_be_yyyy_mm_dd(raw):
+    text = f"FL_DATE,AIRLINE,ORIGIN,DEST,CANCELLED,DIVERTED\n{raw},UA,ORD,SFO,0,0\n"
+    records, diags = read_csv(io.BytesIO(text.encode()))
+    assert len(records) == 0
+    assert diags == [CellDiagnostic(1, "FL_DATE", f"invalid ISO date {raw!r}")]
+
+
+# --- vectorized decoding against the scalar decoders --------------------------------
+
+_EDGE_CELLS = [" 0547 ", "NA", " NA ", "2400", "2401", "１２３", "1e3", "+5", "-0", "1_0",
+               "nan", "inf", "0x10", "", "1,5", "12", "12.5", "-3", "1e400", "0547",
+               "2022-01-03", " 2022-01-03 ", "20220103", "2022-W01-1"]
+_BASE = {"FL_DATE": "2021-01-01", "AIRLINE": "UA", "ORIGIN": "ORD", "DEST": "SFO",
+         "CANCELLED": "0", "DIVERTED": "0"}
+# one column of each kind: (column, field, scalar decoder, required)
+_KIND_COLUMNS = [
+    ("FL_DATE", "fl_date", schema._decode_date, True),
+    ("FL_NUMBER", "fl_number", schema._decode_int, False),
+    ("CANCELLED", "cancelled", schema._decode_flag, True),
+    ("CRS_DEP_TIME", "crs_dep_time", parse_hhmm, False),
+    ("DEP_DELAY", "dep_delay", schema._decode_float, False),
+    ("DELAY_DUE_NAS", "delay_due_nas", schema._decode_component, False),
+    ("AIRLINE_DOT", "airline_dot", str, False),
+]
+
+
+def _scalar_outcome(decode, required, raw):
+    """What the per-cell path makes of one cell: a value or a diagnostic text."""
+    raw = raw.strip()
+    if raw in ("", "NA"):
+        return ("diag", "required cell is blank") if required else ("value", None)
+    try:
+        return ("value", decode(raw))
+    except ValueError as exc:
+        return ("diag", str(exc))
+
+
+def _read_column(column, cells):
+    """read_csv over one row per cell, the cell in `column`; outcome per row."""
+    header = list(_BASE) + ([] if column in _BASE else [column])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for raw in cells:
+        writer.writerow([raw if col == column else _BASE.get(col) for col in header])
+    table, diags = read_csv(io.BytesIO(buf.getvalue().encode()))
+    by_row = {d.row: d for d in diags}
+    kept = iter(rows(table))
+    outcomes = []
+    for row_no in range(1, len(cells) + 1):
+        if row_no in by_row:
+            assert by_row[row_no].column == column
+            outcomes.append(("diag", by_row[row_no].message))
+        else:
+            outcomes.append(("value", next(kept)))
+    return outcomes
+
+
+@pytest.mark.parametrize("column,field,decode,required", _KIND_COLUMNS)
+def test_vectorized_decode_matches_scalar_decoders(column, field, decode, required):
+    want = [_scalar_outcome(decode, required, raw) for raw in _EDGE_CELLS]
+    # each cell alone, so valid ones take the vectorized path, then all
+    # together, so one unparsable cell sends its whole column to the scalar path
+    got_alone = [_read_column(column, [raw])[0] for raw in _EDGE_CELLS]
+    got_together = _read_column(column, _EDGE_CELLS)
+    for got in (got_alone, got_together):
+        values = [(kind, getattr(rec, field) if kind == "value" else rec)
+                  for kind, rec in got]
+        if field == "fl_date":
+            want = [(k, v.toordinal() if isinstance(v, dt.date) else v) for k, v in want]
+            values = [(k, v.toordinal() if isinstance(v, dt.date) else v) for k, v in values]
+        if field == "airline_dot":
+            want = [(k, "" if v is None else v) for k, v in want]
+        assert values == want
+
+
+def _messy_csv(n_rows: int) -> bytes:
+    """Synthetic rows with a malformed cell or row every few rows."""
+    header = list(BTS_COLUMNS)
+    buf = io.StringIO()
+    write_csv(flights([make_record()]), buf)
+    good = dict(zip(header, list(csv.reader(io.StringIO(buf.getvalue())))[1]))
+    faults = [("CANCELLED", "2"), ("FL_DATE", "20220103"), ("ARR_TIME", "2401"),
+              ("DELAY_DUE_NAS", "-1"), ("FL_NUMBER", "inf"), ("AIRLINE", " NA "),
+              ("TAXI_IN", "x"), ("DEP_DELAY", " 7 ")]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(n_rows):
+        cells = dict(good, FL_NUMBER=str(i), ARR_DELAY=str(i % 97))
+        if i % 5 == 0:
+            col, raw = faults[(i // 5) % len(faults)]
+            cells[col] = raw
+        if i % 11 == 0:
+            cells["TAXI_OUT"] = "bad"
+        row = [cells[col] for col in header]
+        if i % 37 == 0:
+            row = row[:-1]
+        writer.writerow(row)
+        if i % 53 == 0:
+            buf.write("\n")
+    return buf.getvalue().encode()
+
+
+def test_chunked_read_matches_one_chunk(monkeypatch):
+    data = _messy_csv(300)
+    whole, whole_diags = read_csv(io.BytesIO(data))
+    monkeypatch.setattr(schema, "CHUNK_ROWS", 7)
+    chunked, chunked_diags = read_csv(io.BytesIO(data))
+    assert 0 < len(whole) < 300 and len(whole_diags) > 60
+    assert chunked_diags == whole_diags
+    assert rows(chunked) == rows(whole)
+    # diagnostics come by row, then by header column
+    order = [(d.row, -1 if d.column == "*" else BTS_COLUMNS.index(d.column))
+             for d in whole_diags]
+    assert order == sorted(order)

@@ -8,6 +8,8 @@ import pytest
 from delaycast.preprocess import run_pipeline
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels, write_labels
 
+from test_schema import rows
+
 MIXED = dict(cancelled_rate=0.05, missing_rate=0.04, mismatch_rate=0.04,
              outlier_rate=0.05)
 
@@ -15,41 +17,41 @@ MIXED = dict(cancelled_rate=0.05, missing_rate=0.04, mismatch_rate=0.04,
 def test_default_config_is_all_clean():
     res = generate(SynthConfig(count=50, seed=1))
     assert set(res.labels) == {"clean"}
-    assert len(res.records) == 50
+    assert len(res.flights) == 50
 
 
 def test_generation_is_deterministic():
     a = generate(SynthConfig(count=300, seed=9, **MIXED))
     b = generate(SynthConfig(count=300, seed=9, **MIXED))
     assert a.labels == b.labels
-    assert a.records == b.records
+    assert rows(a.flights) == rows(b.flights)
     assert (a.iqr_lower, a.iqr_upper) == (b.iqr_lower, b.iqr_upper)
 
 
 def test_seed_changes_the_data():
     a = generate(SynthConfig(count=300, seed=9, **MIXED))
     b = generate(SynthConfig(count=300, seed=10, **MIXED))
-    assert a.records != b.records
+    assert rows(a.flights) != rows(b.flights)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_pipeline_removals_match_labels_exactly(seed):
     res = generate(SynthConfig(count=400, seed=seed, **MIXED))
     counts = collections.Counter(res.labels)
-    retained, report = run_pipeline(list(res.records))
+    retained, report = run_pipeline(res.flights)
     assert report.removed["cancelled_or_diverted"] == counts["cancelled"]
     assert report.removed["missing_components"] == counts["missing"]
     assert report.removed["sum_mismatch"] == counts["mismatch"]
     assert report.removed["outlier"] == counts["outlier"]
     assert report.retained_count == counts["clean"]
     # survivors are exactly the clean-labelled rows, in order
-    clean_rows = [r for r, lab in zip(res.records, res.labels) if lab == "clean"]
-    assert retained == clean_rows
+    clean_rows = [r for r, lab in zip(rows(res.flights), res.labels) if lab == "clean"]
+    assert rows(retained) == clean_rows
 
 
 def test_pipeline_fences_match_generator_fences():
     res = generate(SynthConfig(count=500, seed=3, **MIXED))
-    _, report = run_pipeline(list(res.records))
+    _, report = run_pipeline(res.flights)
     assert report.iqr_lower == pytest.approx(res.iqr_lower, abs=1e-9)
     assert report.iqr_upper == pytest.approx(res.iqr_upper, abs=1e-9)
 
@@ -57,14 +59,14 @@ def test_pipeline_fences_match_generator_fences():
 def test_zero_inflation_pins_lower_fence_below_zero():
     res = generate(SynthConfig(count=500, seed=5, outlier_rate=0.05))
     assert res.iqr_lower < 0.0
-    totals = [r.arr_delay for r, lab in zip(res.records, res.labels) if lab == "clean"]
+    totals = [r.arr_delay for r, lab in zip(rows(res.flights), res.labels) if lab == "clean"]
     assert min(totals) == 0.0
 
 
 def test_clean_rows_sum_exactly_and_respect_cap():
     cfg = SynthConfig(count=400, seed=2, **MIXED)
     res = generate(cfg)
-    for rec, lab in zip(res.records, res.labels):
+    for rec, lab in zip(rows(res.flights), res.labels):
         if lab != "clean":
             continue
         vec = rec.delay_components()
@@ -76,7 +78,7 @@ def test_clean_rows_sum_exactly_and_respect_cap():
 def test_mismatch_rows_break_the_sum_by_at_least_two():
     res = generate(SynthConfig(count=400, seed=2, **MIXED))
     seen = 0
-    for rec, lab in zip(res.records, res.labels):
+    for rec, lab in zip(rows(res.flights), res.labels):
         if lab != "mismatch":
             continue
         seen += 1
@@ -86,46 +88,46 @@ def test_mismatch_rows_break_the_sum_by_at_least_two():
 
 def test_outlier_totals_sit_strictly_above_the_fence():
     res = generate(SynthConfig(count=400, seed=2, **MIXED))
-    outliers = [r.arr_delay for r, lab in zip(res.records, res.labels) if lab == "outlier"]
+    outliers = [r.arr_delay for r, lab in zip(rows(res.flights), res.labels) if lab == "outlier"]
     assert outliers
     assert min(outliers) > res.iqr_upper
     # components still sum exactly: these rows survive the sum check
-    for rec, lab in zip(res.records, res.labels):
+    for rec, lab in zip(rows(res.flights), res.labels):
         if lab == "outlier":
             assert rec.delay_components().total() == rec.arr_delay
 
 
 def test_cancelled_rows_carry_a_flag_and_nothing_else_does():
     res = generate(SynthConfig(count=400, seed=6, **MIXED))
-    for rec, lab in zip(res.records, res.labels):
+    for rec, lab in zip(rows(res.flights), res.labels):
         flagged = rec.cancelled == 1 or rec.diverted == 1
         assert flagged == (lab == "cancelled")
 
 
 def test_records_are_chronological():
     res = generate(SynthConfig(count=300, seed=4, **MIXED))
-    keys = [(r.fl_date, r.crs_dep_time) for r in res.records]
+    keys = [(r.fl_date, r.crs_dep_time) for r in rows(res.flights)]
     assert keys == sorted(keys)
 
 
 def test_vocab_respects_config_and_routes_avoid_self_loops():
     cfg = SynthConfig(count=300, seed=8, airlines=3, airports=4)
     res = generate(cfg)
-    assert len({r.airline for r in res.records}) <= 3
-    airports = {r.origin for r in res.records} | {r.dest for r in res.records}
+    assert len({r.airline for r in rows(res.flights)}) <= 3
+    airports = {r.origin for r in rows(res.flights)} | {r.dest for r in rows(res.flights)}
     assert len(airports) <= 4
-    assert all(r.origin != r.dest for r in res.records)
+    assert all(r.origin != r.dest for r in rows(res.flights))
 
 
 def test_paired_columns_are_deterministic_functions_of_their_base():
     # AIRLINE_DOT / AIRLINE_CODE / DOT_CODE per airline; city per airport
     res = generate(SynthConfig(count=400, seed=11))
     by_airline = {}
-    for r in res.records:
+    for r in rows(res.flights):
         key = (r.airline_dot, r.airline_code, r.dot_code)
         assert by_airline.setdefault(r.airline, key) == key
     by_airport = {}
-    for r in res.records:
+    for r in rows(res.flights):
         assert by_airport.setdefault(r.origin, r.origin_city) == r.origin_city
         assert by_airport.setdefault(r.dest, r.dest_city) == r.dest_city
 
@@ -173,6 +175,6 @@ def test_start_date_and_flights_per_day_drive_the_calendar():
     cfg = SynthConfig(count=20, seed=3, start_date=dt.date(2023, 5, 1),
                       flights_per_day=10)
     res = generate(cfg)
-    assert res.records[0].fl_date == dt.date(2023, 5, 1)
-    assert res.records[9].fl_date == dt.date(2023, 5, 1)
-    assert res.records[10].fl_date == dt.date(2023, 5, 2)
+    assert res.flights.row(0).fl_date == dt.date(2023, 5, 1)
+    assert res.flights.row(9).fl_date == dt.date(2023, 5, 1)
+    assert res.flights.row(10).fl_date == dt.date(2023, 5, 2)

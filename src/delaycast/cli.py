@@ -9,7 +9,9 @@ command, for commands that print to stdout); they carry wall time, so they
 are the one output exempt from byte-level reproducibility. The preprocess
 manifest also records `rows_in`, the count of skipped-cell `diagnostics`,
 `rows_out` after each prune stage, and `peak_rss_mb`, this process's peak
-resident memory so far (`resource.getrusage`).
+resident memory so far (`resource.getrusage`). The synth manifest records
+`rows_out`, the `label_counts`, `peak_rss_mb`, and the planted IQR fences
+(`iqr_lower`, `iqr_upper`) among its decisions.
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
@@ -65,7 +67,7 @@ from .stats import (
     correlation_table,
     redundancy_test,
 )
-from .synth import SynthConfig, generate, write_labels
+from .synth import LABELS, SynthConfig, generate, write_labels
 
 _REDUNDANCY_PAIRS = (("AIRLINE", "AIRLINE_DOT", "airline", "airline_dot"),
                      ("AIRLINE", "AIRLINE_CODE", "airline", "airline_code"),
@@ -147,6 +149,10 @@ def _read_flights(path):
     return flights, diagnostics
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _write_manifest(command, anchor, *, config, seeds, decisions, inputs,
                     outputs, started, qualify=False, **measured):
     """Write the run manifest; `measured` adds top-level fields (counts, memory)."""
@@ -189,8 +195,13 @@ def cmd_synth(args) -> int:
                     seeds={"seed": config.seed},
                     decisions={"iqr_multiplier": IQR_MULTIPLIER,
                                "zero_delay_rate": config.zero_delay_rate,
-                               "delay_cap": config.delay_cap},
-                    inputs=[], outputs=[out, labels_path], started=started)
+                               "delay_cap": config.delay_cap,
+                               "iqr_lower": result.iqr_lower,
+                               "iqr_upper": result.iqr_upper},
+                    inputs=[], outputs=[out, labels_path], started=started,
+                    rows_out=len(result.flights),
+                    label_counts={label: result.labels.count(label) for label in LABELS},
+                    peak_rss_mb=_peak_rss_mb())
     print(f"wrote {len(result.flights)} rows to {out}; labels to {labels_path}")
     return 0
 
@@ -219,8 +230,7 @@ def cmd_preprocess(args) -> int:
                     inputs=[in_path], outputs=[out, report_path],
                     started=started, rows_in=report.input_count,
                     diagnostics=len(diagnostics), rows_out=rows_out,
-                    peak_rss_mb=resource.getrusage(
-                        resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+                    peak_rss_mb=_peak_rss_mb())
     sys.stdout.write(report.to_text())
     return 0
 

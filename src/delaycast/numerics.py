@@ -32,6 +32,10 @@ class Rng:
 
     State advance: ``state += 0x9E3779B97F4A7C15`` (mod 2^64), output =
     murmur-style finalizer of the new state (shift-xor-multiply twice).
+    ``next_u64s(n)`` is the array primitive: output k (1-based) mixes
+    ``state + k*gamma`` in wrapping uint64 arithmetic, the same stream that n
+    ``next_u64()`` calls give. Every array draw is built on it; the scalar
+    ``next_u64`` is the reference it is tested against.
     """
 
     __slots__ = ("seed", "_state")
@@ -44,33 +48,41 @@ class Rng:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
+    def next_u64s(self, n: int) -> np.ndarray:
+        """The next n outputs as uint64; advances the state by n."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
     def spawn(self, key: int) -> "Rng":
         """Substream keyed by a small integer; independent of draw position."""
         return Rng(_mix64((self.seed ^ (((key & _MASK64) + 1) * _GAMMA)) & _MASK64))
 
-    def uniform(self) -> float:
-        # 53-bit mantissa in [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+        """n draws from [0, 1): the top 53 bits of each output."""
+        return (self.next_u64s(n) >> np.uint64(11)) * 2.0**-53
 
     def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape))
         u = self.uniforms(n).reshape(shape)
         return low + (high - low) * u
 
-    def integer(self, low: int, high: int) -> int:
-        """One draw from [low, high). Range must be far below 2^53."""
+    def integers(self, low: int, high: int, n: int) -> np.ndarray:
+        """n draws from [low, high): low + trunc(u * width). Width must be far below 2^53."""
         if high <= low:
             raise ValueError(f"empty integer range [{low}, {high})")
-        return low + int(self.uniform() * (high - low))
+        return low + (self.uniforms(n) * (high - low)).astype(np.int64)
 
-    def integers(self, low: int, high: int, n: int) -> np.ndarray:
-        return np.array([self.integer(low, high) for _ in range(n)], dtype=np.int64)
-
-    def exponential(self, mean: float) -> float:
-        return -mean * math.log1p(-self.uniform())
+    def integer(self, low: int, high: int) -> int:
+        """One draw from [low, high), as `integers` makes it."""
+        return int(self.integers(low, high, 1)[0])
 
 
 # --- matrix validation ------------------------------------------------------

@@ -287,7 +287,8 @@ def _as_column(kind: str, values) -> np.ndarray:
     """One field's values as its stored array; a list may hold None for blank."""
     dtype = _DTYPES.get(kind, np.float64)
     if isinstance(values, np.ndarray):
-        return values.astype(dtype, copy=False)
+        # astype copies a StringDType array even when the dtypes are equal
+        return values if values.dtype == dtype else values.astype(dtype)
     if kind == "date":
         return np.array([d.toordinal() for d in values], dtype=dtype)
     if kind == "text":

@@ -17,18 +17,49 @@ Component structure is learnable: carrier couples to airline, NAS to the
 scheduled departure hour, weather to month, security is nearly always zero,
 and late-aircraft follows the systematic delay level of the previous flight
 of the same day, which rewards models that can see a window of prior rows.
+
+Draw layout. Substream k is `Rng(seed).spawn(k)`; each is drawn as one block
+and cut into rows, so the bytes are fixed by this layout alone. An integer
+in [lo, hi) is `lo + trunc(u * (hi - lo))`; an exponential with mean m is
+`-m * log1p(-u)`, with libm's log1p applied to each value (numpy's can
+differ in the last bit).
+
+- 0 `setup`: one uniform per airline (carrier base 2 + 10u), then one
+  integer in [250, 2600) per (origin, dest) pair, row-major: route miles.
+- 1 `label`: 1 draw per row, compared with the cumulative rates in the
+  order cancelled, missing, mismatch, outlier; the rest is clean.
+- 2 `sched`: 6 draws per row: departure jitter in [0, slot width),
+  airline, origin, dest (an index among the other airports), taxi_out in
+  [8, 26), taxi_in in [3, 13).
+- 3 `delay`: 1, 6 or 7 draws per row. u0 < `zero_delay_rate` gives a row of
+  zero components (1 draw). Otherwise: carrier, weather and NAS
+  exponentials, the security uniform, a security exponential only when that
+  uniform is >= 0.97, and the late-aircraft exponential.
+- 4 `tamper`, in row order: an outlier row draws its target jitter in
+  [0, 30), a mismatch row its offset exponential and its sign uniform, and
+  then every row that flew draws its departure-delay jitter in [0, 4):
+  2 draws for an outlier, 3 for a mismatch, 1 for a clean or missing row.
+  A cancelled-label row draws cancelled (u < 2/3) or diverted, and a
+  cancelled one its code in "ABCD": 1 or 2 draws.
+
+Rows of `delay` and `tamper` differ in length with their own draws, so each
+block is drawn at its longest and the row starts are walked through it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+from numpy.dtypes import StringDType
+
 from .numerics import Rng
 from .preprocess import iqr_bounds
-from .schema import Flights
+from .schema import COMPONENT_FIELDS, Flights
 
 LABELS = ("clean", "cancelled", "missing", "mismatch", "outlier")
 
@@ -79,10 +110,6 @@ class SynthConfig:
             raise ValueError("delay_cap and outlier_margin must be >= 1")
 
 
-def _carrier_base(rng: Rng, n: int):
-    return [2.0 + 10.0 * rng.uniform() for _ in range(n)]
-
-
 def _nas_mean(dep_minutes: int) -> float:
     # congestion builds through the day, peaking late afternoon
     h = dep_minutes / 60.0
@@ -91,11 +118,15 @@ def _nas_mean(dep_minutes: int) -> float:
     return 2.0 + 10.0 * math.sin(math.pi * (h - 5.0) / 19.0)
 
 
-_MONTH_WEATHER = (4.0, 3.5, 2.0, 1.0, 0.8, 2.0, 3.0, 3.0, 1.2, 0.8, 1.5, 4.0)
+# means by departure minute and by month - 1; math.sin keeps libm's values
+_NAS_MEAN = np.array([_nas_mean(m) for m in range(1440)])
+_WEATHER_MEAN = 1.5 * np.array((4.0, 3.5, 2.0, 1.0, 0.8, 2.0, 3.0, 3.0, 1.2, 0.8, 1.5, 4.0))
 
-
-def _weather_mean(month: int) -> float:
-    return 1.5 * _MONTH_WEATHER[month - 1]
+# label draw order: a row's label index counts the cumulative rates <= its u
+_DRAW_LABELS = ("cancelled", "missing", "mismatch", "outlier", "clean")
+# tamper draws per row by label; a cancelled row may take one more
+_TAMPER_DRAWS = np.array([1, 1, 3, 2, 1])
+_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -106,186 +137,192 @@ class SynthResult:
     iqr_upper: float
 
 
+def _exponential(mean, u: np.ndarray) -> np.ndarray:
+    """-mean * log1p(-u), with libm's log1p on each value."""
+    return -mean * np.fromiter(map(math.log1p, (-u).tolist()), np.float64, len(u))
+
+
+def _round(x: np.ndarray) -> np.ndarray:
+    return np.rint(x).astype(np.int64)  # half to even, as Python's round
+
+
+def _row_starts(fixed: np.ndarray, flex: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Start of each row in a draw block whose rows differ in length.
+
+    Row i takes fixed[i] draws, plus extra[p] more where flex[i] is set, p
+    being the row's start.
+    """
+    extra = extra.tolist()
+    starts = []
+    p = 0
+    for f, x in zip(fixed.tolist(), flex.tolist()):
+        starts.append(p)
+        p += f + extra[p] if x else f
+    return np.array(starts, dtype=np.int64)
+
+
 def generate(config: SynthConfig) -> SynthResult:
     """Build `count` chronologically ordered flights plus per-row labels."""
-    rng_setup = Rng(config.seed).spawn(0)
-    rng_label = Rng(config.seed).spawn(1)
-    rng_sched = Rng(config.seed).spawn(2)
-    rng_delay = Rng(config.seed).spawn(3)
-    rng_tamper = Rng(config.seed).spawn(4)
-
+    n, per_day = config.count, config.flights_per_day
+    rng_setup, rng_label, rng_sched, rng_delay, rng_tamper = (
+        Rng(config.seed).spawn(k) for k in range(5))
     airlines = _AIRLINES[:config.airlines]
     airports = _AIRPORTS[:config.airports]
-    carrier_base = _carrier_base(rng_setup, len(airlines))
-    route_dist = [[float(rng_setup.integer(250, 2600)) for _ in airports]
-                  for _ in airports]
+    carrier_base = 2.0 + 10.0 * rng_setup.uniforms(len(airlines))
+    route_dist = rng_setup.integers(250, 2600, len(airports) ** 2).astype(np.float64)
+    route_dist = route_dist.reshape(len(airports), len(airports))
 
     # label assignment first; value streams stay aligned regardless of rates
-    labels = []
-    cum_cancel = config.cancelled_rate
-    cum_missing = cum_cancel + config.missing_rate
-    cum_mismatch = cum_missing + config.mismatch_rate
-    cum_outlier = cum_mismatch + config.outlier_rate
-    for _ in range(config.count):
-        u = rng_label.uniform()
-        if u < cum_cancel:
-            labels.append("cancelled")
-        elif u < cum_missing:
-            labels.append("missing")
-        elif u < cum_mismatch:
-            labels.append("mismatch")
-        elif u < cum_outlier:
-            labels.append("outlier")
-        else:
-            labels.append("clean")
+    cuts = list(itertools.accumulate((config.cancelled_rate, config.missing_rate,
+                                      config.mismatch_rate, config.outlier_rate)))
+    kind = np.searchsorted(cuts, rng_label.uniforms(n), side="right")
+    cancelled, missing, mismatch, outlier, clean = (kind == k for k in range(5))
 
-    slot_width = max(1, 1080 // config.flights_per_day)
-    rows = []
-    prev_sys_by_day: dict[int, float] = {}
-    for i in range(config.count):
-        day_idx = i // config.flights_per_day
-        slot = i % config.flights_per_day
-        date = config.start_date + dt.timedelta(days=day_idx)
-        dep = min(300 + slot * slot_width + rng_sched.integer(0, slot_width), 1439)
-        a = rng_sched.integer(0, len(airlines))
-        o = rng_sched.integer(0, len(airports))
-        d = rng_sched.integer(0, len(airports) - 1)
-        if d >= o:
-            d += 1  # skip self-loops
-        dist = route_dist[o][d]
-        crs_elapsed = float(round(40 + dist / 7.5))
-        taxi_out = float(rng_sched.integer(8, 26))
-        taxi_in = float(rng_sched.integer(3, 13))
+    day, slot = np.divmod(np.arange(n), per_day)
+    slot_width = max(1, 1080 // per_day)
+    sched = rng_sched.uniforms(6 * n).reshape(n, 6)
+    sched *= (slot_width, len(airlines), len(airports), len(airports) - 1, 18, 10)
+    jitter, a, o, d, taxi_out, taxi_in = sched.astype(np.int64).T
+    d = d + (d >= o)  # skip self-loops
+    dep = np.minimum(300 + slot * slot_width + jitter, 1439)
+    dist = route_dist[o, d]
+    crs_elapsed = np.rint(40 + dist / 7.5)
+    taxi_out = (8 + taxi_out).astype(np.float64)
+    taxi_in = (3 + taxi_in).astype(np.float64)
+    fl_date = config.start_date.toordinal() + day
+    month = (fl_date - _EPOCH).astype("datetime64[D]").astype("datetime64[M]")
+    weather_mean = _WEATHER_MEAN[month.astype(np.int64) % 12]
 
-        # component draws: zero-inflated, structured means, capped total
-        sys_level = carrier_base[a] + _nas_mean(dep) + _weather_mean(date.month)
-        prev_sys = prev_sys_by_day.get(day_idx, 0.0)
-        if rng_delay.uniform() < config.zero_delay_rate:
-            comps = [0, 0, 0, 0, 0]
-        else:
-            carrier = round(rng_delay.exponential(carrier_base[a]))
-            weather = round(rng_delay.exponential(_weather_mean(date.month)))
-            nas = round(rng_delay.exponential(_nas_mean(dep)))
-            security = 0 if rng_delay.uniform() < 0.97 else round(rng_delay.exponential(3.0))
-            late = round(config.late_coupling * prev_sys + rng_delay.exponential(1.5))
-            comps = [carrier, weather, nas, security, late]
-            total = sum(comps)
-            if total > config.delay_cap:
-                comps = [math.floor(c * config.delay_cap / total) for c in comps]
-        prev_sys_by_day[day_idx] = sys_level
-        rows.append({
-            "i": i, "date": date, "dep": dep, "airline": a, "origin": o,
-            "dest": d, "dist": dist, "crs_elapsed": crs_elapsed,
-            "taxi_out": taxi_out, "taxi_in": taxi_in, "comps": comps,
-        })
+    # component draws: zero-inflated, structured means, capped total
+    sys_level = carrier_base[a] + _NAS_MEAN[dep] + weather_mean
+    prev_sys = np.zeros(n)
+    prev_sys[1:] = sys_level[:-1]
+    prev_sys[slot == 0] = 0.0
+    # a row starting at draw p is delayed when u[p] >= zero_delay_rate and
+    # then has a security delay when u[p + 4] >= 0.97
+    u = rng_delay.uniforms(7 * n)
+    delayed_at = u >= config.zero_delay_rate
+    secured_at = np.zeros(7 * n, dtype=bool)
+    secured_at[:-4] = u[4:] >= 0.97
+    starts = _row_starts(np.ones(n, np.int64), np.ones(n, bool),
+                         delayed_at * (5 + secured_at))
+    delayed = delayed_at[starts]
+    p = starts[delayed]
+    secure = secured_at[p]
+    comps = np.zeros((n, 5), dtype=np.int64)
+    comps[delayed, 0] = _round(_exponential(carrier_base[a[delayed]], u[p + 1]))
+    comps[delayed, 1] = _round(_exponential(weather_mean[delayed], u[p + 2]))
+    comps[delayed, 2] = _round(_exponential(_NAS_MEAN[dep[delayed]], u[p + 3]))
+    comps[np.flatnonzero(delayed)[secure], 3] = _round(_exponential(3.0, u[p[secure] + 5]))
+    comps[delayed, 4] = _round(config.late_coupling * prev_sys[delayed]
+                               + _exponential(1.5, u[p + 5 + secure]))
+    totals = comps.sum(axis=1)
+    over = totals > config.delay_cap
+    comps[over] = np.floor(comps[over] * config.delay_cap / totals[over, None])
+    totals[over] = comps[over].sum(axis=1)
 
     # fence placement: outliers sit above every clean total, so the quartiles
     # of the survivor population (clean + outlier) fall inside the clean block
-    clean_totals = [sum(r["comps"]) for r, lab in zip(rows, labels) if lab == "clean"]
-    n_outliers = sum(1 for lab in labels if lab == "outlier")
+    clean_totals = totals[clean]
+    n_outliers = int(outlier.sum())
     lower = upper = 0.0
-    if clean_totals:
+    if len(clean_totals):
         m, q = len(clean_totals), n_outliers
         if q and 0.75 * (m + q - 1) > m - 2:
             raise ValueError(
                 f"outlier_rate too high for fence placement: {q} planted among {m} clean rows")
-        placeholder = max(clean_totals) + 1.0
-        lower, upper = iqr_bounds(clean_totals + [placeholder] * q)
+        top = int(clean_totals.max())
+        lower, upper = iqr_bounds(np.concatenate([clean_totals, np.full(q, top + 1.0)]))
     elif n_outliers:
         raise ValueError("outliers need at least one clean row to define the fence")
 
-    outlier_seen = 0
-    records = []  # one field -> value dict per row
-    for row, label in zip(rows, labels):
-        comps = row["comps"]
-        if label == "outlier":
-            target = math.ceil(max(upper, float(max(clean_totals)))) + config.outlier_margin
-            target += 3 * outlier_seen + rng_tamper.integer(0, 30)
-            outlier_seen += 1
-            comps = list(comps)
-            comps[4] += target - sum(comps)
-        arr_delay = float(sum(comps))
-        if label == "mismatch":
-            offset = 2 + round(rng_tamper.exponential(6.0))
-            if rng_tamper.uniform() < 0.5:
-                offset = -offset
-            arr_delay = float(sum(comps) + offset)
-        records.append(_make_record(row, label, comps, arr_delay,
-                                    airlines, airports, rng_tamper))
+    draws = _TAMPER_DRAWS[kind]
+    u = rng_tamper.uniforms(int(draws.sum() + cancelled.sum()))
+    starts = _row_starts(draws, cancelled, u < 2.0 / 3.0)
+    if n_outliers:
+        p = starts[outlier]
+        target = math.ceil(max(upper, float(top))) + config.outlier_margin
+        target += 3 * np.arange(n_outliers) + (u[p] * 30).astype(np.int64)
+        comps[outlier, 4] += target - totals[outlier]
+        totals[outlier] = target
+    arr_delay = totals.astype(np.float64)
+    p = starts[mismatch]
+    offset = 2 + _round(_exponential(6.0, u[p]))
+    arr_delay[mismatch] += np.where(u[p + 1] < 0.5, -offset, offset)
 
     # self-check: the pipeline must see exactly the planted structure
-    if clean_totals:
-        survivor_totals = [sum(r["comps"]) for r, lab in zip(rows, labels) if lab == "clean"]
-        survivor_totals += [float(r["arr_delay"]) for r, lab in zip(records, labels)
-                            if lab == "outlier"]
-        check_lower, check_upper = iqr_bounds(survivor_totals)
+    if len(clean_totals):
+        check_lower, check_upper = iqr_bounds(
+            np.concatenate([clean_totals, arr_delay[outlier]]))
         if not (math.isclose(check_lower, lower, abs_tol=1e-9)
                 and math.isclose(check_upper, upper, abs_tol=1e-9)):
             raise RuntimeError("fence moved after outlier placement")
-        if any(not (lower <= t <= upper) for t in clean_totals):
+        if ((clean_totals < lower) | (clean_totals > upper)).any():
             raise RuntimeError("a clean total landed outside the planted fence")
 
-    flights = Flights({name: [r.get(name) for r in records] for name in Flights.FIELDS})
-    return SynthResult(flights=flights, labels=tuple(labels),
-                       iqr_lower=lower, iqr_upper=upper)
+    # flown rows: every row but the cancelled and diverted ones
+    flown = ~cancelled
+    crs_arr = (dep + crs_elapsed).astype(np.int64) % 1440
+    dep_delay = (comps[:, 0] + comps[:, 3] + comps[:, 4]).astype(np.float64)
+    # a flown row's last tamper draw is its departure-delay jitter
+    dep_delay[flown] += (u[(starts + draws - 1)[flown]] * 4).astype(np.int64)
+    dep_delay[cancelled] = np.nan
+    dep_actual = (dep[flown] + dep_delay[flown]).astype(np.int64) % 1440
+    arr_actual = (crs_arr[flown] + arr_delay[flown]).astype(np.int64) % 1440
+    arr_delay[cancelled] = np.nan
 
+    def flown_column(values):
+        column = np.full(n, np.nan)
+        column[flown] = values
+        return column
 
-def _make_record(row, label, comps, arr_delay, airlines, airports, rng: Rng):
-    name, code = airlines[row["airline"]]
-    origin = airports[row["origin"]]
-    dest = airports[row["dest"]]
-    date = row["date"]
-    dep_sched = row["dep"]
-    crs_arr = int(dep_sched + row["crs_elapsed"]) % 1440
-    common = dict(
-        fl_date=date,
-        airline=name,
-        airline_dot=f"{name}: {code}",
-        airline_code=code,
-        dot_code=str(19000 + row["airline"]),
-        fl_number=1000 + row["i"],
-        origin=origin,
-        origin_city=f"{origin} Metro, US",
-        dest=dest,
-        dest_city=f"{dest} Metro, US",
-        crs_dep_time=dep_sched,
-        crs_arr_time=crs_arr,
-        crs_elapsed_time=row["crs_elapsed"],
-        distance=row["dist"],
-    )
-    if label == "cancelled":
-        if rng.uniform() < 2.0 / 3.0:
-            return dict(cancelled=1, diverted=0,
-                        cancellation_code="ABCD"[rng.integer(0, 4)], **common)
-        return dict(cancelled=0, diverted=1, **common)
+    rows = np.flatnonzero(cancelled)
+    grounded = u[starts[rows]] < 2.0 / 3.0
+    cancelled_flag = np.zeros(n, dtype=np.int8)
+    cancelled_flag[rows[grounded]] = 1
+    diverted_flag = cancelled.astype(np.int8) - cancelled_flag
+    cancellation_code = np.full(n, "", dtype=StringDType())
+    cancellation_code[rows[grounded]] = np.array(list("ABCD"), dtype=StringDType())[
+        (u[starts[rows[grounded]] + 1] * 4).astype(np.int64)]
 
-    dep_delay = float(comps[0] + comps[3] + comps[4] + rng.integer(0, 4))
-    dep_actual = int(dep_sched + dep_delay) % 1440
-    arr_actual = int(crs_arr + arr_delay) % 1440
-    air_time = max(20.0, row["crs_elapsed"] - row["taxi_out"] - row["taxi_in"])
-    flown = dict(
-        cancelled=0, diverted=0,
-        dep_time=dep_actual,
+    # text columns index per-airline and per-airport vocabularies
+    names = np.array([name for name, _ in airlines], dtype=StringDType())
+    codes = np.array([code for _, code in airlines], dtype=StringDType())
+    ports = np.array(airports, dtype=StringDType())
+    components = np.where((clean | mismatch | outlier)[:, None], comps, np.nan)
+    columns = dict(
+        fl_date=fl_date,
+        airline=names[a],
+        airline_dot=(names + ": " + codes)[a],
+        airline_code=codes[a],
+        dot_code=np.array([str(19000 + k) for k in range(len(airlines))], dtype=StringDType())[a],
+        fl_number=1000.0 + np.arange(n),
+        origin=ports[o],
+        origin_city=(ports + " Metro, US")[o],
+        dest=ports[d],
+        dest_city=(ports + " Metro, US")[d],
+        crs_dep_time=dep.astype(np.float64),
+        dep_time=flown_column(dep_actual),
         dep_delay=dep_delay,
-        taxi_out=row["taxi_out"],
-        wheels_off=int(dep_actual + row["taxi_out"]) % 1440,
-        wheels_on=int(arr_actual - row["taxi_in"]) % 1440,
-        taxi_in=row["taxi_in"],
-        arr_time=arr_actual,
+        taxi_out=flown_column(taxi_out[flown]),
+        wheels_off=flown_column((dep_actual + taxi_out[flown]).astype(np.int64) % 1440),
+        wheels_on=flown_column((arr_actual - taxi_in[flown]).astype(np.int64) % 1440),
+        taxi_in=flown_column(taxi_in[flown]),
+        crs_arr_time=crs_arr.astype(np.float64),
+        arr_time=flown_column(arr_actual),
         arr_delay=arr_delay,
-        elapsed_time=row["crs_elapsed"] + arr_delay - dep_delay,
-        air_time=air_time,
+        cancelled=cancelled_flag,
+        cancellation_code=cancellation_code,
+        diverted=diverted_flag,
+        crs_elapsed_time=crs_elapsed,
+        elapsed_time=crs_elapsed + arr_delay - dep_delay,
+        air_time=flown_column(np.maximum(20.0, crs_elapsed - taxi_out - taxi_in)[flown]),
+        distance=dist,
+        **{name: components[:, k] for k, name in enumerate(COMPONENT_FIELDS)},
     )
-    if label == "missing":
-        return dict(**common, **flown)
-    return dict(
-        **common, **flown,
-        delay_due_carrier=float(comps[0]),
-        delay_due_weather=float(comps[1]),
-        delay_due_nas=float(comps[2]),
-        delay_due_security=float(comps[3]),
-        delay_due_late_aircraft=float(comps[4]),
-    )
+    labels = tuple(_DRAW_LABELS[k] for k in kind.tolist())
+    return SynthResult(flights=Flights(columns), labels=labels,
+                       iqr_lower=lower, iqr_upper=upper)
 
 
 def write_labels(labels, path) -> None:

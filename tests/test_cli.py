@@ -9,7 +9,7 @@ from delaycast.cli import main
 from delaycast.features import build_table, fit_codebook, save_table
 from delaycast.modelfile import load_model
 from delaycast.schema import read_csv, write_csv
-from delaycast.synth import SynthConfig, generate, read_labels
+from delaycast.synth import LABELS, SynthConfig, generate, read_labels
 
 STAGE_OF_LABEL = {"cancelled": "cancelled_or_diverted",
                   "missing": "missing_components",
@@ -222,6 +222,23 @@ class TestManifests:
             want[stage] = left
         assert manifest["rows_out"] == want
         assert want["outlier"] == report["retained_count"]
+        assert manifest["peak_rss_mb"] > 0
+
+    def test_synth_manifest_counts_labels_fences_and_memory(self, tmp_path):
+        flights = tmp_path / "f.csv"
+        assert run(["synth", "--count", 400, "--seed", 3, "--cancelled-rate", 0.05,
+                    "--missing-rate", 0.2, "--mismatch-rate", 0.03,
+                    "--outlier-rate", 0.04, "--out", flights]) == 0
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        labels = read_labels(tmp_path / "f.csv.labels.csv")
+        planted = generate(SynthConfig(count=400, seed=3, cancelled_rate=0.05,
+                                       missing_rate=0.2, mismatch_rate=0.03,
+                                       outlier_rate=0.04))
+        assert manifest["rows_out"] == 400
+        assert manifest["label_counts"] == {label: labels.count(label) for label in LABELS}
+        assert manifest["label_counts"]["outlier"] > 0
+        assert manifest["decisions"]["iqr_lower"] == planted.iqr_lower
+        assert manifest["decisions"]["iqr_upper"] == planted.iqr_upper
         assert manifest["peak_rss_mb"] > 0
 
     def test_missing_input_file_is_single_line_error(self, tmp_path, capsys):

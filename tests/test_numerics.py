@@ -55,6 +55,41 @@ def test_rng_integer_bounds():
         r.integer(3, 3)
 
 
+def _scalar_uniform(r):
+    return (r.next_u64() >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_rng_block_draw_equals_scalar_draws(seed):
+    block = Rng(seed).next_u64s(100_000)
+    assert block.dtype == np.uint64
+    r = Rng(seed)
+    assert block.tolist() == [r.next_u64() for _ in range(100_000)]
+
+
+def test_rng_block_and_scalar_draws_continue_one_stream():
+    mixed, scalar = Rng(77), Rng(77)
+    drawn = mixed.next_u64s(37).tolist() + [mixed.next_u64()]
+    drawn += mixed.next_u64s(0).tolist() + mixed.next_u64s(5).tolist()
+    assert drawn == [scalar.next_u64() for _ in range(43)]
+
+
+@pytest.mark.parametrize("low,high", [(4, 5), (-7, -6), (0, 10**9), (-(10**9), 0)])
+def test_rng_array_draws_equal_scalar_draws(low, high):
+    a, b = Rng(31), Rng(31)
+    assert a.integers(low, high, 2000).tolist() == [
+        low + int(_scalar_uniform(b) * (high - low)) for _ in range(2000)]
+    assert a.uniforms(2000).tolist() == [_scalar_uniform(b) for _ in range(2000)]
+    assert a.integer(low, high) == low + int(_scalar_uniform(b) * (high - low))
+
+
+def test_rng_empty_integer_range_raises():
+    with pytest.raises(ValueError, match="empty integer range"):
+        Rng(5).integers(3, 3, 10)
+    with pytest.raises(ValueError, match="empty integer range"):
+        Rng(5).integers(9, 2, 1)
+
+
 # --- matrix validation ------------------------------------------------------
 
 

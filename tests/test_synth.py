@@ -2,10 +2,12 @@
 
 import collections
 import datetime as dt
+import hashlib
 
 import pytest
 
 from delaycast.preprocess import run_pipeline
+from delaycast.schema import write_csv
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels, write_labels
 
 from test_schema import rows
@@ -178,3 +180,36 @@ def test_start_date_and_flights_per_day_drive_the_calendar():
     assert res.flights.row(0).fl_date == dt.date(2023, 5, 1)
     assert res.flights.row(9).fl_date == dt.date(2023, 5, 1)
     assert res.flights.row(10).fl_date == dt.date(2023, 5, 2)
+
+
+# sha256 of write_csv output followed by write_labels output, 3,000 rows,
+# seeds 0-2; frozen from the earlier one-draw-per-call generator, so any
+# change to the draw layout or to a value's arithmetic moves them
+PINNED = {
+    "ingest": (dict(cancelled_rate=0.03, missing_rate=0.79, mismatch_rate=0.01,
+                    outlier_rate=0.012),
+               ("9fbbd6d8e26650fcf3406f58f5b1b489016f3b2283c3dcffe13cef6dd7467e40",
+                "b138b0c7c0571bec8590c61db455b9bce9e7843551dcce820dd0a092befea5f3",
+                "b7c90996a0f4d937a3d5a4092ef5eb2733d300caab4b5dc075e851de58b70f4c")),
+    "readme": (dict(cancelled_rate=0.03, missing_rate=0.3, mismatch_rate=0.01,
+                    outlier_rate=0.012),
+               ("7bc1c6128762994432f46ab249c492381f94874dfebcf49453fd01251b8bdea8",
+                "a8abcda31077c964ed1ca153d794aab34a295ad01f5593001060076062d7e5bf",
+                "ea801dca3f4b47f713d3a0b2b06acd02b0c5473c3710fcc22a8c834e2093d33a")),
+    "mixed": (dict(MIXED, flights_per_day=13, airlines=10, airports=3,
+                   start_date=dt.date(2023, 11, 20), zero_delay_rate=0.1,
+                   delay_cap=45, late_coupling=0.5, outlier_margin=50),
+              ("f17246db756d1af5b7e2ef1e531573935b044931bfc67a17fa5da1bd5a9cf644",
+               "736b55bec8abdbbed9c924510af8083d65ee4affefbafc94536c2ea25ed91924",
+               "c6e9d2ad8368b95254d39e981325bcf1d934d5c460c4d28d7da58b616445e4a6")),
+}
+
+
+@pytest.mark.parametrize("mix,seed", [(mix, seed) for mix in PINNED for seed in range(3)])
+def test_generated_bytes_are_pinned(tmp_path, mix, seed):
+    rates, digests = PINNED[mix]
+    res = generate(SynthConfig(count=3000, seed=seed, **rates))
+    write_csv(res.flights, tmp_path / "flights.csv")
+    write_labels(res.labels, tmp_path / "labels.csv")
+    data = (tmp_path / "flights.csv").read_bytes() + (tmp_path / "labels.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digests[seed]

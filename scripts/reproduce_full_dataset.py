@@ -16,8 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from delaycast.evalreport import evaluate, render_components  # noqa: E402
@@ -27,9 +25,9 @@ from delaycast.features import (  # noqa: E402
     fit_codebook,
 )
 from delaycast.preprocess import run_pipeline  # noqa: E402
-from delaycast.regressors import FitOptions, predict_table, train_model  # noqa: E402
+from delaycast.regressors import FitOptions, train_model  # noqa: E402
 from delaycast.schema import read_csv  # noqa: E402
-from delaycast.stats import correlation_table  # noqa: E402
+from delaycast.stats import correlation_table, screening_columns  # noqa: E402
 
 REFERENCE_REMOVAL = {"cancelled_or_diverted": 2.87, "missing_components": 79.3,
                      "outlier": 8.248}
@@ -45,10 +43,6 @@ REFERENCE_COMPONENTS = {"Carrier": (15.877, 16.288, 17.050),
                         "Security": (0.130, 0.141, 0.270),
                         "NAS": (10.914, 11.512, 9.475),
                         "Late Aircraft": (19.374, 18.031, 19.338)}
-
-FIELDS = {"CRS_DEP_TIME": "crs_dep_time", "TAXI_OUT": "taxi_out",
-          "CRS_ARR_TIME": "crs_arr_time", "TAXI_IN": "taxi_in",
-          "CRS_ELAPSED_TIME": "crs_elapsed_time", "DISTANCE": "distance"}
 
 
 def section(title: str) -> None:
@@ -75,7 +69,6 @@ def main() -> None:
     kept, report = run_pipeline(flights)
 
     section("removal fractions (measured vs reference)")
-    entering = report.input_count
     for stage, n, pct_input, pct_entering in report.stage_rows():
         measured = pct_entering if stage == "outlier" else pct_input
         want = REFERENCE_REMOVAL.get(stage)
@@ -89,11 +82,7 @@ def main() -> None:
         print(f"  {field:8s} {float(getattr(after, field)):8.3f}  reference {want:8.3f}")
 
     section("continuous-attribute correlations (measured vs reference)")
-    usable = ~np.isnan(kept.arr_delay)
-    for f in FIELDS.values():
-        usable &= ~np.isnan(getattr(kept, f))
-    columns = {name: getattr(kept, f)[usable] for name, f in FIELDS.items()}
-    target = kept.arr_delay[usable]
+    _, columns, target = screening_columns(kept)
     for row in correlation_table(columns, target):
         print(f"  {row.attribute:18s} {row.r:8.4f}  "
               f"reference {REFERENCE_CORRELATION[row.attribute]:8.4f}")

@@ -44,8 +44,8 @@ def main() -> None:
          "--mismatch-rate", "0.01", "--outlier-rate", "0.012",
          "--out", flights, "--labels", work / "labels.csv"])
     run(["preprocess", "--in", flights, "--out", pruned,
-         "--report", work / "prune_report.csv"])
-    run(["analyze", "--in", pruned, "--out", work / "analysis.csv"])
+         "--report", work / "prune_report.json"])
+    run(["analyze", "--in", pruned, "--out", work / "analysis.txt"])
 
     reports = []
     for kind in args.models:

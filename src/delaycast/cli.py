@@ -15,7 +15,9 @@ resident memory so far (`resource.getrusage`). The synth manifest records
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
-then built-in defaults. Errors exit nonzero with a single "error: ..." line.
+then built-in defaults. A config value of the wrong type (a bool, a fraction
+for an integer flag, a non-string for a text flag) is an error. Errors exit
+nonzero with a single "error: ..." line.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .features import (
     build_table,
     chronological_split,
     fit_codebook,
-    load_table,
 )
 from .modelfile import load_model, save_model
 from .neural import TrainingError
@@ -60,12 +61,14 @@ from .preprocess import (
     STAGE_NAMES,
     run_pipeline,
 )
-from .regressors import MODEL_KINDS, SEQUENCE_KINDS, FitOptions, train_model
+from .regressors import MODEL_KINDS, FitOptions, train_model
 from .schema import read_csv, write_csv
 from .stats import (
+    CONTINUOUS_ATTRIBUTES,
     DEFAULT_REDUNDANCY_THRESHOLD,
     correlation_table,
     redundancy_test,
+    screening_columns,
 )
 from .synth import LABELS, SynthConfig, generate, write_labels
 
@@ -74,11 +77,6 @@ _REDUNDANCY_PAIRS = (("AIRLINE", "AIRLINE_DOT", "airline", "airline_dot"),
                      ("AIRLINE", "DOT_CODE", "airline", "dot_code"),
                      ("ORIGIN", "ORIGIN_CITY", "origin", "origin_city"),
                      ("DEST", "DEST_CITY", "dest", "dest_city"))
-
-_ANALYZE_FIELDS = {"CRS_DEP_TIME": "crs_dep_time", "TAXI_OUT": "taxi_out",
-                   "CRS_ARR_TIME": "crs_arr_time", "TAXI_IN": "taxi_in",
-                   "CRS_ELAPSED_TIME": "crs_elapsed_time",
-                   "DISTANCE": "distance"}
 
 
 # --- flag resolution ---------------------------------------------------------------
@@ -109,7 +107,7 @@ class Flags:
         if value is None:
             value = default
         if value is not None and cast is not None:
-            value = cast(value)
+            value = _cast(name, value, cast)
         if required and value is None:
             raise ValueError(f"missing required flag --{name}")
         self.resolved[name] = value
@@ -129,6 +127,24 @@ class Flags:
                 value = 0
             self.resolved["seed"] = value
         return value
+
+
+def _cast(name, value, cast):
+    """cast(value), refusing a config value argparse would refuse on the command line.
+
+    A config file can hold any JSON value. A bool, a fractional number for an
+    int flag, or a non-string for a text flag is an error, not a coercion.
+    """
+    refused = (isinstance(value, bool)
+               or (cast is int and isinstance(value, float) and not value.is_integer())
+               or (cast is str and not isinstance(value, str)))
+    try:
+        if not refused:
+            return cast(value)
+    except (TypeError, ValueError):
+        pass
+    kind = {int: "an integer", float: "a number", str: "a string"}[cast]
+    raise ValueError(f"--{name} must be {kind}, got {value!r}")
 
 
 def _problems(checks) -> None:
@@ -243,14 +259,10 @@ def cmd_analyze(args) -> int:
     threshold = flags.get("threshold", DEFAULT_REDUNDANCY_THRESHOLD, cast=float)
     flights, _ = _read_flights(in_path)
 
-    usable = ~np.isnan(flights.arr_delay)
-    for f in _ANALYZE_FIELDS.values():
-        usable &= ~np.isnan(getattr(flights, f))
-    n_usable = int(np.count_nonzero(usable))
+    usable, columns, target = screening_columns(flights)
+    n_usable = target.size
     if not n_usable:
         raise ValueError("no rows carry all continuous attributes and ARR_DELAY")
-    columns = {name: getattr(flights, f)[usable] for name, f in _ANALYZE_FIELDS.items()}
-    target = flights.arr_delay[usable]
 
     corr = correlation_table(columns, target)
     lines = [_aligned(("Attribute", "Pearson's Correlation"),
@@ -287,7 +299,7 @@ def cmd_analyze(args) -> int:
     _write_manifest("analyze", out if out is not None else in_path,
                     config=flags.resolved, seeds={},
                     decisions={"redundancy_threshold": threshold,
-                               "attributes": list(_ANALYZE_FIELDS)},
+                               "attributes": list(CONTINUOUS_ATTRIBUTES)},
                     inputs=[in_path], outputs=outputs, started=started,
                     qualify=out is None)
     return 0
@@ -354,14 +366,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_table(in_path, trained):
-    if Path(f"{in_path}.meta.json").exists():
-        return load_table(in_path)
-    flights, _ = _read_flights(in_path)
-    codebook = LabelCodebook(columns=dict(trained.codebook_columns))
-    return build_table(flights, codebook, trained.target_mode)
-
-
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     flags = Flags(args)
@@ -375,7 +379,9 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"unknown split {part!r}; valid: train, test, all")
 
     trained = load_model(model_path)
-    table = _load_eval_table(in_path, trained)
+    flights, _ = _read_flights(in_path)
+    codebook = LabelCodebook(columns=dict(trained.codebook_columns))
+    table = build_table(flights, codebook, trained.target_mode)
     if part != "all":
         train_t, test_t = chronological_split(table, fraction)
         table = train_t if part == "train" else test_t
@@ -415,6 +421,9 @@ def cmd_report(args) -> int:
     paths = flags.get("summaries", required=True)
     if isinstance(paths, str):
         paths = [paths]
+    if not (isinstance(paths, list) and paths
+            and all(isinstance(p, str) for p in paths)):
+        raise ValueError(f"--summaries must be a path or a list of paths, got {paths!r}")
     fmt = flags.get("format", "text", cast=str)
     if fmt not in ("text", "csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; valid: text, csv, json")

@@ -8,7 +8,6 @@ chart data exports as a grouped-bar CSV of (model, metric, value).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path

@@ -12,10 +12,8 @@ windows respect time; `FeatureTable.timestamps` keeps that sort key as an
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -44,19 +42,6 @@ def expand_date(ordinals: np.ndarray):
     return (years.astype(np.int64) + 1970,
             (months - years.astype("datetime64[M]")).astype(np.int64) + 1,
             (days - months.astype("datetime64[D]")).astype(np.int64) + 1)
-
-
-def _date_ordinals(year, month, day) -> np.ndarray:
-    """Inverse of expand_date; a day outside its month is an error."""
-    year, month, day = (np.asarray(v, dtype=np.int64) for v in (year, month, day))
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    ordinals = (months.astype("datetime64[D]").astype(np.int64) + day - 1
-                + _EPOCH_ORDINAL)
-    bad = (np.stack(expand_date(ordinals)) != np.stack((year, month, day))).any(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"invalid date {year[i]}-{month[i]}-{day[i]} in row {i}")
-    return ordinals
 
 
 @dataclass(frozen=True)
@@ -88,14 +73,14 @@ class LabelCodebook:
 _FIELD_OF = {"AIRLINE": "airline", "ORIGIN": "origin", "DEST": "dest"}
 
 
-def fit_codebook(flights: Flights, columns=CATEGORICAL_FEATURES) -> LabelCodebook:
+def fit_codebook(flights: Flights) -> LabelCodebook:
     """Collect sorted vocabularies for the categorical feature columns.
 
-    Fit over the full pruned dataset by default so both split halves share
-    one code space; pass the train slice instead to scope codes to train.
+    Fit over the full pruned dataset so both split halves share one code
+    space; pass the train slice instead to scope codes to train.
     """
     out = {}
-    for col in columns:
+    for col in CATEGORICAL_FEATURES:
         vocab = sorted(np.unique(getattr(flights, _FIELD_OF[col])).tolist())
         if not vocab:
             raise ValueError(f"no categories for column {col}")
@@ -212,17 +197,6 @@ class Standardizer:
             out[:, c] = (out[:, c] - mean) / std
         return out
 
-    def to_dict(self) -> dict:
-        return {"columns": list(self.columns),
-                "means": [float(v) for v in self.means],
-                "stds": [float(v) for v in self.stds]}
-
-    @classmethod
-    def from_dict(cls, d: dict, feature_names) -> "Standardizer":
-        return cls(feature_names=tuple(feature_names), columns=tuple(d["columns"]),
-                   means=np.asarray(d["means"], dtype=np.float64),
-                   stds=np.asarray(d["stds"], dtype=np.float64))
-
 
 def fit_standardizer(x: np.ndarray, feature_names,
                      columns=CONTINUOUS_FEATURES) -> Standardizer:
@@ -250,52 +224,3 @@ def positive_variance_columns(x: np.ndarray, feature_names) -> tuple:
     """Feature names whose column variance is > 0 (candidates for scaling)."""
     stds = x.std(axis=0)
     return tuple(c for c, s in zip(feature_names, stds) if s > 0.0)
-
-
-# --- persistence ------------------------------------------------------------------
-
-
-def _target_header(table: FeatureTable):
-    if table.target_mode == TARGET_COMPONENTS:
-        return COMPONENT_NAMES
-    return ("ARR_DELAY",)
-
-
-def _table_paths(base: Path) -> dict:
-    return {"x": base.parent / (base.name + ".x.csv"),
-            "y": base.parent / (base.name + ".y.csv"),
-            "meta": base.parent / (base.name + ".meta.json")}
-
-
-def save_table(table: FeatureTable, base_path) -> dict:
-    """Write X/Y CSVs plus a JSON sidecar; returns the path map."""
-    paths = _table_paths(Path(base_path))
-    np.savetxt(paths["x"], table.x, delimiter=",", fmt="%.17g",
-               header=",".join(table.feature_names), comments="")
-    np.savetxt(paths["y"], table.y, delimiter=",", fmt="%.17g",
-               header=",".join(_target_header(table)), comments="")
-    meta = {
-        "target_mode": table.target_mode,
-        "feature_names": list(table.feature_names),
-        "codebook": {c: list(v) for c, v in table.codebook.columns.items()},
-    }
-    paths["meta"].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    return {k: str(v) for k, v in paths.items()}
-
-
-def load_table(base_path) -> FeatureTable:
-    """Rebuild a table persisted by save_table (timestamps come from X columns)."""
-    paths = _table_paths(Path(base_path))
-    meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
-    x = np.loadtxt(paths["x"], delimiter=",", skiprows=1, ndmin=2)
-    y = np.loadtxt(paths["y"], delimiter=",", skiprows=1, ndmin=2)
-    names = tuple(meta["feature_names"])
-    year_i, month_i, day_i = names.index("YEAR"), names.index("MONTH"), names.index("DAY")
-    dep_i = names.index("CRS_DEP_TIME")
-    timestamps = np.column_stack([
-        _date_ordinals(x[:, year_i], x[:, month_i], x[:, day_i]),
-        x[:, dep_i].astype(np.int64)])
-    codebook = LabelCodebook(columns={c: tuple(v) for c, v in meta["codebook"].items()})
-    return FeatureTable(feature_names=names, x=x, y=y, timestamps=timestamps,
-                        target_mode=meta["target_mode"], codebook=codebook)

@@ -28,10 +28,6 @@ class LinearModel:
     def n_features(self) -> int:
         return self.beta.shape[0] - 1
 
-    @property
-    def n_targets(self) -> int:
-        return self.beta.shape[1]
-
 
 def _augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])

@@ -16,6 +16,7 @@ from .models import (
     lstm_model_build,
     make_sequences,
     mlp_build,
+    sliding_windows,
 )
 from .training import EpochStats, TrainConfig, TrainingError, load_checkpoint, train
 
@@ -25,6 +26,6 @@ __all__ = [
     "lstm_params",
     "SequenceBatch", "Sequential", "HybridNet", "bilstm_model_build",
     "build_from_spec", "hybrid_model_build", "lstm_model_build",
-    "make_sequences", "mlp_build",
+    "make_sequences", "mlp_build", "sliding_windows",
     "EpochStats", "TrainConfig", "TrainingError", "load_checkpoint", "train",
 ]

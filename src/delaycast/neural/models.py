@@ -42,11 +42,9 @@ def _backward_layers(layers, caches, grad_y, grads: dict):
 class _Assembly:
     """Shared plumbing for named-layer models."""
 
-    def __init__(self, kind: str, spec: dict, recurrent: bool,
-                 takes_sequences: bool):
+    def __init__(self, kind: str, spec: dict, takes_sequences: bool):
         self.kind = kind
         self.spec = spec
-        self.recurrent = recurrent
         self.takes_sequences = takes_sequences
 
     def _named_layers(self):
@@ -87,9 +85,8 @@ class _Assembly:
 
 
 class Sequential(_Assembly):
-    def __init__(self, kind: str, layers: list, spec: dict, recurrent: bool,
-                 takes_sequences: bool):
-        super().__init__(kind, spec, recurrent, takes_sequences)
+    def __init__(self, kind: str, layers: list, spec: dict, takes_sequences: bool):
+        super().__init__(kind, spec, takes_sequences)
         self.layers = layers  # list of (name, layer), applied in order
 
     def _named_layers(self):
@@ -115,7 +112,7 @@ class HybridNet(_Assembly):
 
     def __init__(self, spec: dict, cnn_layers: list, lstm_layers: list,
                  head: Dense):
-        super().__init__("hybrid", spec, recurrent=True, takes_sequences=True)
+        super().__init__("hybrid", spec, takes_sequences=True)
         self.cnn_layers = cnn_layers
         self.lstm_layers = lstm_layers
         self.head = head
@@ -162,7 +159,7 @@ def mlp_build(input_size: int = 11, hidden=(64, 32), output: int = 5,
     layers.append(("out", Dense(width, output, "identity", rng)))
     spec = {"kind": "mlp", "input": input_size, "hidden": list(hidden),
             "output": output, "seed": seed}
-    return Sequential("mlp", layers, spec, recurrent=False, takes_sequences=False)
+    return Sequential("mlp", layers, spec, takes_sequences=False)
 
 
 def lstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
@@ -178,7 +175,7 @@ def lstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
     ]
     spec = {"kind": "lstm", "input": input_size, "units": units,
             "dense": dense, "output": output, "seed": seed}
-    return Sequential("lstm", layers, spec, recurrent=True, takes_sequences=True)
+    return Sequential("lstm", layers, spec, takes_sequences=True)
 
 
 def bilstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
@@ -194,7 +191,7 @@ def bilstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
     ]
     spec = {"kind": "bilstm", "input": input_size, "units": units,
             "dense": dense, "output": output, "seed": seed}
-    return Sequential("bilstm", layers, spec, recurrent=True, takes_sequences=True)
+    return Sequential("bilstm", layers, spec, takes_sequences=True)
 
 
 def hybrid_model_build(input_size: int = 11, output: int = 5, window: int = 4,
@@ -269,6 +266,20 @@ class SequenceBatch:
         return self.x.shape[1]
 
 
+def sliding_windows(x: np.ndarray, window: int) -> np.ndarray:
+    """(n - window + 1, window, d) C-contiguous windows of consecutive rows.
+
+    Window i holds rows i .. i + window - 1. Built with one slice copy per
+    offset, not per window.
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if x.shape[0] < window:
+        raise ValueError(f"{x.shape[0]} rows cannot fill a window of {window}")
+    count = x.shape[0] - window + 1
+    return np.stack([x[k:k + count] for k in range(window)], axis=1)
+
+
 def make_sequences(x, y, window: int = 1) -> SequenceBatch:
     """Sliding windows of `window` consecutive rows; target = final row's y.
 
@@ -279,10 +290,4 @@ def make_sequences(x, y, window: int = 1) -> SequenceBatch:
     y = matrix(y)
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"X has {x.shape[0]} rows but Y has {y.shape[0]}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if x.shape[0] < window:
-        raise ValueError(f"{x.shape[0]} rows cannot fill a window of {window}")
-    count = x.shape[0] - window + 1
-    seqs = np.stack([x[i:i + window] for i in range(count)])
-    return SequenceBatch(x=seqs, y=y[window - 1:].copy())
+    return SequenceBatch(x=sliding_windows(x, window), y=y[window - 1:].copy())

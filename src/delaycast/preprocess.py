@@ -11,7 +11,7 @@ value" is "is not NaN" throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,8 @@ def verify_component_sum(flights: Flights, tolerance: float = DEFAULT_SUM_TOLERA
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    # summed left to right, carrier first, as DelayVector.total does
+    # summed left to right in COMPONENT_FIELDS order: carrier, weather, nas,
+    # security, late aircraft
     total = getattr(flights, COMPONENT_FIELDS[0])
     for name in COMPONENT_FIELDS[1:]:
         total = total + getattr(flights, name)
@@ -177,12 +178,6 @@ class PruneReport:
             lines.append(f"arr_delay_{tag}_std={s.std:.3f}")
             lines.append(f"arr_delay_{tag}_min={s.minimum}")
             lines.append(f"arr_delay_{tag}_max={s.maximum}")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["stage,removed,pct_of_input,pct_of_entering"]
-        for stage, n, pct_in, pct_step in self.stage_rows():
-            lines.append(f"{stage},{n},{pct_in:.3f},{pct_step:.3f}")
         return "\n".join(lines) + "\n"
 
 

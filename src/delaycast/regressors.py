@@ -28,6 +28,7 @@ from .neural import (
     lstm_model_build,
     make_sequences,
     mlp_build,
+    sliding_windows,
     train,
 )
 from .trees import (
@@ -45,6 +46,11 @@ SEQUENCE_KINDS = ("lstm", "bilstm", "hybrid")
 
 # pooled target spread below this trains on raw residuals instead
 _FLAT_TARGET_EPS = 1e-8
+# boosting's L2 leaf penalty and split gain floor
+_GBT_REG_LAMBDA = 1.0
+_GBT_GAMMA = 0.0
+# share of the training rows held out for early stopping
+_VALIDATION_FRACTION = 0.2
 
 
 @dataclass
@@ -65,11 +71,8 @@ class FitOptions:
     n_estimators: int = 100
     rounds: int = 100
     learning_rate: Optional[float] = None
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
     epochs: int = 50
     batch_size: Optional[int] = None
-    validation_fraction: float = 0.2
     patience: int = 5
     clip_max_norm: Optional[float] = None
     checkpoint_path: Optional[str] = None
@@ -108,10 +111,6 @@ class TrainedModel:
             if self.target_offset is None or self.target_scale <= 0.0:
                 raise ValueError(f"{self.kind} model needs target scaling state")
 
-    @property
-    def n_targets(self) -> int:
-        return 5 if self.target_mode == "components" else 1
-
 
 def _column_subset(x: np.ndarray, feature_names, wanted) -> np.ndarray:
     idx = [feature_names.index(c) for c in wanted]
@@ -147,10 +146,10 @@ def _fit_trees(table: FeatureTable, kind: str, options: FitOptions):
         rate = 0.3 if options.learning_rate is None else options.learning_rate
         model = gbt_fit(table.x, table.y, rounds=options.rounds,
                         learning_rate=rate, max_depth=depth,
-                        reg_lambda=options.reg_lambda, gamma=options.gamma)
+                        reg_lambda=_GBT_REG_LAMBDA, gamma=_GBT_GAMMA)
         settings = {"rounds": options.rounds, "learning_rate": rate,
-                    "max_depth": depth, "reg_lambda": options.reg_lambda,
-                    "gamma": options.gamma}
+                    "max_depth": depth, "reg_lambda": _GBT_REG_LAMBDA,
+                    "gamma": _GBT_GAMMA}
     return model, settings
 
 
@@ -199,7 +198,7 @@ def _fit_neural(table: FeatureTable, kind: str, options: FitOptions):
         clip = 1.0
     rate = 1e-3 if options.learning_rate is None else options.learning_rate
     config = TrainConfig(epochs=options.epochs, batch_size=batch_size,
-                         validation_fraction=options.validation_fraction,
+                         validation_fraction=_VALIDATION_FRACTION,
                          patience=options.patience, clip_max_norm=clip,
                          seed=options.seed,
                          checkpoint_path=options.checkpoint_path,
@@ -208,7 +207,7 @@ def _fit_neural(table: FeatureTable, kind: str, options: FitOptions):
     best_val = min(h.val_mse for h in history)
     settings = {"epochs": options.epochs, "batch_size": batch_size,
                 "learning_rate": rate,
-                "validation_fraction": options.validation_fraction,
+                "validation_fraction": _VALIDATION_FRACTION,
                 "patience": options.patience, "clip_max_norm": clip,
                 "seed": options.seed, "epochs_run": len(history),
                 "best_val_mse": best_val}
@@ -248,13 +247,6 @@ def train_model(table: FeatureTable, kind: str,
     return TrainedModel(inner=model, settings=settings, **state, **common), history
 
 
-def _window_stack(x: np.ndarray, window: int) -> np.ndarray:
-    count = x.shape[0] - window + 1
-    if count < 1:
-        raise ValueError(f"need at least {window} rows, got {x.shape[0]}")
-    return np.stack([x[i:i + count] for i in range(window)], axis=1)
-
-
 def predict_table(trained: TrainedModel, table: FeatureTable) -> np.ndarray:
     """Score every scorable row; output row i maps to table row i + window - 1."""
     if tuple(table.feature_names) != tuple(trained.feature_names):
@@ -278,5 +270,5 @@ def predict_table(trained: TrainedModel, table: FeatureTable) -> np.ndarray:
     if trained.kind == "mlp":
         raw = trained.inner.forward(xin)
     else:
-        raw = trained.inner.forward(_window_stack(xin, trained.window))
+        raw = trained.inner.forward(sliding_windows(xin, trained.window))
     return trained.target_offset + trained.target_scale * raw

@@ -68,13 +68,6 @@ def parse_hhmm(raw: str) -> ClockMinutes:
     return hh * 60 + mm
 
 
-def format_hhmm(minutes: ClockMinutes) -> str:
-    """Inverse of parse_hhmm for minutes in [0, 1440]; 1440 renders as '2400'."""
-    if not (0 <= minutes <= 1440):
-        raise ValueError(f"minutes out of range for hhmm: {minutes}")
-    return f"{minutes // 60:02d}{minutes % 60:02d}"
-
-
 COMPONENT_FIELDS = (
     "delay_due_carrier",
     "delay_due_weather",
@@ -85,20 +78,6 @@ COMPONENT_FIELDS = (
 
 _HHMM_FIELDS = ("crs_dep_time", "dep_time", "wheels_off", "wheels_on",
                 "crs_arr_time", "arr_time")
-
-
-@dataclass(frozen=True)
-class DelayVector:
-    """The five additive arrival-delay components, in minutes."""
-
-    carrier: float
-    weather: float
-    nas: float
-    security: float
-    late_aircraft: float
-
-    def total(self) -> float:
-        return self.carrier + self.weather + self.nas + self.security + self.late_aircraft
 
 
 @dataclass(frozen=True)
@@ -151,13 +130,6 @@ class FlightRecord:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise SchemaError(f"{name} must be >= 0, got {v}")
-
-    def delay_components(self) -> Optional[DelayVector]:
-        """The component group, or None unless all five are present."""
-        vals = [getattr(self, name) for name in COMPONENT_FIELDS]
-        if any(v is None for v in vals):
-            return None
-        return DelayVector(*vals)
 
 
 @dataclass(frozen=True)
@@ -273,7 +245,7 @@ _COLUMN_SPEC = (
 )
 
 BTS_COLUMNS = tuple(col for col, *_ in _COLUMN_SPEC)
-DEFAULT_HEADER_MAP = {col: field_name for col, field_name, *_ in _COLUMN_SPEC}
+_HEADER_MAP = {col: field_name for col, field_name, *_ in _COLUMN_SPEC}
 
 _FIELD_INFO = {field_name: (col, required, kind)
                for col, field_name, required, kind in _COLUMN_SPEC}
@@ -483,18 +455,17 @@ def _open_text(source, mode: str):
     return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
-def read_csv(source, header_map: dict | None = None):
+def read_csv(source):
     """Parse a BTS-style CSV into columns.
 
     `source` is a path or an open byte/text stream; content must be UTF-8
-    with a header row. `header_map` maps column names to FlightRecord field
-    names (default: the standard export header). Missing required columns
-    raise SchemaError; a row with more or fewer cells than the header, or
-    any bad cell, skips its row and records a CellDiagnostic. Rows are read
-    and decoded CHUNK_ROWS at a time. Returns (flights, diagnostics), the
+    with the standard export header row, columns in any order; unknown
+    columns are ignored. Missing required columns raise SchemaError; a row
+    with more or fewer cells than the header, or any bad cell, skips its row
+    and records a CellDiagnostic. Rows are read and decoded CHUNK_ROWS at a
+    time. Returns (flights, diagnostics), the
     diagnostics ordered by row, then by header column.
     """
-    header_map = DEFAULT_HEADER_MAP if header_map is None else header_map
     stream, owned = _open_text(source, "r")
     try:
         reader = csv.reader(stream)
@@ -504,7 +475,7 @@ def read_csv(source, header_map: dict | None = None):
             raise SchemaError("empty input: header row required") from None
         col_to_idx: dict[str, int] = {}
         for idx, col in enumerate(header):
-            field_name = header_map.get(col)
+            field_name = _HEADER_MAP.get(col)
             if field_name is not None and field_name not in col_to_idx:
                 col_to_idx[field_name] = idx
         missing = [f for f in _REQUIRED_FIELDS if f not in col_to_idx]

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Continuous attributes screened against arrival delay, in the order they
-# appear in the source export.
-CONTINUOUS_ATTRIBUTES = ("CRS_DEP_TIME", "TAXI_OUT", "CRS_ARR_TIME",
-                         "TAXI_IN", "CRS_ELAPSED_TIME", "DISTANCE")
+# appear in the source export, each with the `Flights` column it is read from.
+CONTINUOUS_ATTRIBUTES = {"CRS_DEP_TIME": "crs_dep_time", "TAXI_OUT": "taxi_out",
+                         "CRS_ARR_TIME": "crs_arr_time", "TAXI_IN": "taxi_in",
+                         "CRS_ELAPSED_TIME": "crs_elapsed_time",
+                         "DISTANCE": "distance"}
 
 DEFAULT_REDUNDANCY_THRESHOLD = 0.05
 
@@ -52,7 +54,7 @@ def correlation_table(columns, target, attributes=None) -> list[CorrelationRow]:
     `columns` maps attribute name -> values. Rows come back sorted by r
     descending, name ascending on ties. Unknown attribute names are an error.
     """
-    names = CONTINUOUS_ATTRIBUTES if attributes is None else tuple(attributes)
+    names = tuple(CONTINUOUS_ATTRIBUTES if attributes is None else attributes)
     missing = [a for a in names if a not in columns]
     if missing:
         raise ValueError(f"unknown attribute columns: {', '.join(missing)}")
@@ -61,11 +63,19 @@ def correlation_table(columns, target, attributes=None) -> list[CorrelationRow]:
     return rows
 
 
-def correlation_table_csv(rows) -> str:
-    lines = ["attribute,r"]
-    for row in rows:
-        lines.append(f"{row.attribute},{row.r:.4f}")
-    return "\n".join(lines) + "\n"
+def screening_columns(flights):
+    """(usable, columns, target) for screening a `Flights` value.
+
+    `usable` masks the rows that carry ARR_DELAY and every continuous
+    attribute; `columns` maps each attribute to its values on those rows and
+    `target` is their ARR_DELAY.
+    """
+    usable = ~np.isnan(flights.arr_delay)
+    for field in CONTINUOUS_ATTRIBUTES.values():
+        usable &= ~np.isnan(getattr(flights, field))
+    columns = {name: getattr(flights, field)[usable]
+               for name, field in CONTINUOUS_ATTRIBUTES.items()}
+    return usable, columns, flights.arr_delay[usable]
 
 
 # --- ranks and Kruskal-Wallis -------------------------------------------------

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from delaycast.cli import main
-from delaycast.features import build_table, fit_codebook, save_table
 from delaycast.modelfile import load_model
-from delaycast.schema import read_csv, write_csv
+from delaycast.schema import write_csv
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels
 
 STAGE_OF_LABEL = {"cancelled": "cancelled_or_diverted",
@@ -108,24 +107,6 @@ class TestTrainCommand:
 
 
 class TestEvaluateCommand:
-    def test_target_mode_mismatch_exits_nonzero(self, tmp_path, capsys):
-        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
-        model = tmp_path / "m.bin"
-        assert run(["synth", "--count", 220, "--seed", 5, "--out", flights]) == 0
-        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
-        assert run(["train", "--in", pruned, "--model", "tree",
-                    "--out", model]) == 0
-
-        records, _ = read_csv(pruned)
-        table = build_table(records, fit_codebook(records), "total")
-        save_table(table, tmp_path / "total_table")
-        assert run(["evaluate", "--model-file", model,
-                    "--in", tmp_path / "total_table",
-                    "--report-out", tmp_path / "r.json"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "total" in err
-
     def test_split_flag_controls_rows(self, tmp_path):
         flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
         model = tmp_path / "m.bin"
@@ -178,6 +159,36 @@ class TestFlagResolution:
     def test_missing_required_flag(self, capsys):
         assert run(["synth", "--count", 10]) == 1
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,err", [
+        ({"count": 12.9}, "error: --count must be an integer, got 12.9\n"),
+        ({"seed": True}, "error: --seed must be an integer, got True\n"),
+        ({"missing-rate": False}, "error: --missing-rate must be a number, got False\n"),
+        ({"missing-rate": [0.1]}, "error: --missing-rate must be a number, got [0.1]\n"),
+        ({"labels": 5}, "error: --labels must be a string, got 5\n"),
+    ])
+    def test_config_values_are_not_coerced(self, tmp_path, capsys, config, err):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "f.csv"
+        assert run(["synth", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_config_integral_number_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 12.0, "missing-rate": 0}))
+        out = tmp_path / "f.csv"
+        assert run(["synth", "--config", cfg, "--out", out]) == 0
+        assert len(out.read_text().strip().splitlines()) == 13
+
+    @pytest.mark.parametrize("summaries", [5, [], ["a.json", 3]])
+    def test_report_summaries_must_be_paths(self, tmp_path, capsys, summaries):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"summaries": summaries}))
+        assert run(["report", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --summaries must be a path or a list of paths, got {summaries!r}\n")
 
 
 class TestManifests:

@@ -6,7 +6,7 @@ import pytest
 from delaycast.features import (
     CONTINUOUS_FEATURES, FEATURE_NAMES, FeatureTable, LabelCodebook,
     build_table, chronological_split, expand_date, fit_codebook,
-    fit_standardizer, load_table, positive_variance_columns, save_table,
+    fit_standardizer, positive_variance_columns,
 )
 
 from test_schema import flights, make_record
@@ -133,32 +133,11 @@ def test_standardizer_unknown_column():
         fit_standardizer(x, FEATURE_NAMES, columns=("NOPE",))
 
 
-def test_standardizer_dict_round_trip():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(20, 11))
-    std = fit_standardizer(x, FEATURE_NAMES)
-    from delaycast.features import Standardizer
-    clone = Standardizer.from_dict(std.to_dict(), FEATURE_NAMES)
-    assert np.allclose(clone.apply(x), std.apply(x), atol=0)
-
-
 def test_positive_variance_columns():
     x = np.ones((10, 11))
     x[:, 0] = np.arange(10)
     cols = positive_variance_columns(x, FEATURE_NAMES)
     assert cols == ("CRS_DEP_TIME",)
-
-
-def test_table_persistence_round_trip(tmp_path):
-    recs = small_records()
-    table = build_table(recs, fit_codebook(recs))
-    save_table(table, tmp_path / "t")
-    back = load_table(tmp_path / "t")
-    assert np.array_equal(back.x, table.x)
-    assert np.array_equal(back.y, table.y)
-    assert np.array_equal(back.timestamps, table.timestamps)
-    assert back.target_mode == table.target_mode
-    assert back.codebook.columns == table.codebook.columns
 
 
 def test_table_invariant_checks():

@@ -194,11 +194,6 @@ def test_report_serialization():
     assert "removed_cancelled_or_diverted=1" in text
     assert "retained_count=8" in text
     assert "iqr_lower=" in text and "arr_delay_post_outlier_mean=" in text
-    csv_text = report.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "stage,removed,pct_of_input,pct_of_entering"
-    assert len(lines) == 5
-    assert lines[1].startswith("cancelled_or_diverted,1,")
 
 
 def test_report_pct_of_entering_differs_from_pct_of_input():

@@ -11,7 +11,7 @@ from delaycast.features import (
     fit_standardizer,
     positive_variance_columns,
 )
-from delaycast.neural import TrainConfig, mlp_build, train
+from delaycast.neural import TrainConfig, make_sequences, mlp_build, train
 from delaycast.preprocess import run_pipeline
 from delaycast.regressors import (
     MODEL_KINDS,
@@ -124,6 +124,21 @@ class TestNeuralKinds:
         assert np.array_equal(pa, predict_table(b, test_t))
         assert a.settings["clip_max_norm"] == 1.0
         assert a.settings["batch_size"] == 64
+
+        # scoring windows the rows exactly as training does
+        hybrid, _ = train_model(train_t, "hybrid",
+                                FitOptions(window=4, epochs=1, batch_size=64, seed=2))
+        for trained in (a, hybrid):
+            xin = trained.scaler.apply(test_t.x) - trained.input_offset
+            windows = make_sequences(xin, test_t.y, window=trained.window).x
+            want = (trained.target_offset
+                    + trained.target_scale * trained.inner.forward(windows))
+            assert np.array_equal(predict_table(trained, test_t), want)
+        short = FeatureTable(feature_names=test_t.feature_names, x=test_t.x[:3],
+                             y=test_t.y[:3], timestamps=test_t.timestamps[:3],
+                             target_mode=test_t.target_mode, codebook=test_t.codebook)
+        with pytest.raises(ValueError, match="cannot fill a window of 4"):
+            predict_table(hybrid, short)
 
     def test_bilstm_and_hybrid_run(self, split_tables):
         train_t, test_t = split_tables

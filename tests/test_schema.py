@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from delaycast import schema
 from delaycast.schema import (
-    BTS_COLUMNS, CellDiagnostic, DelayVector, FlightRecord, Flights, SchemaError,
-    format_hhmm, parse_hhmm, read_csv, write_csv,
+    BTS_COLUMNS, CellDiagnostic, FlightRecord, Flights, SchemaError,
+    parse_hhmm, read_csv, write_csv,
 )
 
 
@@ -80,20 +80,10 @@ def test_parse_hhmm_rejects(raw):
         parse_hhmm(raw)
 
 
-def test_format_hhmm_endpoints():
-    assert format_hhmm(0) == "0000"
-    assert format_hhmm(810) == "1330"
-    assert format_hhmm(1440) == "2400"
-    with pytest.raises(ValueError):
-        format_hhmm(1441)
-    with pytest.raises(ValueError):
-        format_hhmm(-1)
-
-
 @given(st.integers(0, 1440))
 @settings(max_examples=200, deadline=None)
 def test_hhmm_round_trip(minutes):
-    assert parse_hhmm(format_hhmm(minutes)) == minutes
+    assert parse_hhmm(f"{minutes // 60:02d}{minutes % 60:02d}") == minutes
 
 
 # --- record invariants --------------------------------------------------------
@@ -114,15 +104,6 @@ def test_record_component_nonnegative():
 def test_record_clock_range():
     with pytest.raises(SchemaError, match="crs_dep_time"):
         make_record(crs_dep_time=1441)
-
-
-def test_delay_components_group():
-    rec = make_record()
-    vec = rec.delay_components()
-    assert vec == DelayVector(10.0, 0.0, 5.0, 0.0, 0.0)
-    assert vec.total() == 15.0
-    partial = make_record(delay_due_carrier=None)
-    assert partial.delay_components() is None
 
 
 # --- csv --------------------------------------------------------------------

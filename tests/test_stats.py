@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycast.stats import (
-    CorrelationRow, KruskalResult, chi2_sf, correlation_table,
-    correlation_table_csv, kruskal_h, pearson, redundancy_test,
+    KruskalResult, chi2_sf, correlation_table,
+    kruskal_h, pearson, redundancy_test,
 )
 
 
@@ -113,11 +113,6 @@ def test_correlation_table_tie_sorts_by_name():
     cols = {"Z": [1.0, 2.0, 3.0], "A": [2.0, 4.0, 6.0]}
     rows = correlation_table(cols, [1.0, 2.0, 3.0], attributes=("Z", "A"))
     assert [r.attribute for r in rows] == ["A", "Z"]
-
-
-def test_correlation_table_csv_four_decimals():
-    text = correlation_table_csv([CorrelationRow("CRS_DEP_TIME", 0.07041)])
-    assert text == "attribute,r\nCRS_DEP_TIME,0.0704\n"
 
 
 # --- chi-square tail ------------------------------------------------------------

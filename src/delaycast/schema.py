@@ -22,10 +22,16 @@ diagnostic, never a silently-coerced value. The reader takes CHUNK_ROWS rows
 at a time and decodes each column of a chunk in one vectorized step; only
 the cells that step rejects go through the scalar decoders, which word every
 diagnostic.
+
+The writer encodes by dictionary, as Arrow and Parquet do: per CHUNK_ROWS
+rows, each column's distinct values are formatted once and every cell is
+looked up among them. A text value is quoted, its quotes doubled, when it
+holds `,`, `"`, a line feed or a carriage return; no other cell is quoted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -202,7 +208,7 @@ def _encode_number(v) -> str:
     return str(int(f)) if f == int(f) else repr(f)
 
 
-# Column kinds: how a cell decodes, how its column is stored and encoded.
+# Column kinds: how a cell decodes and how its column is stored.
 _DECODERS = {"date": _decode_day, "text": str, "int": _decode_int,
              "flag": _decode_flag, "hhmm": parse_hhmm, "number": _decode_float,
              "component": _decode_component}
@@ -419,40 +425,72 @@ def _decode_chunk(block, first_row: int, width: int, fields, diagnostics) -> dic
     return {name: values[~bad] for name, values in columns.items()}
 
 
-def _encode_column(kind: str, values: np.ndarray) -> list:
-    """One column's cells as CSV text; blank cells are ""."""
-    if kind == "text":
-        return values.tolist()
+# datetime64[D] counts days from 1970-01-01
+_UNIX_DAY = dt.date(1970, 1, 1).toordinal()
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _format_distinct(kind: str, distinct: np.ndarray) -> np.ndarray:
+    """A non-text column's distinct values, sorted, as CSV cells; NaN is "".
+
+    Numbers are written as _encode_number writes them, clocks as zero-filled
+    hhmm, days as ISO dates and flags as integers; a number or day that
+    cannot be written (inf, a day outside datetime.date) raises.
+    """
     if kind == "flag":
-        return values.astype(str).tolist()
+        return distinct.astype(str).astype(object)
     if kind == "date":
-        distinct, inverse = np.unique(values, return_inverse=True)
-        text = np.array([dt.date.fromordinal(d).isoformat() for d in distinct.tolist()],
-                        dtype=object)
-        return text[inverse].tolist()
-    out = np.full(len(values), "", dtype=object)
-    present = ~np.isnan(values)
+        dt.date.fromordinal(int(distinct[0]))  # range check on both ends
+        dt.date.fromordinal(int(distinct[-1]))
+        return (distinct - _UNIX_DAY).astype("datetime64[D]").astype(str).astype(object)
+    out = np.full(len(distinct), "", dtype=object)
+    present = ~np.isnan(distinct)
     if kind == "hhmm":
-        minutes = values[present].astype(np.int64)
-        out[present] = np.strings.zfill((minutes // 60 * 100 + minutes % 60).astype(str), 4)
-        return out.tolist()
-    whole = present & (values == np.trunc(values)) & (np.abs(values) < 2.0 ** 53)
-    out[whole] = values[whole].astype(np.int64).astype(str)
+        minutes = distinct[present].astype(np.int64)
+        if len(minutes):  # zfill fails on an empty array
+            out[present] = np.strings.zfill((minutes // 60 * 100 + minutes % 60).astype(str), 4)
+        return out
+    whole = present & (distinct == np.trunc(distinct)) & (np.abs(distinct) < 2.0 ** 53)
+    out[whole] = distinct[whole].astype(np.int64).astype(str)
     rest = np.flatnonzero(present & ~whole)
-    out[rest] = [_encode_number(v) for v in values[rest].tolist()]
-    return out.tolist()
+    out[rest] = [_encode_number(v) for v in distinct[rest].tolist()]
+    return out
 
 
 # --- CSV ---------------------------------------------------------------------------------
 
 
-def _open_text(source, mode: str):
+@contextlib.contextmanager
+def _text_stream(source, mode: str):
+    """`source` (a path, or a text or byte stream) as a text stream.
+
+    Closes only the file it opens: a caller's stream is flushed after
+    writing and left open, a byte stream's wrapper detached from it.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, mode + "t", encoding="utf-8", newline=""), True
+        with open(source, mode + "t", encoding="utf-8", newline="") as stream:
+            yield stream
+        return
     if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+        stream = source
+    else:
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        yield stream
+    finally:
+        if stream is not source:
+            stream.detach()  # flushes; collecting the wrapper would close source
+        elif mode == "w":
+            stream.flush()
+
+
+def _csv_rows(stream):
+    """csv.reader's rows; a malformed CSV is a SchemaError naming its line."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
 
 def read_csv(source):
@@ -460,15 +498,15 @@ def read_csv(source):
 
     `source` is a path or an open byte/text stream; content must be UTF-8
     with the standard export header row, columns in any order; unknown
-    columns are ignored. Missing required columns raise SchemaError; a row
-    with more or fewer cells than the header, or any bad cell, skips its row
-    and records a CellDiagnostic. Rows are read and decoded CHUNK_ROWS at a
-    time. Returns (flights, diagnostics), the
-    diagnostics ordered by row, then by header column.
+    columns are ignored. Missing required columns, or text the csv module
+    cannot split into rows, raise SchemaError; a row with more or fewer
+    cells than the header, or any bad cell, skips its row and records a
+    CellDiagnostic. Rows are read and decoded CHUNK_ROWS at a time. Returns
+    (flights, diagnostics), the diagnostics ordered by row, then by header
+    column.
     """
-    stream, owned = _open_text(source, "r")
-    try:
-        reader = csv.reader(stream)
+    with _text_stream(source, "r") as stream:
+        reader = _csv_rows(stream)
         try:
             header = next(reader)
         except StopIteration:
@@ -498,28 +536,28 @@ def read_csv(source):
             if name not in columns:  # optional column absent from the header
                 columns[name] = _as_column(kind, [None] * n)
         return Flights(columns), diagnostics
-    finally:
-        if owned:
-            stream.close()
 
 
 def write_csv(flights: Flights, sink) -> int:
     """Write flights in the standard column order; returns the row count.
 
-    Values round-trip: read_csv(write_csv(flights)) reproduces the columns
-    (field values, not byte-level cell formatting).
+    Cells are formatted and quoted as the module docstring says. Values
+    round-trip: read_csv(write_csv(flights)) reproduces the columns, except
+    that text reads back stripped of surrounding whitespace and "NA" blank.
     """
-    stream, owned = _open_text(sink, "w")
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(BTS_COLUMNS)
+    with _text_stream(sink, "w") as stream:
+        stream.write(",".join(BTS_COLUMNS) + "\n")
         for start in range(0, len(flights), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            writer.writerows(zip(*(_encode_column(kind, getattr(flights, name)[rows])
-                                   for _, name, _, kind in _COLUMN_SPEC)))
+            cells = []
+            for _, name, _, kind in _COLUMN_SPEC:
+                values = getattr(flights, name)[start:start + CHUNK_ROWS]
+                if kind == "text":  # hashing str beats sorting StringDType
+                    text = values.tolist()
+                    quoted = {v: '"' + v.replace('"', '""') + '"'
+                              for v in set(text) if _NEEDS_QUOTES.search(v)}
+                    cells.append(map(quoted.get, text, text) if quoted else text)
+                else:
+                    distinct, codes = np.unique(values, return_inverse=True)
+                    cells.append(_format_distinct(kind, distinct)[codes].tolist())
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return len(flights)
-    finally:
-        if owned:
-            stream.close()
-        else:
-            stream.flush()

@@ -258,3 +258,16 @@ class TestManifests:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_unclosed_quote_is_single_line_error(self, tmp_path, capsys):
+        flights = tmp_path / "flights.csv"
+        assert run(["synth", "--count", 6000, "--seed", 1, "--out", flights]) == 0
+        header, rest = flights.read_text().split("\n", 1)
+        # line 2 opens a quote; with the others gone it never closes
+        flights.write_text(header + '\n"' + rest.replace('"', ""))
+        capsys.readouterr()
+        assert run(["preprocess", "--in", flights, "--out", tmp_path / "p.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV at line ")
+        assert "field larger than field limit" in err
+        assert err.count("\n") == 1

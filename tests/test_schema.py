@@ -1,7 +1,10 @@
 import csv
 import datetime as dt
+import gc
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,3 +383,197 @@ def test_chunked_read_matches_one_chunk(monkeypatch):
     order = [(d.row, -1 if d.column == "*" else BTS_COLUMNS.index(d.column))
              for d in whole_diags]
     assert order == sorted(order)
+
+
+# --- writer against the csv.writer encoder it replaced --------------------------------
+
+
+def _reference_csv(table) -> str:
+    """What the per-cell csv.writer encoder wrote, kept here to pin the bytes."""
+    def number(v):
+        f = float(v)
+        return str(int(f)) if f == int(f) else repr(f)
+
+    def column(kind, values):
+        if kind == "text":
+            return values.tolist()
+        if kind == "flag":
+            return values.astype(str).tolist()
+        if kind == "date":
+            return [dt.date.fromordinal(d).isoformat() for d in values.tolist()]
+        out = np.full(len(values), "", dtype=object)
+        present = ~np.isnan(values)
+        if kind == "hhmm":
+            minutes = values[present].astype(np.int64)
+            out[present] = np.strings.zfill((minutes // 60 * 100 + minutes % 60).astype(str), 4)
+            return out.tolist()
+        out[present] = [number(v) for v in values[present].tolist()]
+        return out.tolist()
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(BTS_COLUMNS)
+    writer.writerows(zip(*(column(kind, getattr(table, name))
+                           for _, name, _, kind in schema._COLUMN_SPEC)))
+    return buf.getvalue()
+
+
+_NAN = float("nan")
+# per kind, the values each column of that kind cycles through
+_EDGE_VALUES = {
+    "text": ["plain", "", "Chicago, IL", 'say "hi"', "two\nlines", " padded ", "NA",
+             '"', ",", "caf\u00e9", "tab\there"],
+    "number": [0.0, -0.0, 12.0, -3.0, 1.5, -2.25, 1 / 3, 1e-7, 5e-324, 2.0 ** 53,
+               2.0 ** 53 + 2, 2.0 ** 63, 1e20, -1e300, 1.7976931348623157e308,
+               123456789.125, _NAN],
+    "hhmm": [0.0, -0.0, 90.0, 1440.0, 1441.0, 2000.7, 59.9, 0.5, -0.5, -5.5, -61.0,
+             -1440.0, 100000.0, _NAN],
+    "flag": [0, 1, -1, 2, 127, -128],
+    "date": [1, 737791, 738000, dt.date.max.toordinal(), 693596],
+}
+_EDGE_VALUES["int"] = _EDGE_VALUES["component"] = _EDGE_VALUES["number"]
+
+
+def _edge_flights(n_rows: int) -> Flights:
+    """Each column cycles through its kind's edge values from its own offset."""
+    columns = {}
+    for j, (_, name, _, kind) in enumerate(schema._COLUMN_SPEC):
+        values = _EDGE_VALUES[kind]
+        cells = [values[(i + j) % len(values)] for i in range(n_rows)]
+        columns[name] = np.array(cells, dtype=schema._DTYPES.get(kind, np.float64))
+    return Flights(columns)
+
+
+@pytest.mark.parametrize("chunk_rows", [schema.CHUNK_ROWS, 1, 7])
+def test_write_csv_bytes_match_csv_writer_encoder(monkeypatch, chunk_rows):
+    table = _edge_flights(300)
+    monkeypatch.setattr(schema, "CHUNK_ROWS", chunk_rows)
+    buf = io.StringIO()
+    assert write_csv(table, buf) == 300
+    assert buf.getvalue() == _reference_csv(table)
+
+
+def test_write_csv_empty_table_is_header_only():
+    buf = io.StringIO()
+    assert write_csv(_edge_flights(0), buf) == 0
+    assert buf.getvalue() == ",".join(BTS_COLUMNS) + "\n"
+
+
+def test_write_csv_all_blank_clock_column_round_trips():
+    rec = make_record(cancelled=1, cancellation_code="B", **{f: None for f in schema._HHMM_FIELDS})
+    buf = io.StringIO()
+    write_csv(flights([rec]), buf)
+    buf.seek(0)
+    back, diags = read_csv(buf)
+    assert diags == [] and rows(back) == [rec]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_write_csv_infinite_number_raises(value):
+    table = _edge_flights(20)
+    table.distance[5] = value
+    with pytest.raises(OverflowError):
+        _reference_csv(table)
+    with pytest.raises(OverflowError):
+        write_csv(table, io.StringIO())
+
+
+def test_write_csv_day_outside_calendar_raises():
+    table = _edge_flights(5)
+    table.fl_date[2] = 0
+    with pytest.raises(ValueError):
+        write_csv(table, io.StringIO())
+
+
+def test_carriage_return_is_quoted_and_read_back(tmp_path):
+    rec = make_record(origin_city="Dallas\rFort", dest_city="a\r\nb")
+    buf = io.StringIO()
+    write_csv(flights([rec]), buf)
+    assert '"Dallas\rFort"' in buf.getvalue()
+    buf.seek(0)
+    back, diags = read_csv(buf)
+    assert diags == [] and rows(back) == [rec]
+    path = tmp_path / "flights.csv"
+    write_csv(flights([rec]), path)
+    back, diags = read_csv(path)
+    assert diags == [] and rows(back) == [rec]
+
+
+# --- malformed input and caller-owned streams -------------------------------------------
+
+
+def test_unclosed_quote_is_a_schema_error_naming_the_line():
+    # no quoted cell: the quote opened on line 2 runs to the end of the file
+    rec = make_record(origin_city="Chicago", dest_city="San Francisco")
+    buf = io.StringIO()
+    write_csv(flights([rec] * 6000), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert '"' not in buf.getvalue()
+    lines[1] = '"' + lines[1]
+    with pytest.raises(SchemaError, match=r"malformed CSV at line \d+: field larger than"):
+        read_csv(io.BytesIO("".join(lines).encode()))
+
+
+def test_bare_carriage_return_is_a_schema_error():
+    text = "FL_DATE,AIRLINE,ORIGIN,DEST,CANCELLED,DIVERTED\n2021-01-01,U\rA,ORD,SFO,0,0\n"
+    with pytest.raises(SchemaError, match="malformed CSV at line 2: new-line character"):
+        read_csv(io.StringIO(text))
+
+
+def test_caller_streams_stay_open():
+    rec = make_record()
+    buf = io.BytesIO()
+    assert write_csv(flights([rec]), buf) == 1
+    gc.collect()
+    assert not buf.closed
+    buf.seek(0)
+    back, diags = read_csv(buf)
+    gc.collect()
+    assert not buf.closed
+    assert diags == [] and rows(back) == [rec]
+    text = io.StringIO()
+    write_csv(flights([rec]), text)
+    text.seek(0)
+    read_csv(text)
+    assert not text.closed
+
+
+# --- round trip over many rows ------------------------------------------------------------
+
+# blank, "NA" and whitespace-padded text read back blank or stripped by design,
+# so text here starts and ends with a non-space and never spells NA
+_OUTER = st.sampled_from('abZ,"\u00e9')
+_TEXT = _OUTER | st.builds(lambda a, mid, b: a + mid + b,
+                           _OUTER, st.text('ab Z,"\n\r\u00e9', max_size=6), _OUTER)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_STRATEGY = {
+    "date": st.dates(),
+    "text": _TEXT,
+    "int": st.none() | st.integers(-2 ** 70, 2 ** 70).map(float),
+    "flag": st.integers(0, 1),
+    "hhmm": st.none() | st.integers(0, 1440),
+    "number": st.none() | _FINITE,
+    "component": st.none() | st.floats(min_value=0, allow_infinity=False),
+}
+_ROW = st.fixed_dictionaries({name: _STRATEGY[kind]
+                              for _, name, _, kind in schema._COLUMN_SPEC})
+
+
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "flights.csv"
+
+
+@given(st.lists(_ROW, min_size=2, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_many_row_round_trip(round_trip_path, table_rows):
+    records = [FlightRecord(**row) for row in table_rows]
+    table = flights(records)
+    write_csv(table, round_trip_path)
+    back, diags = read_csv(round_trip_path)
+    assert diags == [] and rows(back) == records
+    buf = io.StringIO()
+    write_csv(table, buf)
+    buf.seek(0)
+    back, diags = read_csv(buf)
+    assert diags == [] and rows(back) == records

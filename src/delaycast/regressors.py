@@ -183,8 +183,6 @@ def _fit_neural(table: FeatureTable, kind: str, options: FitOptions):
     model = _build_network(kind, len(names), output, options.window, options.seed)
 
     if kind == "mlp":
-        if options.window != 1:
-            raise ValueError("mlp scores single rows; window must be 1")
         x_fit, y_fit = xin, yin
     else:
         batch = make_sequences(xin, yin, window=options.window)

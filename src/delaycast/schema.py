@@ -5,17 +5,19 @@ of flights is one `Flights` value holding one numpy array per field, after
 the Apache Arrow columnar layout, with sentinel values in place of validity
 bitmaps:
 
-- numbers (delays, durations, distance, FL_NUMBER) are float64, NaN where
-  the cell was blank;
-- clock columns arrive as 3-4 digit hhmm strings and are stored as minutes
-  past midnight, float64, NaN where blank;
-- FL_DATE (required, ISO YYYY-MM-DD only) is an int64 day ordinal, as
-  `datetime.date.toordinal` counts;
-- CANCELLED and DIVERTED (required, 0 or 1) are int8;
-- text is a numpy `StringDType` array, "" where blank.
+- numbers (delays, durations, distance) are finite float64, NaN where the
+  cell was blank; the five delay components are also >= 0 and FL_NUMBER is
+  a whole number;
+- clock columns arrive as 3-4 digit hhmm strings and are stored as whole
+  minutes past midnight from 0 to 1440 ("2400"), float64, NaN where blank;
+- FL_DATE (required, ISO YYYY-MM-DD only) is an int64 day ordinal from 1
+  to `datetime.date.max`, as `datetime.date.toordinal` counts;
+- CANCELLED and DIVERTED (required) are int8, 0 or 1;
+- text is a numpy `StringDType` array, "" where blank, and is not checked.
 
 A cell is blank when it is empty or "NA" after stripping whitespace.
-`Flights.row(i)` is one row as a `FlightRecord`, blank numbers as None.
+`Flights` refuses a non-text value outside its kind's domain and keeps its
+arrays read-only, so every value it holds is one a CSV cell can carry.
 
 Ingest is strict per cell: a bad cell skips the whole row and leaves a
 diagnostic, never a silently-coerced value. The reader takes CHUNK_ROWS rows
@@ -40,13 +42,9 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 from numpy.dtypes import StringDType
-
-# Minutes past midnight produced by hhmm conversion; 0..1440 ("2400" is valid).
-ClockMinutes = int
 
 # Rows decoded per vectorized step; bounds the reader's and writer's
 # transient memory independently of the file's length.
@@ -59,7 +57,7 @@ class SchemaError(ValueError):
     """Malformed header or record-level invariant violation."""
 
 
-def parse_hhmm(raw: str) -> ClockMinutes:
+def parse_hhmm(raw: str) -> int:
     """Convert a 3-4 digit clock string to minutes past midnight.
 
     The last two digits are minutes; "2400" maps to 1440. Anything else out
@@ -81,61 +79,6 @@ COMPONENT_FIELDS = (
     "delay_due_security",
     "delay_due_late_aircraft",
 )
-
-_HHMM_FIELDS = ("crs_dep_time", "dep_time", "wheels_off", "wheels_on",
-                "crs_arr_time", "arr_time")
-
-
-@dataclass(frozen=True)
-class FlightRecord:
-    """One flight row: numbers are None and text is "" where the cell was blank."""
-
-    fl_date: dt.date
-    airline: str
-    origin: str
-    dest: str
-    cancelled: int
-    diverted: int
-    airline_dot: str = ""
-    airline_code: str = ""
-    dot_code: str = ""
-    fl_number: Optional[int] = None
-    origin_city: str = ""
-    dest_city: str = ""
-    crs_dep_time: Optional[ClockMinutes] = None
-    dep_time: Optional[ClockMinutes] = None
-    wheels_off: Optional[ClockMinutes] = None
-    wheels_on: Optional[ClockMinutes] = None
-    crs_arr_time: Optional[ClockMinutes] = None
-    arr_time: Optional[ClockMinutes] = None
-    dep_delay: Optional[float] = None
-    arr_delay: Optional[float] = None
-    taxi_out: Optional[float] = None
-    taxi_in: Optional[float] = None
-    crs_elapsed_time: Optional[float] = None
-    elapsed_time: Optional[float] = None
-    air_time: Optional[float] = None
-    distance: Optional[float] = None
-    cancellation_code: str = ""
-    delay_due_carrier: Optional[float] = None
-    delay_due_weather: Optional[float] = None
-    delay_due_nas: Optional[float] = None
-    delay_due_security: Optional[float] = None
-    delay_due_late_aircraft: Optional[float] = None
-
-    def __post_init__(self):
-        if self.cancelled not in (0, 1):
-            raise SchemaError(f"cancelled flag must be 0 or 1, got {self.cancelled!r}")
-        if self.diverted not in (0, 1):
-            raise SchemaError(f"diverted flag must be 0 or 1, got {self.diverted!r}")
-        for name in _HHMM_FIELDS:
-            v = getattr(self, name)
-            if v is not None and not (0 <= v <= 1440):
-                raise SchemaError(f"{name} out of clock range: {v}")
-        for name in COMPONENT_FIELDS:
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise SchemaError(f"{name} must be >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +155,8 @@ def _encode_number(v) -> str:
 _DECODERS = {"date": _decode_day, "text": str, "int": _decode_int,
              "flag": _decode_flag, "hhmm": parse_hhmm, "number": _decode_float,
              "component": _decode_component}
-_DTYPES = {"date": np.int64, "text": _TEXT, "flag": np.int8}  # others float64
+_DTYPES = {"date": np.int64, "text": _TEXT, "flag": np.int8, "int": np.float64,
+           "hhmm": np.float64, "number": np.float64, "component": np.float64}
 
 # (column, field, required, kind); order is the export column order.
 _COLUMN_SPEC = (
@@ -260,61 +204,67 @@ _REQUIRED_FIELDS = tuple(f for f, (_, req, _) in _FIELD_INFO.items() if req)
 
 # --- columns --------------------------------------------------------------------------
 
+_LAST_DAY = dt.date.max.toordinal()
 
-def _as_column(kind: str, values) -> np.ndarray:
-    """One field's values as its stored array; a list may hold None for blank."""
-    dtype = _DTYPES.get(kind, np.float64)
-    if isinstance(values, np.ndarray):
-        # astype copies a StringDType array even when the dtypes are equal
-        return values if values.dtype == dtype else values.astype(dtype)
-    if kind == "date":
-        return np.array([d.toordinal() for d in values], dtype=dtype)
-    if kind == "text":
-        return np.array(["" if v is None else v for v in values], dtype=dtype)
-    return np.array(values, dtype=dtype)  # None becomes NaN
-
-
-def _cell(kind: str, v):
-    if kind == "date":
-        return dt.date.fromordinal(int(v))
-    if kind == "text":
-        return str(v)
-    if kind == "flag":
-        return int(v)
-    if v != v:
-        return None
-    return int(v) if kind in ("int", "hhmm") else float(v)
+# Each non-text kind's domain, the values its cells decode to. Flights refuses
+# a column holding a value outside it. The reader hands a parsed number, int,
+# component or flag cell failing its check to the scalar decoder, which words
+# the diagnostic.
+_NUMBER_OK = {
+    "number": np.isfinite,
+    "component": lambda v: np.isfinite(v) & (v >= 0),
+    "int": lambda v: np.isfinite(v) & (v == np.trunc(v)),
+    "flag": lambda v: (v == 0) | (v == 1),
+    "hhmm": lambda v: (v >= 0) & (v <= 1440) & (v == np.trunc(v)),
+    "date": lambda v: (v >= 1) & (v <= _LAST_DAY) & (v == np.trunc(v)),
+}
+_DOMAINS = {"number": "a finite number", "component": "a finite number >= 0",
+            "int": "a finite whole number", "flag": "0 or 1",
+            "hhmm": "whole minutes from 0 to 1440",
+            "date": f"a day ordinal from 1 to {_LAST_DAY}"}
 
 
 class Flights:
-    """Flight rows as columns: attribute `<field>` is one FlightRecord field's array.
+    """Flight rows as columns: attribute `<field>` is that field's array.
 
-    Every column has one entry per row; the module docstring gives each
-    kind's dtype and blank value. `len()` counts rows, `row(i)` is one row
-    as a FlightRecord and `select(index)` keeps the rows a boolean mask or
-    an index array picks, in that order.
+    Every column has one entry per row, of its kind's dtype, and holds only
+    values a CSV cell of its kind can carry (module docstring); the arrays
+    are read-only. `len()` counts rows and `select(index)` keeps the rows a
+    boolean mask or an index array picks, in that order.
     """
 
     FIELDS = tuple(_FIELD_INFO)
 
     def __init__(self, columns):
-        """`columns` maps every field name to an array or a list (None for blank)."""
+        """`columns` maps every field name to a one-dimensional array.
+
+        A non-text value outside its kind's domain, or NaN in a required
+        column, is a SchemaError naming the field and the 0-based row. Each
+        array is cast to its kind's dtype (not copied when it has it) and
+        made read-only.
+        """
         wrong = sorted(set(columns) ^ set(self.FIELDS))
         if wrong:
             raise SchemaError(f"missing or unknown flight fields: {', '.join(wrong)}")
-        given = {name: _as_column(_FIELD_INFO[name][2], columns[name])
-                 for name in self.FIELDS}
-        self._n = len(given["fl_date"])
-        for name, values in given.items():
+        self._n = len(columns["fl_date"])
+        for name, (_, required, kind) in _FIELD_INFO.items():
+            values = columns[name]
             if values.shape != (self._n,):
                 raise SchemaError(
                     f"column {name} has shape {values.shape}, expected ({self._n},)")
-        self.__dict__.update(given)
-
-    @classmethod
-    def from_records(cls, records) -> "Flights":
-        records = list(records)
-        return cls({name: [getattr(r, name) for r in records] for name in cls.FIELDS})
+            if kind != "text":
+                ok = _NUMBER_OK[kind](values)
+                if not required:
+                    ok |= np.isnan(values)
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    raise SchemaError(
+                        f"{name} row {i}: {values[i].item()!r} is not {_DOMAINS[kind]}")
+            # astype copies a StringDType array even when the dtypes are equal
+            if values.dtype != _DTYPES[kind]:
+                values = values.astype(_DTYPES[kind])
+            values.flags.writeable = False
+            setattr(self, name, values)
 
     def __len__(self) -> int:
         return self._n
@@ -322,21 +272,8 @@ class Flights:
     def select(self, index) -> "Flights":
         return Flights({name: getattr(self, name)[index] for name in self.FIELDS})
 
-    def row(self, i: int) -> FlightRecord:
-        return FlightRecord(**{name: _cell(kind, getattr(self, name)[i])
-                               for name, (_, _, kind) in _FIELD_INFO.items()})
-
 
 # --- vectorized decoding/encoding --------------------------------------------------------
-
-# Checks that parsed numbers must pass; a cell failing one is handed to the
-# scalar decoder, which words its diagnostic.
-_NUMBER_OK = {
-    "number": np.isfinite,
-    "component": lambda v: np.isfinite(v) & (v >= 0),
-    "int": lambda v: np.isfinite(v) & (v == np.trunc(v)),
-    "flag": lambda v: (v == 0) | (v == 1),
-}
 
 
 def _decode_column(kind: str, cells: np.ndarray, blank: np.ndarray):
@@ -434,14 +371,11 @@ def _format_distinct(kind: str, distinct: np.ndarray) -> np.ndarray:
     """A non-text column's distinct values, sorted, as CSV cells; NaN is "".
 
     Numbers are written as _encode_number writes them, clocks as zero-filled
-    hhmm, days as ISO dates and flags as integers; a number or day that
-    cannot be written (inf, a day outside datetime.date) raises.
+    hhmm, days as ISO dates and flags as integers.
     """
     if kind == "flag":
         return distinct.astype(str).astype(object)
     if kind == "date":
-        dt.date.fromordinal(int(distinct[0]))  # range check on both ends
-        dt.date.fromordinal(int(distinct[-1]))
         return (distinct - _UNIX_DAY).astype("datetime64[D]").astype(str).astype(object)
     out = np.full(len(distinct), "", dtype=object)
     present = ~np.isnan(distinct)
@@ -522,7 +456,7 @@ def read_csv(source):
             raise SchemaError(f"missing required columns: {cols}")
 
         fields = tuple(col_to_idx.items())
-        parts = {name: [_as_column(_FIELD_INFO[name][2], [])] for name in col_to_idx}
+        parts = {name: [np.empty(0, _DTYPES[_FIELD_INFO[name][2]])] for name in col_to_idx}
         diagnostics: list[CellDiagnostic] = []
         first_row = 1
         while block := list(itertools.islice(reader, CHUNK_ROWS)):
@@ -534,7 +468,7 @@ def read_csv(source):
         n = len(columns["fl_date"])
         for name, (_, _, kind) in _FIELD_INFO.items():
             if name not in columns:  # optional column absent from the header
-                columns[name] = _as_column(kind, [None] * n)
+                columns[name] = np.full(n, "" if kind == "text" else np.nan, _DTYPES[kind])
         return Flights(columns), diagnostics
 
 

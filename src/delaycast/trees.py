@@ -464,6 +464,8 @@ def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
         raise ValueError("rounds must be >= 1")
     if reg_lambda < 0.0 or gamma < 0.0:
         raise ValueError("reg_lambda and gamma must be >= 0")
+    if not (0.0 <= learning_rate <= 1.0):
+        raise ValueError("learning_rate must be in [0, 1]")
     coded = _rank_code(x)
     boost = _Boost(reg_lambda, gamma)
     base = y.mean(axis=0)

@@ -17,7 +17,6 @@ SEARCHED = (ROOT / "src", ROOT / "scripts")
 
 # qualified name -> why it stays without a reference in src/ or scripts/
 ALLOWED = {
-    "Flights.from_records": "the documented way to build Flights from rows",
     "synth.read_labels": "reader for the label file synth itself writes",
     "Rng.next_u64": "scalar reference the whole-array draws are tested against",
     "Rng.integer": "one bounded draw for the c02 and c03 oracles",

@@ -7,7 +7,7 @@ import pytest
 
 from delaycast.cli import main
 from delaycast.modelfile import load_model
-from delaycast.schema import write_csv
+from delaycast.schema import Flights, write_csv
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels
 
 STAGE_OF_LABEL = {"cancelled": "cancelled_or_diverted",
@@ -74,8 +74,9 @@ class TestChain:
 
 class TestTrainCommand:
     def test_ols_recovers_planted_coefficients(self, tmp_path):
-        doctored = generate(SynthConfig(count=60, seed=3)).flights
-        doctored.arr_delay[:] = 1.0 + 2.0 * doctored.taxi_in
+        generated = generate(SynthConfig(count=60, seed=3)).flights
+        columns = {name: getattr(generated, name) for name in Flights.FIELDS}
+        doctored = Flights(dict(columns, arr_delay=1.0 + 2.0 * generated.taxi_in))
         flights = tmp_path / "line.csv"
         write_csv(doctored, flights)
         model_path = tmp_path / "ols.bin"

@@ -8,12 +8,13 @@ from delaycast.features import (
     build_table, chronological_split, expand_date, fit_codebook,
     fit_standardizer, positive_variance_columns,
 )
+from delaycast.schema import Flights
 
 from test_schema import flights, make_record
 
 
 def feature_record(date, dep_minutes, airline="UA", origin="ORD", dest="SFO", **over):
-    return make_record(fl_date=date, crs_dep_time=dep_minutes,
+    return make_record(fl_date=date.toordinal(), crs_dep_time=dep_minutes,
                        airline=airline, origin=origin, dest=dest, **over)
 
 
@@ -77,7 +78,9 @@ def test_build_table_total_mode():
 
 def test_build_table_missing_field_errors():
     recs = small_records()
-    recs.taxi_in[2] = np.nan
+    taxi_in = recs.taxi_in.copy()  # stored columns are read-only
+    taxi_in[2] = np.nan
+    recs = Flights({**{name: getattr(recs, name) for name in Flights.FIELDS}, "taxi_in": taxi_in})
     with pytest.raises(ValueError, match="record 2 missing taxi_in"):
         build_table(recs, fit_codebook(recs))
     with pytest.raises(ValueError, match="unknown target mode"):

@@ -11,7 +11,7 @@ from delaycast.preprocess import (
     iqr_bounds, run_pipeline, verify_component_sum,
 )
 
-from test_schema import flights, make_record, rows
+from test_schema import assert_same_rows, flights, make_record
 
 
 def delayed_record(arr_delay, components=None, **overrides):
@@ -29,35 +29,34 @@ def test_drop_cancelled_diverted():
     recs = [make_record(), make_record(cancelled=1), make_record(diverted=1)]
     kept, removed = drop_cancelled_diverted(flights(recs))
     assert removed == 2 and len(kept) == 1
-    assert all(r.cancelled == 0 and r.diverted == 0 for r in rows(kept))
+    assert (kept.cancelled == 0).all() and (kept.diverted == 0).all()
 
 
 def test_drop_missing_components_partial_group_removed():
     full = make_record()
-    partial = make_record(delay_due_weather=None)
+    partial = make_record(delay_due_weather=math.nan)
     zeroes = delayed_record(0.0, (0.0, 0.0, 0.0, 0.0, 0.0))
     kept, removed = drop_missing_components(flights([full, partial, zeroes]))
     assert removed == 1
-    assert rows(kept) == [full, zeroes]
+    assert_same_rows(kept, flights([full, zeroes]))
 
 
 def test_verify_component_sum_tolerance_edges():
     exact = delayed_record(15.0, (10.0, 0.0, 5.0, 0.0, 0.0))
     at_tol = delayed_record(15.5, (10.0, 0.0, 5.0, 0.0, 0.0))     # residual 0.5, kept
     beyond = delayed_record(16.0, (10.0, 0.0, 5.0, 0.0, 0.0))     # residual 1.0, dropped
-    no_arr = delayed_record(15.0, (10.0, 0.0, 5.0, 0.0, 0.0))
-    no_arr = make_record(arr_delay=None, delay_due_carrier=10.0, delay_due_weather=0.0,
+    no_arr = make_record(arr_delay=math.nan, delay_due_carrier=10.0, delay_due_weather=0.0,
                          delay_due_nas=5.0, delay_due_security=0.0,
                          delay_due_late_aircraft=0.0)
     kept, removed, worst = verify_component_sum(flights([exact, at_tol, beyond, no_arr]))
-    assert rows(kept) == [exact, at_tol]
+    assert_same_rows(kept, flights([exact, at_tol]))
     assert removed == 2
     assert worst == pytest.approx(1.0)
 
 
 def test_verify_component_sum_requires_group():
     with pytest.raises(ValueError, match="component group"):
-        verify_component_sum(flights([make_record(delay_due_nas=None)]))
+        verify_component_sum(flights([make_record(delay_due_nas=math.nan)]))
 
 
 def test_verify_component_sum_rejects_negative_tolerance():
@@ -124,15 +123,15 @@ def test_filter_outliers_inclusive_bounds():
     recs = flights([delayed_record(v) for v in list(range(1, 9)) + [100]])
     kept, removed, (lo, hi) = filter_outliers(recs)
     assert removed == 1
-    assert all(lo <= r.arr_delay <= hi for r in rows(kept))
-    assert max(r.arr_delay for r in rows(kept)) == 8.0
+    assert ((lo <= kept.arr_delay) & (kept.arr_delay <= hi)).all()
+    assert kept.arr_delay.max() == 8.0
     # boundary rows stay: plant one exactly at the upper fence
     recs2 = [delayed_record(v) for v in range(1, 9)]
     _, _, (lo2, hi2) = filter_outliers(flights(recs2))
     recs2.append(delayed_record(hi2))
     kept2, removed2, _ = filter_outliers(flights(recs2))
     # the appended row shifts the fence; recompute to confirm inclusivity logic
-    assert all(r.arr_delay <= filter_outliers(flights(recs2))[2][1] for r in rows(kept2))
+    assert (kept2.arr_delay <= filter_outliers(flights(recs2))[2][1]).all()
 
 
 def test_filter_outliers_idempotent_on_clean_data():
@@ -140,7 +139,8 @@ def test_filter_outliers_idempotent_on_clean_data():
     kept, removed, _ = filter_outliers(recs)
     assert removed == 0
     kept2, removed2, _ = filter_outliers(kept)
-    assert removed2 == 0 and rows(kept2) == rows(kept)
+    assert removed2 == 0
+    assert_same_rows(kept2, kept)
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_filter_outliers_idempotent_on_clean_data():
 def test_run_pipeline_accounting_and_stats():
     clean = [delayed_record(v, fl_number=i) for i, v in enumerate((10, 12, 13, 15, 18, 20, 21, 22))]
     flagged = [make_record(cancelled=1), make_record(diverted=1)]
-    missing = [make_record(delay_due_carrier=None, fl_number=90)]
+    missing = [make_record(delay_due_carrier=math.nan, fl_number=90)]
     mismatch = [delayed_record(50.0, (10.0, 0.0, 5.0, 0.0, 0.0), fl_number=91)]
     outlier = [delayed_record(500.0, (500.0, 0.0, 0.0, 0.0, 0.0), fl_number=92)]
     recs = clean + flagged + missing + mismatch + outlier
@@ -174,7 +174,7 @@ def test_run_pipeline_accounting_and_stats():
 def test_run_pipeline_no_removals():
     recs = [delayed_record(v) for v in (10, 12, 13, 15, 18, 20, 21, 22)]
     kept, report = run_pipeline(flights(recs))
-    assert rows(kept) == recs
+    assert_same_rows(kept, flights(recs))
     assert sum(report.removed.values()) == 0
 
 
@@ -182,7 +182,7 @@ def test_run_pipeline_empty_survivors_raises():
     with pytest.raises(ValueError, match="cancelled/diverted"):
         run_pipeline(flights([make_record(cancelled=1)]))
     with pytest.raises(ValueError, match="component-presence"):
-        run_pipeline(flights([make_record(delay_due_nas=None)]))
+        run_pipeline(flights([make_record(delay_due_nas=math.nan)]))
 
 
 def test_report_serialization():
@@ -199,7 +199,7 @@ def test_report_serialization():
 def test_report_pct_of_entering_differs_from_pct_of_input():
     # one flagged row, then one missing-group row among two survivors
     recs = [make_record(cancelled=1),
-            make_record(delay_due_carrier=None),
+            make_record(delay_due_carrier=math.nan),
             delayed_record(10.0), delayed_record(12.0)]
     _, report = run_pipeline(flights(recs))
     rows = {r[0]: r for r in report.stage_rows()}

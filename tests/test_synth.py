@@ -4,22 +4,28 @@ import collections
 import datetime as dt
 import hashlib
 
+import numpy as np
 import pytest
 
 from delaycast.preprocess import run_pipeline
 from delaycast.schema import write_csv
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels, write_labels
 
-from test_schema import rows
+from test_schema import assert_same_rows
 
 MIXED = dict(cancelled_rate=0.05, missing_rate=0.04, mismatch_rate=0.04,
              outlier_rate=0.05)
 
 
-def component_total(rec):
-    """The five delay components summed left to right, carrier first."""
-    return (rec.delay_due_carrier + rec.delay_due_weather + rec.delay_due_nas
-            + rec.delay_due_security + rec.delay_due_late_aircraft)
+def component_total(flights):
+    """Each row's five delay components summed left to right, carrier first."""
+    return (flights.delay_due_carrier + flights.delay_due_weather + flights.delay_due_nas
+            + flights.delay_due_security + flights.delay_due_late_aircraft)
+
+
+def labelled(res, label):
+    """The generated rows carrying `label`, in order."""
+    return res.flights.select(np.array(res.labels) == label)
 
 
 def test_default_config_is_all_clean():
@@ -32,14 +38,15 @@ def test_generation_is_deterministic():
     a = generate(SynthConfig(count=300, seed=9, **MIXED))
     b = generate(SynthConfig(count=300, seed=9, **MIXED))
     assert a.labels == b.labels
-    assert rows(a.flights) == rows(b.flights)
+    assert_same_rows(a.flights, b.flights)
     assert (a.iqr_lower, a.iqr_upper) == (b.iqr_lower, b.iqr_upper)
 
 
 def test_seed_changes_the_data():
     a = generate(SynthConfig(count=300, seed=9, **MIXED))
     b = generate(SynthConfig(count=300, seed=10, **MIXED))
-    assert rows(a.flights) != rows(b.flights)
+    with pytest.raises(AssertionError):
+        assert_same_rows(a.flights, b.flights)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -53,8 +60,7 @@ def test_pipeline_removals_match_labels_exactly(seed):
     assert report.removed["outlier"] == counts["outlier"]
     assert report.retained_count == counts["clean"]
     # survivors are exactly the clean-labelled rows, in order
-    clean_rows = [r for r, lab in zip(rows(res.flights), res.labels) if lab == "clean"]
-    assert rows(retained) == clean_rows
+    assert_same_rows(retained, labelled(res, "clean"))
 
 
 def test_pipeline_fences_match_generator_fences():
@@ -67,75 +73,66 @@ def test_pipeline_fences_match_generator_fences():
 def test_zero_inflation_pins_lower_fence_below_zero():
     res = generate(SynthConfig(count=500, seed=5, outlier_rate=0.05))
     assert res.iqr_lower < 0.0
-    totals = [r.arr_delay for r, lab in zip(rows(res.flights), res.labels) if lab == "clean"]
-    assert min(totals) == 0.0
+    assert labelled(res, "clean").arr_delay.min() == 0.0
 
 
 def test_clean_rows_sum_exactly_and_respect_cap():
     cfg = SynthConfig(count=400, seed=2, **MIXED)
     res = generate(cfg)
-    for rec, lab in zip(rows(res.flights), res.labels):
-        if lab != "clean":
-            continue
-        assert component_total(rec) == rec.arr_delay
-        assert rec.arr_delay <= cfg.delay_cap
+    clean = labelled(res, "clean")
+    assert (component_total(clean) == clean.arr_delay).all()
+    assert (clean.arr_delay <= cfg.delay_cap).all()
 
 
 def test_mismatch_rows_break_the_sum_by_at_least_two():
     res = generate(SynthConfig(count=400, seed=2, **MIXED))
-    seen = 0
-    for rec, lab in zip(rows(res.flights), res.labels):
-        if lab != "mismatch":
-            continue
-        seen += 1
-        assert abs(component_total(rec) - rec.arr_delay) >= 2.0
-    assert seen > 0
+    mismatch = labelled(res, "mismatch")
+    assert len(mismatch) > 0
+    assert (abs(component_total(mismatch) - mismatch.arr_delay) >= 2.0).all()
 
 
 def test_outlier_totals_sit_strictly_above_the_fence():
     res = generate(SynthConfig(count=400, seed=2, **MIXED))
-    outliers = [r.arr_delay for r, lab in zip(rows(res.flights), res.labels) if lab == "outlier"]
-    assert outliers
-    assert min(outliers) > res.iqr_upper
+    outliers = labelled(res, "outlier")
+    assert len(outliers) > 0
+    assert outliers.arr_delay.min() > res.iqr_upper
     # components still sum exactly: these rows survive the sum check
-    for rec, lab in zip(rows(res.flights), res.labels):
-        if lab == "outlier":
-            assert component_total(rec) == rec.arr_delay
+    assert (component_total(outliers) == outliers.arr_delay).all()
 
 
 def test_cancelled_rows_carry_a_flag_and_nothing_else_does():
     res = generate(SynthConfig(count=400, seed=6, **MIXED))
-    for rec, lab in zip(rows(res.flights), res.labels):
-        flagged = rec.cancelled == 1 or rec.diverted == 1
-        assert flagged == (lab == "cancelled")
+    flagged = (res.flights.cancelled == 1) | (res.flights.diverted == 1)
+    assert (flagged == (np.array(res.labels) == "cancelled")).all()
 
 
 def test_records_are_chronological():
     res = generate(SynthConfig(count=300, seed=4, **MIXED))
-    keys = [(r.fl_date, r.crs_dep_time) for r in rows(res.flights)]
+    keys = list(zip(res.flights.fl_date.tolist(), res.flights.crs_dep_time.tolist()))
     assert keys == sorted(keys)
 
 
 def test_vocab_respects_config_and_routes_avoid_self_loops():
     cfg = SynthConfig(count=300, seed=8, airlines=3, airports=4)
     res = generate(cfg)
-    assert len({r.airline for r in rows(res.flights)}) <= 3
-    airports = {r.origin for r in rows(res.flights)} | {r.dest for r in rows(res.flights)}
-    assert len(airports) <= 4
-    assert all(r.origin != r.dest for r in rows(res.flights))
+    f = res.flights
+    assert len(set(f.airline.tolist())) <= 3
+    assert len(set(f.origin.tolist()) | set(f.dest.tolist())) <= 4
+    assert (f.origin != f.dest).all()
 
 
 def test_paired_columns_are_deterministic_functions_of_their_base():
     # AIRLINE_DOT / AIRLINE_CODE / DOT_CODE per airline; city per airport
     res = generate(SynthConfig(count=400, seed=11))
+    f = res.flights
     by_airline = {}
-    for r in rows(res.flights):
-        key = (r.airline_dot, r.airline_code, r.dot_code)
-        assert by_airline.setdefault(r.airline, key) == key
+    for airline, *key in zip(f.airline.tolist(), f.airline_dot.tolist(),
+                             f.airline_code.tolist(), f.dot_code.tolist()):
+        assert by_airline.setdefault(airline, key) == key
     by_airport = {}
-    for r in rows(res.flights):
-        assert by_airport.setdefault(r.origin, r.origin_city) == r.origin_city
-        assert by_airport.setdefault(r.dest, r.dest_city) == r.dest_city
+    for port, city in zip(f.origin.tolist() + f.dest.tolist(),
+                          f.origin_city.tolist() + f.dest_city.tolist()):
+        assert by_airport.setdefault(port, city) == city
 
 
 def test_single_row_and_trivial_rate_extremes():
@@ -181,9 +178,8 @@ def test_start_date_and_flights_per_day_drive_the_calendar():
     cfg = SynthConfig(count=20, seed=3, start_date=dt.date(2023, 5, 1),
                       flights_per_day=10)
     res = generate(cfg)
-    assert res.flights.row(0).fl_date == dt.date(2023, 5, 1)
-    assert res.flights.row(9).fl_date == dt.date(2023, 5, 1)
-    assert res.flights.row(10).fl_date == dt.date(2023, 5, 2)
+    assert res.flights.fl_date[[0, 9, 10]].tolist() == [
+        dt.date(2023, 5, 1).toordinal()] * 2 + [dt.date(2023, 5, 2).toordinal()]
 
 
 # sha256 of write_csv output followed by write_labels output, 3,000 rows,

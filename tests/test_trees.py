@@ -494,3 +494,13 @@ class TestGbt:
             gbt_fit(x, y, rounds=1, learning_rate=1.5)
         with pytest.raises(ValueError, match="at least 2"):
             gbt_fit(np.ones((1, 2)), np.ones((1, 1)), rounds=1)
+
+    @pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+    def test_learning_rate_is_checked_before_any_tree_grows(self, monkeypatch, rate):
+        def grow(*args, **kwargs):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(trees, "_grow", grow)
+        x = Rng(26).uniform_array((40, 3))
+        with pytest.raises(ValueError, match="learning_rate"):
+            gbt_fit(x, x[:, :1], rounds=20, learning_rate=rate)

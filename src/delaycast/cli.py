@@ -8,8 +8,10 @@ sit beside the primary output (or beside the input, name-qualified by the
 command, for commands that print to stdout); they carry wall time, so they
 are the one output exempt from byte-level reproducibility. The preprocess
 manifest also records `rows_in`, the count of skipped-cell `diagnostics`,
-`rows_out` after each prune stage, and `peak_rss_mb`, this process's peak
-resident memory so far (`resource.getrusage`). The synth manifest records
+`rows_out` after each prune stage, `peak_rss_mb`, this process's peak
+resident memory so far (`resource.getrusage`), and `timings`, the wall
+seconds spent reading, pruning and writing (`read_s`, `prune_s`,
+`write_s`). The synth manifest records
 `rows_out`, the `label_counts`, `peak_rss_mb`, and the planted IQR fences
 (`iqr_lower`, `iqr_upper`) among its decisions.
 
@@ -23,6 +25,7 @@ nonzero with a single "error: ..." line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -169,6 +172,14 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+@contextlib.contextmanager
+def _timed(timings: dict, name: str):
+    """Record the wall seconds of the with-block as timings[name]."""
+    started = time.perf_counter()
+    yield
+    timings[name] = round(time.perf_counter() - started, 6)
+
+
 def _write_manifest(command, anchor, *, config, seeds, decisions, inputs,
                     outputs, started, qualify=False, **measured):
     """Write the run manifest; `measured` adds top-level fields (counts, memory)."""
@@ -229,9 +240,13 @@ def cmd_preprocess(args) -> int:
     out = flags.get("out", required=True, cast=str)
     report_path = flags.get("report", default=f"{out}.report.json", cast=str)
     tolerance = flags.get("sum-tolerance", DEFAULT_SUM_TOLERANCE, cast=float)
-    flights, diagnostics = _read_flights(in_path)
-    retained, report = run_pipeline(flights, sum_tolerance=tolerance)
-    write_csv(retained, out)
+    timings = {}
+    with _timed(timings, "read_s"):
+        flights, diagnostics = _read_flights(in_path)
+    with _timed(timings, "prune_s"):
+        retained, report = run_pipeline(flights, sum_tolerance=tolerance)
+    with _timed(timings, "write_s"):
+        write_csv(retained, out)
     Path(report_path).write_text(
         json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -246,7 +261,7 @@ def cmd_preprocess(args) -> int:
                     inputs=[in_path], outputs=[out, report_path],
                     started=started, rows_in=report.input_count,
                     diagnostics=len(diagnostics), rows_out=rows_out,
-                    peak_rss_mb=_peak_rss_mb())
+                    peak_rss_mb=_peak_rss_mb(), timings=timings)
     sys.stdout.write(report.to_text())
     return 0
 

@@ -1,4 +1,4 @@
-"""On-time flight records as columns: hhmm clock handling, CSV ingest/emit.
+r"""On-time flight records as columns: hhmm clock handling, CSV ingest/emit.
 
 Records mirror the public BTS on-time performance export (32 columns). A set
 of flights is one `Flights` value holding one numpy array per field, after
@@ -19,11 +19,47 @@ A cell is blank when it is empty or "NA" after stripping whitespace.
 `Flights` refuses a non-text value outside its kind's domain and keeps its
 arrays read-only, so every value it holds is one a CSV cell can carry.
 
+The reader takes RFC 4180 CSV in UTF-8. A record ends in "\n" or "\r\n"
+(the last one may lack it). A field is either unquoted, holding no '"',
+",", "\r" or "\n", or quoted: '"' at its first byte opens it, a '"'
+directly before "," or the record end closes it, and a '"' inside it is
+doubled. A blank line is a record with no cells: it counts in the row
+numbers of diagnostics and is skipped. Any other shape is a
+`SchemaError("malformed CSV at line N: ...")`, N counting line feeds from
+1 (header included) up to the offending byte:
+
+- a '"' not at a field's first byte: "quote inside an unquoted field";
+- a closing '"' followed by anything but ",", a record end or a second
+  '"': "quoted field not followed by a comma or a line end";
+- a quote still open at the end of the input: "quoted field not closed at
+  end of data";
+- "\r" outside quotes not directly before "\n": "new-line character
+  '\r' not followed by '\n'";
+- a field over 131072 bytes (csv's default limit), quotes included:
+  "field larger than field limit (131072)";
+- bytes that are not UTF-8: "invalid UTF-8 (<reason>)".
+
+The reader tokenizes the bytes, not Python strings: it reads BLOCK_BYTES at
+a time, finds every '"', ",", "\r" and "\n" in one array operation, keeps
+the separators outside quotes by the parity of the quote count before them
+(the structural masks of Langdale & Lemire, "Parsing Gigabytes of JSON per
+Second", VLDB J. 2019), and cuts the block after its last record end, the
+rest carried into the next block. Cells then decode CHUNK_ROWS records at a
+time, one column at a time:
+
+- plain numbers (-?digits, -?digits.digits) and hhmm clocks straight from
+  the bytes, as an exact mantissa over an exact power of ten, which IEEE
+  division rounds correctly (Clinger's fast path, PLDI 1990), so a value is
+  bit-equal to `float(cell)`;
+- dates once per distinct value, text once per distinct value: unquoted,
+  decoded and stripped;
+- every other cell (padded, signed with "+", with an exponent, "NA", bad)
+  as a string through the vectorized decoder of its kind, and the cells
+  that step rejects through the scalar decoders, which word every
+  diagnostic.
+
 Ingest is strict per cell: a bad cell skips the whole row and leaves a
-diagnostic, never a silently-coerced value. The reader takes CHUNK_ROWS rows
-at a time and decodes each column of a chunk in one vectorized step; only
-the cells that step rejects go through the scalar decoders, which word every
-diagnostic.
+diagnostic, never a silently-coerced value.
 
 The writer encodes by dictionary, as Arrow and Parquet do: per CHUNK_ROWS
 rows, each column's distinct values are formatted once and every cell is
@@ -34,7 +70,6 @@ holds `,`, `"`, a line feed or a carriage return; no other cell is quoted.
 from __future__ import annotations
 
 import contextlib
-import csv
 import datetime as dt
 import io
 import itertools
@@ -45,10 +80,16 @@ from pathlib import Path
 
 import numpy as np
 from numpy.dtypes import StringDType
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Rows decoded per vectorized step; bounds the reader's and writer's
 # transient memory independently of the file's length.
 CHUNK_ROWS = 8192
+# Bytes the reader takes from its source at a time.
+BLOCK_BYTES = 1 << 20
+# csv's default field_size_limit, counted in bytes; it also bounds the part
+# of a block carried into the next.
+FIELD_LIMIT = 131072
 
 _TEXT = StringDType()
 
@@ -152,7 +193,7 @@ def _encode_number(v) -> str:
 
 
 # Column kinds: how a cell decodes and how its column is stored.
-_DECODERS = {"date": _decode_day, "text": str, "int": _decode_int,
+_DECODERS = {"date": _decode_day, "int": _decode_int,
              "flag": _decode_flag, "hhmm": parse_hhmm, "number": _decode_float,
              "component": _decode_component}
 _DTYPES = {"date": np.int64, "text": _TEXT, "flag": np.int8, "int": np.float64,
@@ -277,17 +318,13 @@ class Flights:
 
 
 def _decode_column(kind: str, cells: np.ndarray, blank: np.ndarray):
-    """Decode one column of a chunk: (values, failed).
+    """Decode the cells of a non-text column the byte path left: (values, failed).
 
     `cells` are stripped strings; `failed` marks the non-blank cells the
     vectorized step rejected, whose values are left blank.
     """
     present = ~blank
     failed = np.zeros(len(cells), dtype=bool)
-    if kind == "text":
-        values = cells.copy()
-        values[blank] = ""
-        return values, failed
     given = cells[present]
     if kind == "date":
         # few distinct dates per chunk: the scalar decoder runs once per value
@@ -324,42 +361,196 @@ def _decode_column(kind: str, cells: np.ndarray, blank: np.ndarray):
     return values, failed
 
 
-def _decode_chunk(block, first_row: int, width: int, fields, diagnostics) -> dict:
-    """Decode csv rows numbered from `first_row`; returns the good rows' columns.
+_POW10 = 10.0 ** np.arange(23)  # every power of ten up to 1e22 is an exact double
+_NUMBER_BYTES = 24  # longer number cells take the string path
+_TEXT_BYTES = 64    # longer text cells are decoded one by one
+_PADDING = b"\n" + bytes(_TEXT_BYTES)  # after the data: a line end, then room to gather
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it loses no bits
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD
+_DATE_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
 
-    Appends the chunk's diagnostics in (row, header column) order.
+
+def _cell_text(data: np.ndarray, start: int, end: int) -> str:
+    """The cell data[start:end] as text: unquoted, its doubled quotes undone."""
+    raw = data[start:end].tobytes()
+    if raw[:1] == b'"':
+        raw = raw[1:-1].replace(b'""', b'"')
+    return raw.decode("utf-8")
+
+
+def _plain_numbers(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Cells of the form -?digits or -?digits.digits, parsed from their bytes.
+
+    Returns (values, plain, integral). `plain` marks the cells of that form
+    of at most _NUMBER_BYTES bytes whose digits, read as one integer, stay
+    below 2**53, with at most 22 after the point. That integer and the power
+    of ten are then exact doubles and their quotient is correctly rounded,
+    so each plain value is bit-equal to float(cell); "-0" is -0.0.
+    `integral` marks the plain cells made of digits alone.
     """
-    rows, row_nos, found = [], [], []
-    for row_no, row in enumerate(block, start=first_row):
-        if not row:
-            continue
-        if len(row) != width:
-            found.append((row_no, -1, "*", f"expected {width} cells, got {len(row)}"))
-        else:
-            rows.append(row)
-            row_nos.append(row_no)
-    cells = np.strings.strip(np.array(rows, dtype=_TEXT).reshape(len(rows), width))
-    blank = (cells == "") | (cells == "NA")
+    length = ends - starts
+    width = max(1, min(int(length.max(initial=0)), _NUMBER_BYTES))
+    at = np.arange(width)[:, None]
+    raw = data.take(starts + at)  # raw[j]: byte j of every cell
+    inside = at < length
+    digit = raw - ord("0")  # uint8: bytes below "0" wrap past 9
+    is_digit = (digit <= 9) & inside
+    is_dot = (raw == ord(".")) & inside
+    neg = (raw[0] == ord("-")) & (length > 0)
+    n_digits = is_digit.sum(axis=0)
+    n_dots = frac = 0  # digits after the point
+    if is_dot.any():
+        n_dots = is_dot.sum(axis=0)
+        frac = np.where(n_dots > 0, length - 1 - (is_dot * at).sum(axis=0), 0)
+    mantissa = np.zeros(len(starts), dtype=np.int64)
+    for j in range(width):
+        mantissa = np.where(is_digit[j], mantissa * 10 + digit[j], mantissa)
+    plain = ((n_digits + n_dots + neg == length) & (n_dots <= 1) & (n_digits > frac)
+             & (frac >= n_dots) & (frac <= 22) & (n_digits <= 18) & (mantissa < 2 ** 53))
+    values = mantissa / _POW10[np.minimum(frac, 22)]
+    np.negative(values, out=values, where=neg)
+    return values, plain, plain & (n_dots == 0) & ~neg
+
+
+def _number_cells(kind: str, data, starts, ends):
+    """A number, int, component, flag or hhmm column: (values, blank, rest).
+
+    Plain cells in the kind's domain are decoded here; `rest` lists the
+    other non-empty cells, left to the string path with their values NaN.
+    """
+    length = ends - starts
+    values, plain, integral = _plain_numbers(data, starts, ends)
+    if kind == "hhmm":
+        hh, mm = np.divmod(values, 100)
+        ok = (integral & (length >= 3) & (length <= 4)
+              & (((hh <= 23) & (mm <= 59)) | (values == 2400)))
+        values = hh * 60 + mm
+    else:
+        ok = plain & _NUMBER_OK[kind](values)
+    blank = length == 0
+    return np.where(ok, values, np.nan), blank, np.flatnonzero(~ok & ~blank)
+
+
+def _day_or_zero(raw: str) -> int:
+    try:
+        return _decode_day(raw)
+    except ValueError:
+        return 0
+
+
+def _date_cells(data, starts, ends):
+    """A date column: (values, blank, rest); each distinct date is decoded once.
+
+    Cells shaped dddd-dd-dd are keyed by their digits; `rest` lists the
+    other non-empty cells and those `_decode_day` refuses, their values 0.
+    """
+    length = ends - starts
+    values = np.zeros(len(starts), dtype=np.int64)
+    ten = np.flatnonzero(length == 10)
+    raw = sliding_window_view(data, 10)[starts[ten]]
+    digits = raw[:, _DATE_DIGITS] - ord("0")
+    iso = (digits <= 9).all(axis=1) & (raw[:, 4] == ord("-")) & (raw[:, 7] == ord("-"))
+    keys = np.where(iso, digits.astype(np.int64) @ _DATE_WEIGHTS, -1)
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    shaped = distinct >= 0
+    text = raw[first[shaped]].tobytes().decode("ascii")
+    days = np.zeros(len(distinct), dtype=np.int64)
+    days[shaped] = [_day_or_zero(text[i:i + 10]) for i in range(0, len(text), 10)]
+    values[ten] = days[inverse]
+    blank = length == 0
+    return values, blank, np.flatnonzero((values == 0) & ~blank)
+
+
+def _text_cells(data, starts, ends):
+    """A text column as (dictionary, codes, blank): cell i is dictionary[codes[i]].
+
+    Cells of up to _TEXT_BYTES bytes are grouped by a hash of their bytes
+    and length, and each checked against its group's first. Each group, and
+    each cell left alone (a longer one or, should two values share a hash,
+    one unlike its group's first), is unquoted, decoded and stripped once.
+    """
+    length = ends - starts
+    n_words = max(1, -(-min(int(length.max(initial=0)), _TEXT_BYTES) // 8))
+    short = np.flatnonzero(length <= 8 * n_words)
+    words = sliding_window_view(data, 8 * n_words)[starts[short]].view("<u8")
+    words &= _KEEP[np.clip(length[short, None] - 8 * np.arange(n_words), 0, 8)]
+    key = length[short].astype(np.uint64)
+    for j in range(n_words):
+        key = (key ^ words[:, j]) * _MIX
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(len(distinct), dtype=np.intp)  # one cell of each group
+    first[inverse] = np.arange(len(key))
+    grouped = np.zeros(len(starts), dtype=bool)
+    grouped[short] = ((words == words[first][inverse]).all(axis=1)
+                      & (length[short] == length[short][first][inverse]))
+    alone = np.flatnonzero(~grouped)
+    codes = np.empty(len(starts), dtype=np.intp)
+    codes[short] = inverse
+    codes[alone] = len(first) + np.arange(len(alone))
+    at = np.concatenate((short[first], alone)).tolist()
+    dictionary = np.strings.strip(np.array(
+        [_cell_text(data, starts[i], ends[i]) for i in at], dtype=_TEXT))
+    blank = (dictionary == "") | (dictionary == "NA")
+    dictionary[blank] = ""
+    # taking str objects and packing them once beats taking StringDType cells
+    return dictionary.astype(object), codes, blank[codes]
+
+
+def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields,
+                  diagnostics) -> dict:
+    """Decode records numbered from `first_row`; returns the good rows' columns.
+
+    `counts` holds each record's field count, `starts` and `ends` each
+    field's span in `data`. Appends the chunk's diagnostics in (row, header
+    column) order.
+    """
+    firsts = np.cumsum(counts) - counts
+    empty = (counts == 1) & (starts[firsts] == ends[firsts])  # a blank line
+    found = [(first_row + r, -1, "*", f"expected {width} cells, got {counts[r]}")
+             for r in np.flatnonzero((counts != width) & ~empty).tolist()]
+    rows = np.flatnonzero((counts == width) & ~empty)
+    row_nos = (first_row + rows).tolist()
+    if len(rows) == len(counts):  # the spans form a grid: one copy puts columns in rows
+        starts, ends = starts.reshape(-1, width).T.copy(), ends.reshape(-1, width).T.copy()
+    else:
+        field = firsts[rows] + np.arange(width)[:, None]
+        starts, ends = starts[field], ends[field]
     bad = np.zeros(len(rows), dtype=bool)
-    columns = {}
+    columns, dictionaries = {}, {}
     for field_name, idx in fields:
         col, required, kind = _FIELD_INFO[field_name]
-        values, failed = _decode_column(kind, cells[:, idx], blank[:, idx])
+        s, e = starts[idx], ends[idx]
+        rest = ()
+        if kind == "text":  # values are codes into the dictionary
+            dictionaries[field_name], values, blank = _text_cells(data, s, e)
+        elif kind == "date":
+            values, blank, rest = _date_cells(data, s, e)
+        else:
+            values, blank, rest = _number_cells(kind, data, s, e)
+        if len(rest):
+            cells = np.strings.strip(np.array(
+                [_cell_text(data, *span) for span in zip(s[rest].tolist(), e[rest].tolist())],
+                dtype=_TEXT))
+            blank[rest] = rest_blank = (cells == "") | (cells == "NA")
+            values[rest], failed = _decode_column(kind, cells, rest_blank)
+            decode = _DECODERS[kind]
+            for i in np.flatnonzero(failed).tolist():
+                try:
+                    values[rest[i]] = decode(str(cells[i]))
+                except ValueError as exc:
+                    found.append((row_nos[rest[i]], idx, col, str(exc)))
+                    bad[rest[i]] = True
         if required:
-            for i in np.flatnonzero(blank[:, idx]):
+            for i in np.flatnonzero(blank).tolist():
                 found.append((row_nos[i], idx, col, "required cell is blank"))
-            bad |= blank[:, idx]
-        decode = _DECODERS[kind]
-        for i in np.flatnonzero(failed):
-            try:
-                values[i] = decode(str(cells[i, idx]))
-            except ValueError as exc:
-                found.append((row_nos[i], idx, col, str(exc)))
-                bad[i] = True
+            bad |= blank
         columns[field_name] = values
     found.sort(key=lambda d: d[:2])
     diagnostics.extend(CellDiagnostic(row_no, col, msg) for row_no, _, col, msg in found)
-    return {name: values[~bad] for name, values in columns.items()}
+    keep = ~bad if bad.any() else slice(None)
+    return {name: dictionaries[name][values[keep]].astype(_TEXT) if name in dictionaries
+            else values[keep] for name, values in columns.items()}
 
 
 # datetime64[D] counts days from 1970-01-01
@@ -395,56 +586,148 @@ def _format_distinct(kind: str, distinct: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _text_stream(source, mode: str):
-    """`source` (a path, or a text or byte stream) as a text stream.
+def _text_sink(sink):
+    """`sink` (a path, or a text or byte stream) as a text stream.
 
-    Closes only the file it opens: a caller's stream is flushed after
-    writing and left open, a byte stream's wrapper detached from it.
+    Closes only the file it opens: a caller's stream is flushed and left
+    open, a byte stream's wrapper detached from it.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, mode + "t", encoding="utf-8", newline="") as stream:
+    if isinstance(sink, (str, Path)):
+        with open(sink, "wt", encoding="utf-8", newline="") as stream:
             yield stream
         return
-    if isinstance(source, io.TextIOBase):
-        stream = source
-    else:
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    stream = sink if isinstance(sink, io.TextIOBase) else \
+        io.TextIOWrapper(sink, encoding="utf-8", newline="")
     try:
         yield stream
     finally:
-        if stream is not source:
-            stream.detach()  # flushes; collecting the wrapper would close source
-        elif mode == "w":
+        if stream is sink:
             stream.flush()
+        else:
+            stream.detach()  # flushes; collecting the wrapper would close sink
 
 
-def _csv_rows(stream):
-    """csv.reader's rows; a malformed CSV is a SchemaError naming its line."""
-    reader = csv.reader(stream)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise SchemaError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+_QUOTE, _COMMA, _CR, _LF = b'",\r\n'
+
+
+def _tokenize(buf: np.ndarray, size: int, line: int, final: bool):
+    """Split the whole records at the front of buf[:size] into fields.
+
+    buf[:size] starts at a record start on line `line`, and `_PADDING`
+    follows it. `final` says no more data follows; a last record without a
+    line end is then taken whole. Returns (used, starts, ends, counts,
+    lines): the byte count of the whole records, each of their fields'
+    [start, end) span (quotes kept, the "\\r" of a "\\r\\n" left out), each
+    record's field count and the line feeds they hold. A malformed shape
+    among them, or an unfinished field over FIELD_LIMIT bytes, is a
+    SchemaError naming its line.
+    """
+    end = size + 1 if final and size and buf[size - 1] != _LF else size
+    data = buf[:end]
+    special = np.flatnonzero((data == _QUOTE) | (data == _COMMA) | (data == _LF) | (data == _CR))
+    kind = buf[special]
+    quote = kind == _QUOTE
+    quotes_to = np.cumsum(quote, dtype=np.uint8)  # wraps at 256, which keeps the parity
+    outside = (quotes_to - quote) % 2 == 0  # an even count of quotes before it
+    sep = outside & ((kind == _COMMA) | (kind == _LF))
+    seps, is_lf = special[sep], kind[sep] == _LF
+    record_ends = np.flatnonzero(is_lf)
+    n = record_ends[-1] + 1 if len(record_ends) else 0
+    used = int(seps[n - 1]) + 1 if n else 0
+    # (byte offset, what): the first in the data is raised. A quote or "\r"
+    # is judged once the bytes after it are in.
+    errors = []
+    too_long = f"field larger than field limit ({FIELD_LIMIT})"
+    open_at = int(seps[-1]) + 1 if len(seps) else 0
+    if end - open_at > FIELD_LIMIT:
+        errors.append((open_at, too_long))
+    quotes = special[quote]
+    opens, closes = quotes[0::2], quotes[1::2]
+    if final and len(quotes) % 2:  # one past the quote: a misplaced one is named first
+        errors.append((quotes[-1] + 1, "quoted field not closed at end of data"))
+    before = buf[opens - 1]
+    errors += [(at, "quote inside an unquoted field") for at in opens[
+        (opens > 0) & (before != _COMMA) & (before != _LF) & (before != _QUOTE)][:1]]
+    after = buf[closes + 1]
+    errors += [(at, "quoted field not followed by a comma or a line end") for at in closes[
+        (after != _COMMA) & (after != _LF) & (after != _QUOTE)
+        & ((after != _CR) | (buf[closes + 2] != _LF)) & (final | (closes + 2 < size))][:1]]
+    crs = special[outside & (kind == _CR)]
+    crlf = (buf[crs + 1] == _LF) & (crs + 1 < size)
+    errors += [(at, "new-line character '\\r' not followed by '\\n'")
+               for at in crs[~crlf & (final | (crs + 1 < size))][:1]]
+    seps, is_lf = seps[:n], is_lf[:n]
+    starts = np.empty_like(seps)
+    starts[:1] = 0
+    np.add(seps[:-1], 1, out=starts[1:])
+    ends = seps.copy()
+    ends[np.searchsorted(seps, crs[crlf & (crs < used)] + 1)] -= 1
+    errors += [(at, too_long) for at in starts[ends - starts > FIELD_LIMIT][:1]]
+    if errors:
+        at, what = min(errors)
+        raise SchemaError(f"malformed CSV at line {line + np.count_nonzero(data[:at] == _LF)}: "
+                          f"{what}")
+    lines = int(np.count_nonzero(kind[:np.searchsorted(special, used)] == _LF))
+    counts = np.diff(record_ends, prepend=-1)
+    # at the end, the last line end may be the padding's
+    return min(used, size), starts, ends, counts, lines
+
+
+def _record_chunks(stream):
+    """Tokenized records of a byte or text stream, at most CHUNK_ROWS at a time.
+
+    Reads BLOCK_BYTES at a time (text is encoded to UTF-8). Yields (data,
+    starts, ends, counts) as `_tokenize` gives them, `data` holding the
+    block's bytes.
+    """
+    rest, line, final = b"", 1, False
+    while not final:
+        block = stream.read(BLOCK_BYTES)
+        if isinstance(block, str):
+            block = block.encode("utf-8")
+        final = not block
+        data = rest + block
+        if not final and b"\n" not in block and len(data) <= FIELD_LIMIT:
+            rest = data  # no record ends in this block
+            continue
+        buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+        used, starts, ends, counts, lines = _tokenize(buf, len(data), line, final)
+        try:
+            str(memoryview(data)[:used], "utf-8")  # only to check the bytes
+        except UnicodeDecodeError as exc:
+            line += data.count(b"\n", 0, exc.start)
+            raise SchemaError(
+                f"malformed CSV at line {line}: invalid UTF-8 ({exc.reason})") from None
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        for i in range(0, len(counts), CHUNK_ROWS):
+            j = min(i + CHUNK_ROWS, len(counts))
+            yield buf, starts[bounds[i]:bounds[j]], ends[bounds[i]:bounds[j]], counts[i:j]
+        rest, line = data[used:], line + lines
 
 
 def read_csv(source):
     """Parse a BTS-style CSV into columns.
 
-    `source` is a path or an open byte/text stream; content must be UTF-8
-    with the standard export header row, columns in any order; unknown
-    columns are ignored. Missing required columns, or text the csv module
-    cannot split into rows, raise SchemaError; a row with more or fewer
-    cells than the header, or any bad cell, skips its row and records a
-    CellDiagnostic. Rows are read and decoded CHUNK_ROWS at a time. Returns
-    (flights, diagnostics), the diagnostics ordered by row, then by header
-    column.
+    `source` is a path or an open byte/text stream, whose text must be
+    RFC 4180 CSV in UTF-8, records ending in "\\n" or "\\r\\n", with the
+    standard export header row first; columns come in any order and
+    unknown ones are ignored. A malformed CSV (each shape and its message
+    are listed in the module docstring) or a missing required column raises
+    SchemaError. A row with more or fewer cells than the header, or any bad
+    cell, skips its row and records a CellDiagnostic; a blank line is
+    skipped but counts in the row numbers. Records are decoded CHUNK_ROWS at
+    a time. Returns (flights, diagnostics), the diagnostics ordered by row,
+    then by header column.
     """
-    with _text_stream(source, "r") as stream:
-        reader = _csv_rows(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: header row required") from None
+    with open(source, "rb") if isinstance(source, (str, Path)) else \
+            contextlib.nullcontext(source) as stream:
+        chunks = _record_chunks(stream)
+        data, starts, ends, counts = next(chunks, (None,) * 4)
+        if data is None:
+            raise SchemaError("empty input: header row required")
+        width = int(counts[0])
+        header = [_cell_text(data, *span) for span in zip(starts[:width].tolist(),
+                                                          ends[:width].tolist())]
         col_to_idx: dict[str, int] = {}
         for idx, col in enumerate(header):
             field_name = _HEADER_MAP.get(col)
@@ -459,11 +742,13 @@ def read_csv(source):
         parts = {name: [np.empty(0, _DTYPES[_FIELD_INFO[name][2]])] for name in col_to_idx}
         diagnostics: list[CellDiagnostic] = []
         first_row = 1
-        while block := list(itertools.islice(reader, CHUNK_ROWS)):
-            chunk = _decode_chunk(block, first_row, len(header), fields, diagnostics)
+        rest = (data, starts[width:], ends[width:], counts[1:])
+        for data, starts, ends, counts in itertools.chain([rest], chunks):
+            chunk = _decode_chunk(data, starts, ends, counts, first_row, width, fields,
+                                  diagnostics)
             for name, values in chunk.items():
                 parts[name].append(values)
-            first_row += len(block)
+            first_row += len(counts)
         columns = {name: np.concatenate(parts.pop(name)) for name in col_to_idx}
         n = len(columns["fl_date"])
         for name, (_, _, kind) in _FIELD_INFO.items():
@@ -479,7 +764,7 @@ def write_csv(flights: Flights, sink) -> int:
     round-trip: read_csv(write_csv(flights)) reproduces the columns, except
     that text reads back stripped of surrounding whitespace and "NA" blank.
     """
-    with _text_stream(sink, "w") as stream:
+    with _text_sink(sink) as stream:
         stream.write(",".join(BTS_COLUMNS) + "\n")
         for start in range(0, len(flights), CHUNK_ROWS):
             cells = []

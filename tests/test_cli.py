@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from delaycast.cli import main
@@ -236,6 +235,19 @@ class TestManifests:
         assert want["outlier"] == report["retained_count"]
         assert manifest["peak_rss_mb"] > 0
 
+    def test_preprocess_manifest_times_each_phase(self, tmp_path):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 2, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"read_s", "prune_s", "write_s"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        # timings go in the manifest only, never in a byte-gated output
+        assert "read_s" not in pruned.read_text()
+        assert "read_s" not in (tmp_path / "p.csv.report.json").read_text()
+
     def test_synth_manifest_counts_labels_fences_and_memory(self, tmp_path):
         flights = tmp_path / "f.csv"
         assert run(["synth", "--count", 400, "--seed", 3, "--cancelled-rate", 0.05,
@@ -271,4 +283,16 @@ class TestManifests:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed CSV at line ")
         assert "field larger than field limit" in err
+        assert err.count("\n") == 1
+
+    def test_invalid_utf8_is_single_line_error(self, tmp_path, capsys):
+        flights = tmp_path / "flights.csv"
+        assert run(["synth", "--count", 200, "--seed", 1, "--out", flights]) == 0
+        lines = flights.read_bytes().split(b"\n")
+        lines[150] = lines[150].replace(b"Metro", b"M\xffetro", 1)
+        flights.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run(["preprocess", "--in", flights, "--out", tmp_path / "p.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV at line 151: invalid UTF-8 ")
         assert err.count("\n") == 1

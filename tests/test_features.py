@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delaycast.features import (
-    CONTINUOUS_FEATURES, FEATURE_NAMES, FeatureTable, LabelCodebook,
+    CONTINUOUS_FEATURES, FEATURE_NAMES, FeatureTable,
     build_table, chronological_split, expand_date, fit_codebook,
     fit_standardizer, positive_variance_columns,
 )

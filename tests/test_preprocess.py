@@ -1,4 +1,3 @@
-import datetime as dt
 import math
 
 import numpy as np

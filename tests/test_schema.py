@@ -627,3 +627,178 @@ def test_many_row_round_trip(round_trip_path, table_rows):
     back, diags = read_csv(buf)
     assert diags == []
     assert_same_rows(back, table)
+
+
+# --- the byte tokenizer against csv.reader ------------------------------------------------
+
+# RFC 4180 with "\n" or "\r\n" record ends; the last record may lack one
+_RFC_FIELD = r'(?:[^",\r\n]*|"(?:[^"]|"")*")'
+_RFC_RECORD = f"{_RFC_FIELD}(?:,{_RFC_FIELD})*"
+_RFC_4180 = re.compile(f"(?:{_RFC_RECORD}\r?\n)*{_RFC_RECORD}")
+_PIECES = ["a", " ", ",", '"', "é", "\n", "\r\n", "\r"]
+_SMALL_HEADER = "FL_DATE,AIRLINE,ORIGIN,DEST,CANCELLED,DIVERTED\n"
+
+
+def _tokenized_rows(data: bytes) -> list:
+    """The records the tokenizer finds in `data`, listed as csv.reader lists them."""
+    rows = []
+    for buf, starts, ends, counts in schema._record_chunks(io.BytesIO(data)):
+        spans = iter(zip(starts.tolist(), ends.tolist()))
+        for count in counts.tolist():
+            cells = [next(spans) for _ in range(count)]
+            blank = count == 1 and cells[0][0] == cells[0][1]
+            rows.append([] if blank else [schema._cell_text(buf, *span) for span in cells])
+    return rows
+
+
+_UNQUOTED = st.text("a é", max_size=3)
+_QUOTED = st.text("a é,\"\n\r", max_size=4).map(lambda v: '"' + v.replace('"', '""') + '"')
+_RFC_TEXT = st.builds(
+    lambda records, ends, last: "".join(map("".join, zip(records, ends))) + last,
+    st.lists(st.lists(_UNQUOTED | _QUOTED, min_size=1, max_size=3).map(",".join), max_size=4),
+    st.lists(st.sampled_from(["\n", "\r\n"]), min_size=4, max_size=4),
+    st.sampled_from(["", "a", '""']))
+_ANY_TEXT = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
+
+
+@given(_RFC_TEXT | _ANY_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_csv_reader_or_names_a_line(text):
+    if _RFC_4180.fullmatch(text):
+        want = list(csv.reader(io.StringIO(text, newline="")))
+        assert _tokenized_rows(text.encode()) == want
+    else:
+        with pytest.raises(SchemaError, match=r"^malformed CSV at line \d+: ") as caught:
+            read_csv(io.BytesIO((_SMALL_HEADER + text).encode()))
+        line = int(re.match(r"malformed CSV at line (\d+)", str(caught.value))[1])
+        assert 2 <= line <= 2 + text.count("\n")
+
+
+_MALFORMED = [
+    ('2021-01-01,"U"A,ORD,SFO,0,0\n', 2, "quoted field not followed by a comma or a line end"),
+    ('2021-01-01,U"A,ORD,SFO,0,0\n', 2, "quote inside an unquoted field"),
+    ('2021-01-01, "UA",ORD,SFO,0,0\n', 2, "quote inside an unquoted field"),
+    ('2021-01-01,UA,ORD,SFO,0,0\n2021-01-01,"UA,ORD,SFO,0,0\n', 3,
+     "quoted field not closed at end of data"),
+    ('2021-01-01,U\rA,ORD,SFO,0,0\n', 2, "new-line character '\\r' not followed by '\\n'"),
+    ("2021-01-01,UA,ORD,SFO,0,0\r", 2, "new-line character '\\r' not followed by '\\n'"),
+    ("2021-01-01,UA,ORD,SFO,0,0\r2021-01-02,UA,ORD,SFO,0,0\n", 2,
+     "new-line character '\\r' not followed by '\\n'"),
+    ('2021-01-01,"U\nA",ORD,SFO,0,0\n\n2021-01-01,UA",ORD,SFO,0,0\n', 5,
+     "quote inside an unquoted field"),
+    ("2021-01-01,UA,ORD,SFO,0,0\n2021-01-01,U\xff", 3, "invalid UTF-8 (invalid start byte)"),
+]
+
+
+def _sources(text, tmp_path):
+    """The same content as a byte stream, a text stream and a path."""
+    data = text.encode("utf-8", "surrogateescape")
+    path = tmp_path / "malformed.csv"
+    path.write_bytes(data)
+    sources = [io.BytesIO(data), path]
+    if data.decode("utf-8", "replace") == text:
+        sources.append(io.StringIO(text, newline=""))
+    return sources
+
+
+@pytest.mark.parametrize("block", [schema.BLOCK_BYTES, 5])
+@pytest.mark.parametrize("body,line,what", _MALFORMED)
+def test_malformed_shape_names_its_line_from_any_source(monkeypatch, tmp_path, block,
+                                                        body, line, what):
+    monkeypatch.setattr(schema, "BLOCK_BYTES", block)
+    body = body.replace("\xff", "\udcff")  # one raw 0xff byte
+    for source in _sources(_SMALL_HEADER + body, tmp_path):
+        with pytest.raises(SchemaError, match=f"^malformed CSV at line {line}: {re.escape(what)}$"):
+            read_csv(source)
+
+
+@pytest.mark.parametrize("block", [schema.BLOCK_BYTES, 4096])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_field_limit_is_csvs(monkeypatch, block, quoted):
+    monkeypatch.setattr(schema, "BLOCK_BYTES", block)
+    limit = schema.FIELD_LIMIT
+    for size, ok in ((limit, True), (limit + 1, False)):
+        cell = '"' + "x" * (size - 2) + '"' if quoted else "x" * size
+        text = f"{_SMALL_HEADER}2021-01-01,UA,ORD,SFO,0,0\n2021-01-01,{cell},ORD,SFO,0,0\n"
+        if ok:
+            table, diags = read_csv(io.BytesIO(text.encode()))
+            assert diags == [] and len(table) == 2
+        else:
+            with pytest.raises(SchemaError, match=r"^malformed CSV at line 3: field larger "
+                                                  r"than field limit \(131072\)$"):
+                read_csv(io.BytesIO(text.encode()))
+
+
+def _seam_csv() -> bytes:
+    """CRLF records with quoted line feeds, multi-byte text, blank lines and faults."""
+    records = [make_record(fl_number=i, airline="Société " * (i % 3) + "Air",
+                           origin_city=["a\nb", "café, FR", "plain", 'say "hi"'][i % 4],
+                           dest_city="é\r\né" if i % 5 == 0 else "Zürich")
+               for i in range(40)]
+    buf = io.StringIO()
+    write_csv(flights(records), buf)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    for i, row in enumerate(csv.reader(io.StringIO(buf.getvalue(), newline=""))):
+        if i % 7 == 3:
+            row[20] = "2"  # CANCELLED
+        writer.writerow(row[:-1] if i % 11 == 5 else row)
+        if i % 3 == 1:
+            out.write("\r\n" if i % 2 else "\n")
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_seams_do_not_move_records(monkeypatch, block):
+    data = _seam_csv()
+    whole, whole_diags = read_csv(io.BytesIO(data))
+    assert len(whole) > 20 and len(whole_diags) > 4
+    assert "a\nb" in whole.origin_city.tolist() and "é\r\né" in whole.dest_city.tolist()
+    monkeypatch.setattr(schema, "BLOCK_BYTES", block)
+    for source in (io.BytesIO(data), io.StringIO(data.decode(), newline="")):
+        table, diags = read_csv(source)
+        assert diags == whole_diags
+        assert_same_rows(table, whole)
+
+
+def test_crlf_copy_reads_as_the_lf_original():
+    data = _messy_csv(300)
+    assert b"\r" not in data
+    table, diags = read_csv(io.BytesIO(data))
+    crlf, crlf_diags = read_csv(io.BytesIO(data.replace(b"\n", b"\r\n")))
+    assert crlf_diags == diags
+    assert_same_rows(crlf, table)
+
+
+@pytest.mark.parametrize("block", [1, 7, schema.BLOCK_BYTES])
+def test_invalid_utf8_names_its_line_across_seams(monkeypatch, block):
+    data = _messy_csv(40)
+    at = data.index("Chicago".encode())
+    data = data[:at] + "é".encode()[:1] + data[at:]  # a lead byte without its tail
+    line = data[:at].count(b"\n") + 1
+    monkeypatch.setattr(schema, "BLOCK_BYTES", block)
+    with pytest.raises(SchemaError, match=f"^malformed CSV at line {line}: invalid UTF-8 "):
+        read_csv(io.BytesIO(data))
+
+
+def test_hash_collisions_fall_back_to_cell_by_cell(monkeypatch):
+    data = _messy_csv(300) + _seam_csv().split(b"\r\n", 1)[1].replace(b"\r\n", b"\n")
+    table, diags = read_csv(io.BytesIO(data))
+    monkeypatch.setattr(schema, "_MIX", np.uint64(0))  # every text cell hashes alike
+    collided, collided_diags = read_csv(io.BytesIO(data))
+    assert collided_diags == diags
+    assert_same_rows(collided, table)
+
+
+@given(st.from_regex(r"-?[0-9]{1,19}(\.[0-9]{1,24})?", fullmatch=True))
+@settings(max_examples=400, deadline=None)
+def test_plain_numbers_are_bit_equal_to_float(cell):
+    buf = np.frombuffer(cell.encode() + schema._PADDING, dtype=np.uint8)
+    values, plain, integral = schema._plain_numbers(buf, np.array([0]), np.array([len(cell)]))
+    digits = sum(c.isdigit() for c in cell)
+    fraction = len(cell.partition(".")[2])
+    if digits <= 15 and fraction <= 22:
+        assert plain[0]
+    if plain[0]:
+        assert values[0].tobytes() == np.float64(float(cell)).tobytes()
+        assert integral[0] == ("." not in cell and "-" not in cell)

@@ -26,7 +26,8 @@ directly before "," or the record end closes it, and a '"' inside it is
 doubled. A blank line is a record with no cells: it counts in the row
 numbers of diagnostics and is skipped. Any other shape is a
 `SchemaError("malformed CSV at line N: ...")`, N counting line feeds from
-1 (header included) up to the offending byte:
+1 (header included) up to the offending byte of the first fault, however
+the read blocks split the input:
 
 - a '"' not at a field's first byte: "quote inside an unquoted field";
 - a closing '"' followed by anything but ",", a record end or a second
@@ -54,8 +55,7 @@ time, one column at a time:
 - dates once per distinct value, text once per distinct value: unquoted,
   decoded and stripped;
 - every other cell (padded, signed with "+", with an exponent, "NA", bad)
-  as a string through the vectorized decoder of its kind, and the cells
-  that step rejects through the scalar decoders, which word every
+  stripped, then through the scalar decoder of its kind, which words every
   diagnostic.
 
 Ingest is strict per cell: a bad cell skips the whole row and leaves a
@@ -317,58 +317,12 @@ class Flights:
 # --- vectorized decoding/encoding --------------------------------------------------------
 
 
-def _decode_column(kind: str, cells: np.ndarray, blank: np.ndarray):
-    """Decode the cells of a non-text column the byte path left: (values, failed).
-
-    `cells` are stripped strings; `failed` marks the non-blank cells the
-    vectorized step rejected, whose values are left blank.
-    """
-    present = ~blank
-    failed = np.zeros(len(cells), dtype=bool)
-    given = cells[present]
-    if kind == "date":
-        # few distinct dates per chunk: the scalar decoder runs once per value
-        values = np.zeros(len(cells), dtype=np.int64)
-        distinct, inverse = np.unique(given, return_inverse=True)
-        days = np.zeros(len(distinct), dtype=np.int64)
-        ok = np.ones(len(distinct), dtype=bool)
-        for i, raw in enumerate(distinct.tolist()):
-            try:
-                days[i] = _decode_day(raw)
-            except ValueError:
-                ok[i] = False
-        values[present] = days[inverse]
-        failed[present] = ~ok[inverse]
-        return values, failed
-    values = np.full(len(cells), np.nan)
-    if kind == "hhmm":
-        width = np.strings.str_len(given)
-        ok = (width >= 3) & (width <= 4) & (np.strings.strip(given, "0123456789") == "")
-        hhmm = np.zeros(len(given), dtype=np.int64)
-        hhmm[ok] = given[ok].astype(np.int64)
-        hh, mm = np.divmod(hhmm, 100)
-        ok &= ((hh <= 23) & (mm <= 59)) | (hhmm == 2400)
-        parsed = (hh * 60 + mm).astype(np.float64)
-    else:
-        try:
-            parsed = given.astype(np.float64)
-        except ValueError:  # some cell does not parse: the scalar decoder takes them all
-            failed[present] = True
-            return values, failed
-        ok = _NUMBER_OK[kind](parsed)
-    values[present] = np.where(ok, parsed, np.nan)
-    failed[present] = ~ok
-    return values, failed
-
-
 _POW10 = 10.0 ** np.arange(23)  # every power of ten up to 1e22 is an exact double
 _NUMBER_BYTES = 24  # longer number cells take the string path
 _TEXT_BYTES = 64    # longer text cells are decoded one by one
 _PADDING = b"\n" + bytes(_TEXT_BYTES)  # after the data: a line end, then room to gather
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it loses no bits
-_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # YYYY-MM-DD
-_DATE_WEIGHTS = 10 ** np.arange(7, -1, -1, dtype=np.int64)
 
 
 def _cell_text(data: np.ndarray, start: int, end: int) -> str:
@@ -440,25 +394,12 @@ def _day_or_zero(raw: str) -> int:
 
 
 def _date_cells(data, starts, ends):
-    """A date column: (values, blank, rest); each distinct date is decoded once.
+    """A date column: (values, blank, rest); each distinct value is decoded once.
 
-    Cells shaped dddd-dd-dd are keyed by their digits; `rest` lists the
-    other non-empty cells and those `_decode_day` refuses, their values 0.
+    `rest` lists the non-blank cells `_decode_day` refuses, their values 0.
     """
-    length = ends - starts
-    values = np.zeros(len(starts), dtype=np.int64)
-    ten = np.flatnonzero(length == 10)
-    raw = sliding_window_view(data, 10)[starts[ten]]
-    digits = raw[:, _DATE_DIGITS] - ord("0")
-    iso = (digits <= 9).all(axis=1) & (raw[:, 4] == ord("-")) & (raw[:, 7] == ord("-"))
-    keys = np.where(iso, digits.astype(np.int64) @ _DATE_WEIGHTS, -1)
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    shaped = distinct >= 0
-    text = raw[first[shaped]].tobytes().decode("ascii")
-    days = np.zeros(len(distinct), dtype=np.int64)
-    days[shaped] = [_day_or_zero(text[i:i + 10]) for i in range(0, len(text), 10)]
-    values[ten] = days[inverse]
-    blank = length == 0
+    dictionary, codes, blank = _text_cells(data, starts, ends)
+    values = np.array([_day_or_zero(raw) for raw in dictionary.tolist()], dtype=np.int64)[codes]
     return values, blank, np.flatnonzero((values == 0) & ~blank)
 
 
@@ -509,13 +450,13 @@ def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields
     empty = (counts == 1) & (starts[firsts] == ends[firsts])  # a blank line
     found = [(first_row + r, -1, "*", f"expected {width} cells, got {counts[r]}")
              for r in np.flatnonzero((counts != width) & ~empty).tolist()]
-    rows = np.flatnonzero((counts == width) & ~empty)
+    whole = (counts == width) & ~empty
+    rows = np.flatnonzero(whole)
     row_nos = (first_row + rows).tolist()
-    if len(rows) == len(counts):  # the spans form a grid: one copy puts columns in rows
-        starts, ends = starts.reshape(-1, width).T.copy(), ends.reshape(-1, width).T.copy()
-    else:
-        field = firsts[rows] + np.arange(width)[:, None]
-        starts, ends = starts[field], ends[field]
+    # the whole records' spans as a grid with one row per column
+    field = np.repeat(whole, counts)
+    starts = starts[field].reshape(-1, width).T.copy()
+    ends = ends[field].reshape(-1, width).T.copy()
     bad = np.zeros(len(rows), dtype=bool)
     columns, dictionaries = {}, {}
     for field_name, idx in fields:
@@ -528,19 +469,20 @@ def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields
             values, blank, rest = _date_cells(data, s, e)
         else:
             values, blank, rest = _number_cells(kind, data, s, e)
-        if len(rest):
+        if len(rest):  # padded, "+", exponent, "NA" or bad: the scalar decoder words it
             cells = np.strings.strip(np.array(
                 [_cell_text(data, *span) for span in zip(s[rest].tolist(), e[rest].tolist())],
-                dtype=_TEXT))
-            blank[rest] = rest_blank = (cells == "") | (cells == "NA")
-            values[rest], failed = _decode_column(kind, cells, rest_blank)
+                dtype=_TEXT)).tolist()
             decode = _DECODERS[kind]
-            for i in np.flatnonzero(failed).tolist():
+            for i, cell in zip(rest.tolist(), cells):
+                if cell in ("", "NA"):
+                    blank[i] = True
+                    continue
                 try:
-                    values[rest[i]] = decode(str(cells[i]))
+                    values[i] = decode(cell)
                 except ValueError as exc:
-                    found.append((row_nos[rest[i]], idx, col, str(exc)))
-                    bad[rest[i]] = True
+                    found.append((row_nos[i], idx, col, str(exc)))
+                    bad[i] = True
         if required:
             for i in np.flatnonzero(blank).tolist():
                 found.append((row_nos[i], idx, col, "required cell is blank"))
@@ -548,9 +490,8 @@ def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields
         columns[field_name] = values
     found.sort(key=lambda d: d[:2])
     diagnostics.extend(CellDiagnostic(row_no, col, msg) for row_no, _, col, msg in found)
-    keep = ~bad if bad.any() else slice(None)
-    return {name: dictionaries[name][values[keep]].astype(_TEXT) if name in dictionaries
-            else values[keep] for name, values in columns.items()}
+    return {name: dictionaries[name][values[~bad]].astype(_TEXT) if name in dictionaries
+            else values[~bad] for name, values in columns.items()}
 
 
 # datetime64[D] counts days from 1970-01-01
@@ -619,8 +560,8 @@ def _tokenize(buf: np.ndarray, size: int, line: int, final: bool):
     lines): the byte count of the whole records, each of their fields'
     [start, end) span (quotes kept, the "\\r" of a "\\r\\n" left out), each
     record's field count and the line feeds they hold. A malformed shape
-    among them, or an unfinished field over FIELD_LIMIT bytes, is a
-    SchemaError naming its line.
+    among them, an unfinished field over FIELD_LIMIT bytes or bytes that
+    are not UTF-8 are a SchemaError naming the line of the first fault.
     """
     end = size + 1 if final and size and buf[size - 1] != _LF else size
     data = buf[:end]
@@ -634,12 +575,20 @@ def _tokenize(buf: np.ndarray, size: int, line: int, final: bool):
     record_ends = np.flatnonzero(is_lf)
     n = record_ends[-1] + 1 if len(record_ends) else 0
     used = int(seps[n - 1]) + 1 if n else 0
-    # (byte offset, what): the first in the data is raised. A quote or "\r"
+    # (byte offset, what): the first in the data is raised, a UTF-8 fault
+    # before any other at the same byte. A quote, a "\r" or a UTF-8 sequence
     # is judged once the bytes after it are in.
     errors = []
+    try:
+        str(memoryview(buf)[:size], "utf-8")  # only to check the bytes
+    except UnicodeDecodeError as exc:
+        if final or exc.end < size:
+            errors.append((exc.start, f"invalid UTF-8 ({exc.reason})"))
+    crs = special[outside & (kind == _CR)]
     too_long = f"field larger than field limit ({FIELD_LIMIT})"
     open_at = int(seps[-1]) + 1 if len(seps) else 0
-    if end - open_at > FIELD_LIMIT:
+    # a "\r" ending the block may be the start of a record end
+    if end - open_at - int(len(crs) > 0 and crs[-1] == end - 1) > FIELD_LIMIT:
         errors.append((open_at, too_long))
     quotes = special[quote]
     opens, closes = quotes[0::2], quotes[1::2]
@@ -652,7 +601,6 @@ def _tokenize(buf: np.ndarray, size: int, line: int, final: bool):
     errors += [(at, "quoted field not followed by a comma or a line end") for at in closes[
         (after != _COMMA) & (after != _LF) & (after != _QUOTE)
         & ((after != _CR) | (buf[closes + 2] != _LF)) & (final | (closes + 2 < size))][:1]]
-    crs = special[outside & (kind == _CR)]
     crlf = (buf[crs + 1] == _LF) & (crs + 1 < size)
     errors += [(at, "new-line character '\\r' not followed by '\\n'")
                for at in crs[~crlf & (final | (crs + 1 < size))][:1]]
@@ -664,7 +612,7 @@ def _tokenize(buf: np.ndarray, size: int, line: int, final: bool):
     ends[np.searchsorted(seps, crs[crlf & (crs < used)] + 1)] -= 1
     errors += [(at, too_long) for at in starts[ends - starts > FIELD_LIMIT][:1]]
     if errors:
-        at, what = min(errors)
+        at, what = min(errors, key=lambda error: error[0])
         raise SchemaError(f"malformed CSV at line {line + np.count_nonzero(data[:at] == _LF)}: "
                           f"{what}")
     lines = int(np.count_nonzero(kind[:np.searchsorted(special, used)] == _LF))
@@ -687,17 +635,8 @@ def _record_chunks(stream):
             block = block.encode("utf-8")
         final = not block
         data = rest + block
-        if not final and b"\n" not in block and len(data) <= FIELD_LIMIT:
-            rest = data  # no record ends in this block
-            continue
         buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
         used, starts, ends, counts, lines = _tokenize(buf, len(data), line, final)
-        try:
-            str(memoryview(data)[:used], "utf-8")  # only to check the bytes
-        except UnicodeDecodeError as exc:
-            line += data.count(b"\n", 0, exc.start)
-            raise SchemaError(
-                f"malformed CSV at line {line}: invalid UTF-8 ({exc.reason})") from None
         bounds = np.concatenate(([0], np.cumsum(counts)))
         for i in range(0, len(counts), CHUNK_ROWS):
             j = min(i + CHUNK_ROWS, len(counts))

@@ -687,6 +687,11 @@ _MALFORMED = [
     ('2021-01-01,"U\nA",ORD,SFO,0,0\n\n2021-01-01,UA",ORD,SFO,0,0\n', 5,
      "quote inside an unquoted field"),
     ("2021-01-01,UA,ORD,SFO,0,0\n2021-01-01,U\xff", 3, "invalid UTF-8 (invalid start byte)"),
+    # the first fault is named, whichever kind comes later
+    ('2021-01-01,U\xff,ORD,SFO,0,0\n' + "2021-01-01,UA,ORD,SFO,0,0\n" * 3
+     + '2021-01-01,U"A,ORD,SFO,0,0\n', 2, "invalid UTF-8 (invalid start byte)"),
+    ('2021-01-01,U"A,ORD,SFO,0,0\n' + "2021-01-01,UA,ORD,SFO,0,0\n" * 3
+     + "2021-01-01,U\xff,ORD,SFO,0,0\n", 2, "quote inside an unquoted field"),
 ]
 
 
@@ -714,12 +719,20 @@ def test_malformed_shape_names_its_line_from_any_source(monkeypatch, tmp_path, b
 
 @pytest.mark.parametrize("block", [schema.BLOCK_BYTES, 4096])
 @pytest.mark.parametrize("quoted", [False, True])
-def test_field_limit_is_csvs(monkeypatch, block, quoted):
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_field_limit_is_csvs(monkeypatch, block, quoted, line_end):
     monkeypatch.setattr(schema, "BLOCK_BYTES", block)
     limit = schema.FIELD_LIMIT
+    header = _SMALL_HEADER.replace("\n", ",NOTE" + line_end)  # an ignored column
     for size, ok in ((limit, True), (limit + 1, False)):
         cell = '"' + "x" * (size - 2) + '"' if quoted else "x" * size
-        text = f"{_SMALL_HEADER}2021-01-01,UA,ORD,SFO,0,0\n2021-01-01,{cell},ORD,SFO,0,0\n"
+        # the long field ends its record; a 4096-byte block ends right after its line end's
+        # first byte, so with "\r\n" a seam falls between "\r" and "\n"
+        first = f"{header}2021-01-01,UA,ORD,SFO,0,0,"
+        last = f"{line_end}2021-01-01,UA,ORD,SFO,0,0,{cell}{line_end}"
+        pad = "y" * ((4095 - len(first) - len(last) + len(line_end)) % 4096)
+        text = first + pad + last
+        assert (len(text) - len(line_end)) % 4096 == 4095
         if ok:
             table, diags = read_csv(io.BytesIO(text.encode()))
             assert diags == [] and len(table) == 2

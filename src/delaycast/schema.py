@@ -632,7 +632,7 @@ def _record_chunks(stream):
     while not final:
         block = stream.read(BLOCK_BYTES)
         if isinstance(block, str):
-            block = block.encode("utf-8")
+            block = block.encode("utf-8", "surrogatepass")  # lone surrogates fail the check
         final = not block
         data = rest + block
         buf = np.frombuffer(data + _PADDING, dtype=np.uint8)

@@ -794,6 +794,12 @@ def test_invalid_utf8_names_its_line_across_seams(monkeypatch, block):
         read_csv(io.BytesIO(data))
 
 
+def test_lone_surrogate_in_a_text_stream_names_its_line():
+    text = f"{_SMALL_HEADER}2021-01-01,UA,ORD,SFO,0,0\n2021-01-01,U\udcff,ORD,SFO,0,0\n"
+    with pytest.raises(SchemaError, match=r"^malformed CSV at line 3: invalid UTF-8 "):
+        read_csv(io.StringIO(text, newline=""))
+
+
 def test_hash_collisions_fall_back_to_cell_by_cell(monkeypatch):
     data = _messy_csv(300) + _seam_csv().split(b"\r\n", 1)[1].replace(b"\r\n", b"\n")
     table, diags = read_csv(io.BytesIO(data))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from delaycast.cli import pin_malloc_thresholds  # noqa: E402
 from delaycast.evalreport import evaluate, render_components  # noqa: E402
 from delaycast.features import (  # noqa: E402
     build_table,
@@ -62,6 +63,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    pin_malloc_thresholds()
     started = time.time()
     flights, diagnostics = read_csv(args.data)
     print(f"read {len(flights)} records in {time.time() - started:.0f}s "

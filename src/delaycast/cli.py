@@ -6,27 +6,34 @@ and every command writes a JSON run manifest recording the resolved
 configuration, seeds, fixed design constants, paths, and wall time. Manifests
 sit beside the primary output (or beside the input, name-qualified by the
 command, for commands that print to stdout); they carry wall time, so they
-are the one output exempt from byte-level reproducibility. The preprocess
-manifest also records `rows_in`, the count of skipped-cell `diagnostics`,
-`rows_out` after each prune stage, `peak_rss_mb`, this process's peak
-resident memory so far (`resource.getrusage`), and `timings`, the wall
-seconds spent reading, pruning and writing (`read_s`, `prune_s`,
-`write_s`). The synth manifest records
-`rows_out`, the `label_counts`, `peak_rss_mb`, and the planted IQR fences
-(`iqr_lower`, `iqr_upper`) among its decisions.
+are the one output exempt from byte-level reproducibility. Every manifest
+also records `peak_rss_mb`, this process's peak resident memory so far, and
+`minor_faults`, the minor page faults the command took (both from
+`resource.getrusage`). The preprocess manifest adds `rows_in`, the count of
+skipped-cell `diagnostics`, `rows_out` after each prune stage, and
+`timings`, the wall seconds spent reading, pruning and writing (`read_s`,
+`prune_s`, `write_s`). The synth manifest adds `rows_out`, the
+`label_counts`, and the planted IQR fences (`iqr_lower`, `iqr_upper`) among
+its decisions.
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
 then built-in defaults. A config value of the wrong type (a bool, a fraction
 for an integer flag, a non-string for a text flag) is an error. Errors exit
 nonzero with a single "error: ..." line.
+
+`main` first pins glibc's malloc thresholds (`pin_malloc_thresholds`), once
+per process, so that memory freed between tree levels and epochs is reused
+instead of being handed back to the kernel and faulted in again.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import resource
@@ -168,8 +175,44 @@ def _read_flights(path):
     return flights, diagnostics
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+# mallopt(3) parameters and the values glibc's dynamic rule reaches after one
+# large free: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and trim = 2 x mmap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds for this process; True if both took.
+
+    glibc starts with low thresholds and raises them only after it sees large
+    frees, so until then each freed temporary goes back to the kernel and the
+    next allocation faults it in again. Both are set because pinning either
+    one turns off the dynamic adjustment of the other. Runs once per process
+    (later calls return the first result) and does nothing where the C
+    library has no `mallopt`.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_pinned = mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    trim_pinned = mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return bool(mmap_pinned and trim_pinned)
+
+
+def _start() -> tuple:
+    """A command's starting wall clock and minor-fault count, for its manifest."""
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _resources(faults_at_start: int) -> dict:
+    """This process's peak RSS so far, and the minor faults since the count given."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt - faults_at_start}
 
 
 @contextlib.contextmanager
@@ -182,15 +225,20 @@ def _timed(timings: dict, name: str):
 
 def _write_manifest(command, anchor, *, config, seeds, decisions, inputs,
                     outputs, started, qualify=False, **measured):
-    """Write the run manifest; `measured` adds top-level fields (counts, memory)."""
+    """Write the run manifest; `measured` adds top-level fields (counts, timings).
+
+    `started` is the command's `_start()`; every manifest records the wall
+    time since then and `_resources` from it.
+    """
     name = f"{anchor}.{command}.manifest.json" if qualify \
         else f"{anchor}.manifest.json"
+    clock, faults = started
     manifest = {"command": command, "config": config, "seeds": seeds,
                 "decisions": decisions,
                 "inputs": [str(p) for p in inputs],
                 "outputs": [str(p) for p in outputs],
-                "wall_time_s": round(time.perf_counter() - started, 6),
-                **measured}
+                "wall_time_s": round(time.perf_counter() - clock, 6),
+                **_resources(faults), **measured}
     Path(name).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
     return name
@@ -200,7 +248,7 @@ def _write_manifest(command, anchor, *, config, seeds, decisions, inputs,
 
 
 def cmd_synth(args) -> int:
-    started = time.perf_counter()
+    started = _start()
     flags = Flags(args)
     out = flags.get("out", required=True, cast=str)
     labels_path = flags.get("labels", default=f"{out}.labels.csv", cast=str)
@@ -227,14 +275,13 @@ def cmd_synth(args) -> int:
                                "iqr_upper": result.iqr_upper},
                     inputs=[], outputs=[out, labels_path], started=started,
                     rows_out=len(result.flights),
-                    label_counts={label: result.labels.count(label) for label in LABELS},
-                    peak_rss_mb=_peak_rss_mb())
+                    label_counts={label: result.labels.count(label) for label in LABELS})
     print(f"wrote {len(result.flights)} rows to {out}; labels to {labels_path}")
     return 0
 
 
 def cmd_preprocess(args) -> int:
-    started = time.perf_counter()
+    started = _start()
     flags = Flags(args)
     in_path = flags.get("in", required=True, cast=str)
     out = flags.get("out", required=True, cast=str)
@@ -261,13 +308,13 @@ def cmd_preprocess(args) -> int:
                     inputs=[in_path], outputs=[out, report_path],
                     started=started, rows_in=report.input_count,
                     diagnostics=len(diagnostics), rows_out=rows_out,
-                    peak_rss_mb=_peak_rss_mb(), timings=timings)
+                    timings=timings)
     sys.stdout.write(report.to_text())
     return 0
 
 
 def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+    started = _start()
     flags = Flags(args)
     in_path = flags.get("in", required=True, cast=str)
     out = flags.get("out", cast=str)
@@ -321,7 +368,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
-    started = time.perf_counter()
+    started = _start()
     flags = Flags(args)
     in_path = flags.get("in", required=True, cast=str)
     out = flags.get("out", required=True, cast=str)
@@ -382,7 +429,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
+    started = _start()
     flags = Flags(args)
     model_path = flags.get("model-file", required=True, cast=str)
     in_path = flags.get("in", required=True, cast=str)
@@ -431,7 +478,7 @@ def _read_bundle(path):
 
 
 def cmd_report(args) -> int:
-    started = time.perf_counter()
+    started = _start()
     flags = Flags(args)
     paths = flags.get("summaries", required=True)
     if isinstance(paths, str):
@@ -529,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

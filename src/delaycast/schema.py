@@ -311,7 +311,14 @@ class Flights:
         return self._n
 
     def select(self, index) -> "Flights":
-        return Flights({name: getattr(self, name)[index] for name in self.FIELDS})
+        # every value comes from this checked Flights, so the domains still hold
+        subset = object.__new__(Flights)
+        for name in self.FIELDS:
+            values = getattr(self, name)[index]
+            values.flags.writeable = False
+            setattr(subset, name, values)
+        subset._n = len(subset.fl_date)
+        return subset
 
 
 # --- vectorized decoding/encoding --------------------------------------------------------

@@ -147,6 +147,30 @@ def test_stored_columns_are_read_only():
         kept.cancelled[0] = 2
 
 
+@pytest.mark.parametrize("index", [
+    np.arange(40) % 3 == 0,                  # a mask
+    np.array([39, 0, 5, 5, 17], np.intp),    # picks out of order, one twice
+    np.array([], np.intp),
+])
+def test_select_is_fancy_indexing_without_a_recheck(monkeypatch, index):
+    table = Flights(_edge_columns(40))
+    monkeypatch.setattr(schema, "_NUMBER_OK", {})  # any domain check would fail
+    kept = table.select(index)
+    assert len(kept) == len(table.fl_date[index])
+    for name in Flights.FIELDS:
+        values = getattr(kept, name)
+        np.testing.assert_array_equal(values, getattr(table, name)[index])
+        assert values.dtype == getattr(table, name).dtype
+        assert not values.flags.writeable
+    monkeypatch.undo()
+    # every other construction still checks: a selected column made bad is refused
+    columns = {name: getattr(kept, name) for name in Flights.FIELDS}
+    if len(kept):
+        with pytest.raises(SchemaError, match="^diverted row 0: 2.0 is not 0 or 1"):
+            Flights(dict(columns, diverted=np.full(len(kept), 2.0)))
+    assert len(Flights(columns)) == len(kept)
+
+
 # --- csv --------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from delaycast.cli import main as cli  # noqa: E402
+from delaycast.regressors import MODEL_KINDS  # noqa: E402
 
 
 def run(argv) -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--models", nargs="+",
-                        default=["ols", "tree", "forest", "gbt", "mlp", "lstm"])
+                        default=list(MODEL_KINDS))
     parser.add_argument("--window", type=int, default=4,
                         help="history length for the sequence kinds")
     parser.add_argument("--epochs", type=int, default=12)

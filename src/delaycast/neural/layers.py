@@ -1,8 +1,10 @@
 """Feed-forward building blocks with explicit backward passes.
 
-Shared layer protocol: `params` is a dict of live arrays (the optimizer
-mutates them in place), `forward(x) -> (y, cache)`, and
-`backward(cache, grad_y) -> (grad_x, grads)` where `grads` mirrors `params`.
+Shared layer protocol: `params` is a dict of live arrays, `forward(x) ->
+(y, cache)`, and `backward(cache, grad_y) -> (grad_x, grads)` where `grads`
+mirrors `params`. In a model, `params` holds views of the model's parameter
+vector, which the optimizer updates in place, and `grads` are copied into
+views of its gradient vector.
 """
 
 from __future__ import annotations

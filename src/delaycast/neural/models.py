@@ -1,10 +1,12 @@
 """Model assembly: layer stacks, the two-path hybrid, and window plumbing.
 
-A model object owns named layers, exposes a flat `params` dict
-("layer.param" keys, live arrays), a pure `forward`, and a
-`forward_cached`/`backward` pair for training. `spec` is a plain dict that
-`build_from_spec` can turn back into an identically shaped (freshly seeded)
-model, which is how checkpoints and model files rehydrate.
+A model object owns named layers whose parameters are views of one float64
+`vector`, a `params` dict of those views ("layer.param" keys, in vector and
+model-file order), a pure `forward`, and a `forward_cached`/`backward` pair
+for training; `backward` files gradients into views of `grad_vector`. `spec`
+is a plain dict that `build_from_spec` can turn back into an identically
+shaped (freshly seeded) model, which is how checkpoints and model files
+rehydrate.
 """
 
 from __future__ import annotations
@@ -27,36 +29,44 @@ def _forward_layers(layers, x):
     return x, caches
 
 
-def _backward_layers(layers, caches, grad_y, grads: dict):
-    """Walk the layers in reverse, filing gradients under "name.param" in grads.
-
-    Returns the gradient at the input of the first layer.
-    """
-    for (name, layer), cache in zip(reversed(layers), reversed(caches)):
-        grad_y, layer_grads = layer.backward(cache, grad_y)
-        for key, value in layer_grads.items():
-            grads[f"{name}.{key}"] = value
-    return grad_y
+def _param_owners(name, layer):
+    """(prefix, layer) for each layer that holds a params dict itself."""
+    if isinstance(layer, Bidirectional):
+        return [(f"{name}.fwd", layer.fwd), (f"{name}.bwd", layer.bwd)]
+    return [(name, layer)]
 
 
 class _Assembly:
-    """Shared plumbing for named-layer models."""
+    """Shared plumbing for named-layer models; `layers` in parameter order."""
 
-    def __init__(self, kind: str, spec: dict, takes_sequences: bool):
+    def __init__(self, kind: str, spec: dict, takes_sequences: bool, layers: list):
         self.kind = kind
         self.spec = spec
         self.takes_sequences = takes_sequences
+        slots = [(f"{prefix}.{key}", leaf.params, key) for name, layer in layers
+                 for prefix, leaf in _param_owners(name, layer) for key in leaf.params]
+        self.vector = np.concatenate([held[key].ravel() for _, held, key in slots])
+        self.grad_vector = np.zeros_like(self.vector)
+        self.params, self._grad_views, start = {}, {}, 0
+        for name, held, key in slots:
+            shape, stop = held[key].shape, start + held[key].size
+            held[key] = self.params[name] = self.vector[start:stop].reshape(shape)
+            self._grad_views[name] = self.grad_vector[start:stop].reshape(shape)
+            start = stop
 
-    def _named_layers(self):
-        raise NotImplementedError
+    def _backward_layers(self, layers, caches, grad_y, grads: dict):
+        """Walk the layers in reverse, filing gradients under "name.param" in
+        grads as views of grad_vector. The clip sums them in this filing order.
 
-    @property
-    def params(self) -> dict:
-        merged = {}
-        for name, layer in self._named_layers():
-            for key, value in layer.params.items():
-                merged[f"{name}.{key}"] = value
-        return merged
+        Returns the gradient at the input of the first layer.
+        """
+        for (name, layer), cache in zip(reversed(layers), reversed(caches)):
+            grad_y, layer_grads = layer.backward(cache, grad_y)
+            for key, value in layer_grads.items():
+                full = f"{name}.{key}"
+                grads[full] = self._grad_views[full]
+                grads[full][...] = value
+        return grad_y
 
     def forward(self, x) -> np.ndarray:
         y, _ = self.forward_cached(x)
@@ -86,18 +96,15 @@ class _Assembly:
 
 class Sequential(_Assembly):
     def __init__(self, kind: str, layers: list, spec: dict, takes_sequences: bool):
-        super().__init__(kind, spec, takes_sequences)
+        super().__init__(kind, spec, takes_sequences, layers)
         self.layers = layers  # list of (name, layer), applied in order
-
-    def _named_layers(self):
-        return self.layers
 
     def forward_cached(self, x):
         return _forward_layers(self.layers, self._check_input(x))
 
     def backward(self, caches, grad_y):
         grads = {}
-        grad_x = _backward_layers(self.layers, caches, grad_y, grads)
+        grad_x = self._backward_layers(self.layers, caches, grad_y, grads)
         return grads, grad_x
 
 
@@ -112,13 +119,11 @@ class HybridNet(_Assembly):
 
     def __init__(self, spec: dict, cnn_layers: list, lstm_layers: list,
                  head: Dense):
-        super().__init__("hybrid", spec, takes_sequences=True)
+        super().__init__("hybrid", spec, True,
+                         [*cnn_layers, *lstm_layers, ("out", head)])
         self.cnn_layers = cnn_layers
         self.lstm_layers = lstm_layers
         self.head = head
-
-    def _named_layers(self):
-        return [*self.cnn_layers, *self.lstm_layers, ("out", self.head)]
 
     def forward_cached(self, x):
         x = self._check_input(x)
@@ -130,12 +135,13 @@ class HybridNet(_Assembly):
 
     def backward(self, caches, grad_y):
         caches_cnn, caches_lstm, cache_head, cnn_width = caches
-        grad_joined, head_grads = self.head.backward(cache_head, grad_y)
-        grads = {f"out.{k}": v for k, v in head_grads.items()}
-        gx_cnn = _backward_layers(self.cnn_layers, caches_cnn,
-                                  grad_joined[:, :cnn_width], grads)
-        gx_lstm = _backward_layers(self.lstm_layers, caches_lstm,
-                                   grad_joined[:, cnn_width:], grads)
+        grads = {}
+        grad_joined = self._backward_layers([("out", self.head)], [cache_head],
+                                            grad_y, grads)
+        gx_cnn = self._backward_layers(self.cnn_layers, caches_cnn,
+                                       grad_joined[:, :cnn_width], grads)
+        gx_lstm = self._backward_layers(self.lstm_layers, caches_lstm,
+                                        grad_joined[:, cnn_width:], grads)
         return grads, gx_cnn + gx_lstm
 
 

@@ -25,10 +25,8 @@ class TrainConfig:
     validation_fraction: float = 0.2
     patience: int = 5
     clip_max_norm: Optional[float] = None
-    seed: int = 0
     checkpoint_path: Optional[str] = None
     learning_rate: float = 1e-3
-    window: int = 1
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -37,12 +35,10 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.clip_max_norm is not None and self.clip_max_norm <= 0:
-            raise ValueError("clip_max_norm must be positive when set")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if self.clip_max_norm is not None and not 0 < self.clip_max_norm < math.inf:
+            raise ValueError(f"clip_max_norm must be finite and > 0, got {self.clip_max_norm}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -63,20 +59,11 @@ def _metrics(model, x, y):
     return float((diff * diff).mean()), float(np.abs(diff).mean())
 
 
-def _snapshot(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _restore(params: dict, snap: dict) -> None:
-    for k, v in snap.items():
-        params[k][...] = v
-
-
 def _write_checkpoint(path, model, config: TrainConfig, epoch: int, stats):
     meta = {
         "kind": "checkpoint",
         "spec": model.spec,
-        "seed": config.seed,
+        "seed": model.spec["seed"],
         "config": {k: v for k, v in asdict(config).items() if k != "checkpoint_path"},
         "epoch": epoch,
         "metrics": {"val_mse": stats.val_mse, "val_mae": stats.val_mae,
@@ -116,12 +103,13 @@ def train(model, x, y, config: TrainConfig):
     if x_train.shape[0] < 1:
         raise ValueError("validation split leaves no training rows")
 
-    params = model.params
+    vector = model.vector
+    params, grads = {"all": vector}, {"all": model.grad_vector}
     opt = adam_init(params, alpha=config.learning_rate)
     history = []
     best_mse = math.inf
     best_epoch = 0
-    best_params = _snapshot(params)
+    best = vector.copy()
 
     for epoch in range(1, config.epochs + 1):
         for start in range(0, x_train.shape[0], config.batch_size):
@@ -133,13 +121,14 @@ def train(model, x, y, config: TrainConfig):
                 diff = pred - yb
                 loss = float((diff * diff).mean())
             if not math.isfinite(loss):
-                _restore(params, best_params)
+                vector[...] = best
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}; "
+                    f"non-finite loss at epoch {epoch}, batch at row {start}; "
                     f"best parameters (epoch {best_epoch}) restored")
-            grads, _ = model.backward(caches, 2.0 * diff / diff.size)
+            # per-layer views of grad_vector in filing order, the clip's sum order
+            filed, _ = model.backward(caches, 2.0 * diff / diff.size)
             if config.clip_max_norm is not None:
-                clip_global_norm(grads, config.clip_max_norm)
+                clip_global_norm(filed, config.clip_max_norm)
             adam_step(params, grads, opt)
 
         train_mse, train_mae = _metrics(model, x_train, y_train)
@@ -152,12 +141,12 @@ def train(model, x, y, config: TrainConfig):
         if val_mse < best_mse:
             best_mse = val_mse
             best_epoch = epoch
-            best_params = _snapshot(params)
+            best = vector.copy()
             if config.checkpoint_path is not None:
                 _write_checkpoint(config.checkpoint_path, model, config,
                                   epoch, stats)
         if epoch - best_epoch >= config.patience:
             break
 
-    _restore(params, best_params)
+    vector[...] = best
     return tuple(history)

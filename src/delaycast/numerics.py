@@ -105,7 +105,8 @@ def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, keyed like the parameter dict."""
+    """First/second moment accumulators, keyed like the parameter dict; the
+    trainer passes one key, a network's vector that every parameter views."""
 
     alpha: float = 1e-3
     beta1: float = 0.9
@@ -151,7 +152,7 @@ def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
     Returns (grads, pre_clip_norm). No-op when the norm is already within
     bounds. Mutates in place.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for g in grads.values():

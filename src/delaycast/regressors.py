@@ -198,9 +198,8 @@ def _fit_neural(table: FeatureTable, kind: str, options: FitOptions):
     config = TrainConfig(epochs=options.epochs, batch_size=batch_size,
                          validation_fraction=_VALIDATION_FRACTION,
                          patience=options.patience, clip_max_norm=clip,
-                         seed=options.seed,
                          checkpoint_path=options.checkpoint_path,
-                         learning_rate=rate, window=options.window)
+                         learning_rate=rate)
     history = train(model, x_fit, y_fit, config)
     best_val = min(h.val_mse for h in history)
     settings = {"epochs": options.epochs, "batch_size": batch_size,

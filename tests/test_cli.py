@@ -106,6 +106,16 @@ class TestTrainCommand:
         assert "ols" in err and "hybrid" in err
         assert err.count("\n") == 1
 
+    def test_nan_clip_is_refused(self, tmp_path, capsys):
+        flights = tmp_path / "flights.csv"
+        assert run(["synth", "--count", 200, "--seed", 2, "--out", flights]) == 0
+        capsys.readouterr()
+        assert run(["train", "--in", flights, "--model", "mlp", "--epochs", 1,
+                    "--clip", "nan", "--out", tmp_path / "m.bin"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: clip_max_norm must be finite and > 0, got nan\n"
+        assert not (tmp_path / "m.bin").exists()
+
     def test_conflicting_flags_reported_together(self, tmp_path, capsys):
         assert run(["train", "--in", "x.csv", "--model", "tree",
                     "--window", 0, "--epochs", 0, "--out", "m.bin"]) == 1

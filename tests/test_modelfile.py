@@ -45,6 +45,16 @@ def test_round_trip_predictions_identical(kind, split_tables, tmp_path):
                           predict_table(trained, test_t))
 
 
+@pytest.mark.parametrize("kind", ["mlp", "lstm", "bilstm", "hybrid"])
+def test_loaded_network_parameters_are_views_of_its_vector(kind, split_tables,
+                                                           tmp_path):
+    trained, _ = train_model(split_tables[0], kind, KIND_OPTIONS[kind])
+    save_model(trained, tmp_path / "net.model")
+    net = load_model(tmp_path / "net.model").inner
+    assert np.array_equal(net.vector, trained.inner.vector)
+    assert all(np.shares_memory(p, net.vector) for p in net.params.values())
+
+
 def test_save_is_deterministic(split_tables, tmp_path):
     train_t, _ = split_tables
     a, _ = train_model(train_t, "gbt", KIND_OPTIONS["gbt"])

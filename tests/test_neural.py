@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,9 @@ class TestTrainer:
         history = train(model, x, y5, config)
         loaded, meta = load_checkpoint(path)
         assert np.array_equal(loaded.forward(x), model.forward(x))
+        assert np.array_equal(loaded.vector, model.vector)
+        assert all(np.shares_memory(p, loaded.vector) for p in loaded.params.values())
+        assert meta["seed"] == 10
         assert meta["epoch"] == min(range(len(history)),
                                     key=lambda i: history[i].val_mse) + 1
 
@@ -465,9 +470,11 @@ class TestTrainer:
         x, y = _toy_problem(n=30, seed=7)
         model = mlp_build(output=5, seed=12)
         before = {k: v.copy() for k, v in model.params.items()}
-        y_bad = np.full((30, 5), 1e200)
+        y_bad = np.hstack([y, y, y[:, :1]])
+        y_bad[16:] = 1e200  # the first two batches step, the third overflows
         config = TrainConfig(epochs=3, batch_size=8)
-        with pytest.raises(TrainingError, match="non-finite"):
+        with pytest.raises(TrainingError,
+                           match="non-finite loss at epoch 1, batch at row 16;"):
             train(model, x, y_bad, config)
         for name, value in model.params.items():
             assert np.array_equal(value, before[name])
@@ -494,7 +501,95 @@ class TestTrainer:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(clip_max_norm=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(window=0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="clip_max_norm"):
+                TrainConfig(clip_max_norm=bad)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
+        TrainConfig(clip_max_norm=1e-12, learning_rate=0.0)
+
+
+# --- one parameter vector ------------------------------------------------------
+
+
+_BUILDERS = {
+    "mlp": lambda seed: mlp_build(output=5, seed=seed),
+    "lstm": lambda seed: lstm_model_build(output=5, seed=seed),
+    "bilstm": lambda seed: bilstm_model_build(output=5, seed=seed),
+    "hybrid": lambda seed: hybrid_model_build(window=4, output=5, seed=seed),
+}
+
+# sha256 of the concatenated parameter bytes after _pinned_training, taken
+# before the parameters moved into one vector; a different summation order
+# in the clip's global norm moves them
+_PINNED = {
+    ("mlp", 0):
+        "b4f3af23a638825c2573cb4c2a6115a61470eae919d9ceb8d5eca1b5dc5d860e",
+    ("mlp", 1):
+        "53dfae4e6cf184037d338e49cde80a2ff42404b98f343acc2a5079f536b33d60",
+    ("mlp", 2):
+        "05a23e588cccc224e6b7f7041cdfcc7eacab1242c4b44ccd38b293410e8ac33f",
+    ("lstm", 0):
+        "a161e7ae03ee23fd5e3d49f07367605003dc5ebd23518f6952ff124557bc3671",
+    ("lstm", 1):
+        "183fe28556e4399d5e549a5076b0739ef3887d6ef65292a6e1be128f62e618e3",
+    ("lstm", 2):
+        "ca909a89bc7dbe7cb50fae4ed16dc25218be676fe533a1defc9db1367629eb95",
+    ("bilstm", 0):
+        "acff2d6b9d80100110863d96b6e101498f74b76bd11a19094e7ca5f8e5bed4c5",
+    ("bilstm", 1):
+        "5dd573485f8a2b15beb151c5f5eaa79c720b7b5c042c40a1b2f09b07ce84411f",
+    ("bilstm", 2):
+        "5e4387657f8d60fc2907330d8fb6346c3ca446aea608dfa7680c047c347e3b34",
+    ("hybrid", 0):
+        "66c1029ff549c2b31bea8f6c911b0c147437fd0fd462ef5547ce936241f5f558",
+    ("hybrid", 1):
+        "0e0cb5f88829ff0235e5ea5a020583c492866bce7475da0fa3e02c15d4efce4f",
+    ("hybrid", 2):
+        "bcd743c4ad48179ce05092cc035a29b9eff50d9e64d9a1d27c221b39c6651d57",
+}
+
+
+def _pinned_training(kind, seed):
+    """Two epochs on a 120-row toy problem; the sequence kinds clip at 1.
+
+    The targets are scaled up so that every sequence kind's gradient norm
+    passes 1 on some batches.
+    """
+    x, y = _toy_problem(n=120, seed=seed)
+    y = 4.0 * np.hstack([y, y, y[:, :1]])
+    clip = None
+    if kind != "mlp":
+        batch = make_sequences(x, y, window=4)
+        x, y, clip = batch.x, batch.y, 1.0
+    model = _BUILDERS[kind](seed)
+    train(model, x, y, TrainConfig(epochs=2, batch_size=16, clip_max_norm=clip))
+    return model
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_params_are_views_of_one_vector(self, kind):
+        model = _BUILDERS[kind](1)
+        params = list(model.params.values())
+        assert sum(p.size for p in params) == model.vector.size
+        assert all(np.shares_memory(p, model.vector) for p in params)
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]),
+                              model.vector)
+        x = Rng(2).uniform_array((3, 4, 11) if model.takes_sequences else (3, 11),
+                                 -1.0, 1.0)
+        pred, caches = model.forward_cached(x)
+        grads, _ = model.backward(caches, pred)
+        assert set(grads) == set(model.params)
+        assert all(np.shares_memory(g, model.grad_vector) for g in grads.values())
+        model.vector[...] = 0.0  # reaches every layer, the bidirectional halves too
+        assert np.array_equal(model.forward(x), np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_trained_parameters_are_pinned(self, kind, seed):
+        model = _pinned_training(kind, seed)
+        digest = hashlib.sha256(
+            b"".join(p.tobytes() for p in model.params.values())).hexdigest()
+        assert digest == _PINNED[kind, seed]

@@ -169,6 +169,19 @@ def test_clip_scales_to_max_norm():
     assert g["a"][0] / g["b"][0, 0] == pytest.approx(3.0 / 4.0)
 
 
+@pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan"), float("-inf")])
+def test_clip_rejects_a_bound_that_is_not_positive(max_norm):
+    with pytest.raises(ValueError, match="max_norm"):
+        clip_global_norm({"a": np.array([3.0, 4.0])}, max_norm)
+
+
+def test_clip_infinite_bound_never_scales():
+    g = {"a": np.array([3.0, 4.0])}
+    _, norm = clip_global_norm(g, float("inf"))
+    assert norm == 5.0
+    assert np.array_equal(g["a"], [3.0, 4.0])
+
+
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20), st.floats(0.1, 10))
 @settings(max_examples=50, deadline=None)
 def test_clip_property(values, max_norm):

@@ -102,7 +102,7 @@ class TestNeuralKinds:
         cen = train_t.y - y_off
         scale = float(np.sqrt((cen * cen).mean()))
         net = mlp_build(input_size=11, output=5, seed=3)
-        train(net, xs - off, cen / scale, TrainConfig(epochs=4, seed=3))
+        train(net, xs - off, cen / scale, TrainConfig(epochs=4))
         manual = y_off + scale * net.forward(scaler.apply(test_t.x) - off)
         assert np.array_equal(predict_table(trained, test_t), manual)
 

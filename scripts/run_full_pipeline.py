@@ -28,8 +28,7 @@ def main() -> None:
     parser.add_argument("--workdir", default="runs/demo")
     parser.add_argument("--count", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--models", nargs="+",
-                        default=list(MODEL_KINDS))
+    parser.add_argument("--models", nargs="+", default=list(MODEL_KINDS))
     parser.add_argument("--window", type=int, default=4,
                         help="history length for the sequence kinds")
     parser.add_argument("--epochs", type=int, default=12)

@@ -520,9 +520,9 @@ _BUILDERS = {
     "hybrid": lambda seed: hybrid_model_build(window=4, output=5, seed=seed),
 }
 
-# sha256 of the concatenated parameter bytes after _pinned_training, taken
-# before the parameters moved into one vector; a different summation order
-# in the clip's global norm moves them
+# sha256 of the concatenated parameter bytes after _pinned_training. The clip
+# sums squared gradients in the order backward files them (the output layer
+# first); summing them in another order changes these bytes
 _PINNED = {
     ("mlp", 0):
         "b4f3af23a638825c2573cb4c2a6115a61470eae919d9ceb8d5eca1b5dc5d860e",

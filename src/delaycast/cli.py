@@ -14,7 +14,13 @@ skipped-cell `diagnostics`, `rows_out` after each prune stage, and
 `timings`, the wall seconds spent reading, pruning and writing (`read_s`,
 `prune_s`, `write_s`). The synth manifest adds `rows_out`, the
 `label_counts`, and the planted IQR fences (`iqr_lower`, `iqr_upper`) among
-its decisions.
+its decisions. The analyze manifest adds `rows_in`, `rows_usable` (the rows
+that carry every screened attribute) and `correlations`, each attribute's
+Pearson r as the table prints it. The train manifest adds `rows_train`,
+`rows_held_out` and `timings` (`read_s` for the CSV, `fit_s` for the table
+build, split and fit, `save_s`); the evaluate manifest adds `rows_scored`
+and `timings` (`read_s` for the model file and CSV, `score_s` for the table
+build and scoring).
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
@@ -363,7 +369,9 @@ def cmd_analyze(args) -> int:
                     decisions={"redundancy_threshold": threshold,
                                "attributes": list(CONTINUOUS_ATTRIBUTES)},
                     inputs=[in_path], outputs=outputs, started=started,
-                    qualify=out is None)
+                    qualify=out is None, rows_in=len(flights),
+                    rows_usable=n_usable,
+                    correlations={row.attribute: row.r for row in corr})
     return 0
 
 
@@ -403,23 +411,29 @@ def cmd_train(args) -> int:
          f"train-fraction must be in (0, 1), got {fraction}"),
     ])
 
-    flights, _ = _read_flights(in_path)
-    codebook = fit_codebook(flights)
-    table = build_table(flights, codebook, targets)
-    train_t, test_t = chronological_split(table, fraction)
+    timings = {}
+    with _timed(timings, "read_s"):
+        flights, _ = _read_flights(in_path)
     options = FitOptions(seed=seed, window=window, max_depth=depth,
                          min_samples_leaf=min_leaf, n_estimators=trees,
                          rounds=rounds, learning_rate=rate, epochs=epochs,
                          batch_size=batch, patience=patience,
                          clip_max_norm=clip, checkpoint_path=checkpoint)
-    trained, history = train_model(train_t, model_kind, options)
-    save_model(trained, out)
+    with _timed(timings, "fit_s"):
+        codebook = fit_codebook(flights)
+        table = build_table(flights, codebook, targets)
+        train_t, test_t = chronological_split(table, fraction)
+        trained, history = train_model(train_t, model_kind, options)
+    with _timed(timings, "save_s"):
+        save_model(trained, out)
     _write_manifest("train", out, config=flags.resolved,
                     seeds={"seed": seed},
                     decisions={"train_fraction": fraction,
                                "split": "chronological",
                                "settings": trained.settings},
-                    inputs=[in_path], outputs=[out], started=started)
+                    inputs=[in_path], outputs=[out], started=started,
+                    rows_train=len(train_t), rows_held_out=len(test_t),
+                    timings=timings)
     print(f"trained {model_kind} on {len(train_t)} rows "
           f"({len(test_t)} held out); saved {out}")
     if history:
@@ -440,14 +454,17 @@ def cmd_evaluate(args) -> int:
     if part not in ("train", "test", "all"):
         raise ValueError(f"unknown split {part!r}; valid: train, test, all")
 
-    trained = load_model(model_path)
-    flights, _ = _read_flights(in_path)
-    codebook = LabelCodebook(columns=dict(trained.codebook_columns))
-    table = build_table(flights, codebook, trained.target_mode)
-    if part != "all":
-        train_t, test_t = chronological_split(table, fraction)
-        table = train_t if part == "train" else test_t
-    summary, rows = evaluate(trained, table, name=trained.kind)
+    timings = {}
+    with _timed(timings, "read_s"):
+        trained = load_model(model_path)
+        flights, _ = _read_flights(in_path)
+    with _timed(timings, "score_s"):
+        codebook = LabelCodebook(columns=dict(trained.codebook_columns))
+        table = build_table(flights, codebook, trained.target_mode)
+        if part != "all":
+            train_t, test_t = chronological_split(table, fraction)
+            table = train_t if part == "train" else test_t
+        summary, rows = evaluate(trained, table, name=trained.kind)
     bundle = report_bundle([summary],
                            {summary.name: rows} if rows else None)
     Path(report_out).write_text(
@@ -455,7 +472,9 @@ def cmd_evaluate(args) -> int:
     _write_manifest("evaluate", report_out, config=flags.resolved, seeds={},
                     decisions={"train_fraction": fraction, "split": part},
                     inputs=[model_path, in_path], outputs=[report_out],
-                    started=started)
+                    started=started,
+                    rows_scored=summary.manifest["rows_scored"],
+                    timings=timings)
     sys.stdout.write(render_totals([summary]))
     if rows:
         sys.stdout.write("\n" + render_components(rows))

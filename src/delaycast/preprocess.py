@@ -75,8 +75,9 @@ def _quantile(sorted_values, q: float) -> float:
     return float(sorted_values[lo])
 
 
-def iqr_bounds(values, multiplier: float = IQR_MULTIPLIER):
-    """Tukey fences (Q1 - k*IQR, Q3 + k*IQR) with linear-interpolation quartiles.
+def iqr_bounds(values):
+    """Tukey fences (Q1 - k*IQR, Q3 + k*IQR), k = IQR_MULTIPLIER, with
+    linear-interpolation quartiles.
 
     Quartile rule: sorted x(0..n-1), position p = q*(n-1), value
     x(floor(p)) + frac(p) * (x(floor(p)+1) - x(floor(p))). Single-element
@@ -88,10 +89,10 @@ def iqr_bounds(values, multiplier: float = IQR_MULTIPLIER):
     q1 = float(_quantile(vals, 0.25))
     q3 = float(_quantile(vals, 0.75))
     iqr = q3 - q1
-    return q1 - multiplier * iqr, q3 + multiplier * iqr
+    return q1 - IQR_MULTIPLIER * iqr, q3 + IQR_MULTIPLIER * iqr
 
 
-def filter_outliers(flights: Flights, multiplier: float = IQR_MULTIPLIER):
+def filter_outliers(flights: Flights):
     """Drop rows whose ARR_DELAY falls outside the IQR fence (bounds inclusive).
 
     Bounds are computed from the input rows themselves. Returns
@@ -100,7 +101,7 @@ def filter_outliers(flights: Flights, multiplier: float = IQR_MULTIPLIER):
     delays = flights.arr_delay
     if np.isnan(delays).any():
         raise ValueError("filter_outliers requires ARR_DELAY on every row")
-    lower, upper = iqr_bounds(delays, multiplier)
+    lower, upper = iqr_bounds(delays)
     retained, removed = _keep(flights, (lower <= delays) & (delays <= upper))
     return retained, removed, (lower, upper)
 
@@ -181,8 +182,7 @@ class PruneReport:
         return "\n".join(lines) + "\n"
 
 
-def run_pipeline(flights: Flights, sum_tolerance: float = DEFAULT_SUM_TOLERANCE,
-                 iqr_multiplier: float = IQR_MULTIPLIER):
+def run_pipeline(flights: Flights, sum_tolerance: float = DEFAULT_SUM_TOLERANCE):
     """All four stages in order. Returns (retained_flights, PruneReport).
 
     Raises if any stage empties the survivor set: downstream stages and the
@@ -199,7 +199,7 @@ def run_pipeline(flights: Flights, sum_tolerance: float = DEFAULT_SUM_TOLERANCE,
     if not stage3:
         raise ValueError("no records survive the component-sum stage")
     stats_before = _delay_stats(stage3)
-    stage4, n_outlier, (lower, upper) = filter_outliers(stage3, iqr_multiplier)
+    stage4, n_outlier, (lower, upper) = filter_outliers(stage3)
     if not stage4:
         raise ValueError("no records survive the outlier stage")
     report = PruneReport(

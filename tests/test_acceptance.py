@@ -561,6 +561,6 @@ def test_c11_full_dataset_reproduction():
         print(render_components(lstm_rows))
     else:
         print("set DELAYCAST_FULL_TRAIN=1 to also fit desk-budget models here,")
-        print("or use scripts/reproduce_full_dataset.py for the full comparison")
+        print("or use scripts/run_full_pipeline.py --data for the full comparison")
 
     _verdict(11, "full-data stats, removal fractions, correlations", failures)

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import os
+import runpy
 import subprocess
 import sys
 import types
@@ -14,7 +15,8 @@ import delaycast
 from delaycast import cli
 from delaycast.cli import main
 from delaycast.modelfile import load_model
-from delaycast.schema import Flights, write_csv
+from delaycast.schema import Flights, read_csv, write_csv
+from delaycast.stats import correlation_table, screening_columns
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels
 
 STAGE_OF_LABEL = {"cancelled": "cancelled_or_diverted",
@@ -271,6 +273,45 @@ class TestManifests:
         assert "read_s" not in pruned.read_text()
         assert "read_s" not in (tmp_path / "p.csv.report.json").read_text()
 
+    def test_analyze_manifest_records_screening(self, tmp_path):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 4, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+        assert run(["analyze", "--in", pruned, "--out", tmp_path / "a.txt"]) == 0
+        manifest = json.loads((tmp_path / "a.txt.manifest.json").read_text())
+        kept, _ = read_csv(pruned)
+        usable, columns, target = screening_columns(kept)
+        assert manifest["rows_in"] == len(kept)
+        assert manifest["rows_usable"] == int(usable.sum()) > 0
+        table = correlation_table(columns, target)
+        assert manifest["correlations"] == {row.attribute: row.r for row in table}
+        printed = (tmp_path / "a.txt").read_text()
+        for row in table:
+            assert f"{manifest['correlations'][row.attribute]:.4f}" in printed
+
+    def test_train_and_evaluate_manifests_count_rows_and_time_phases(self, tmp_path):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        model, rep = tmp_path / "m.bin", tmp_path / "r.json"
+        assert run(["synth", "--count", 300, "--seed", 5, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+        assert run(["train", "--in", pruned, "--model", "ols", "--out", model]) == 0
+        assert run(["evaluate", "--model-file", model, "--in", pruned,
+                    "--report-out", rep]) == 0
+        trained = json.loads((tmp_path / "m.bin.manifest.json").read_text())
+        scored = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        rows = len(read_csv(pruned)[0])
+        assert trained["rows_train"] + trained["rows_held_out"] == rows
+        assert trained["rows_held_out"] == scored["rows_scored"] > 0
+        bundle = json.loads(rep.read_text())
+        assert scored["rows_scored"] == bundle["models"][0]["manifest"]["rows_scored"]
+        for manifest, phases in ((trained, {"read_s", "fit_s", "save_s"}),
+                                 (scored, {"read_s", "score_s"})):
+            assert set(manifest["timings"]) == phases
+            assert all(seconds >= 0.0 for seconds in manifest["timings"].values())
+            assert sum(manifest["timings"].values()) <= manifest["wall_time_s"]
+        # timings go in the manifest only, never in a byte-gated output
+        assert "read_s" not in rep.read_text()
+
     def test_synth_manifest_counts_labels_fences_and_memory(self, tmp_path):
         flights = tmp_path / "f.csv"
         assert run(["synth", "--count", 400, "--seed", 3, "--cancelled-rate", 0.05,
@@ -369,3 +410,56 @@ class TestMallocPin:
             assert cli.pin_malloc_thresholds() is False
         finally:
             cli.pin_malloc_thresholds.cache_clear()
+
+
+DRIVER = Path(__file__).resolve().parents[1] / "scripts" / "run_full_pipeline.py"
+
+
+class TestDriver:
+    def test_data_run_prints_reference_comparison_from_its_artifacts(
+            self, tmp_path, monkeypatch, capsys):
+        flights = tmp_path / "flights.csv"
+        assert run(["synth", "--count", 2000, "--seed", 3, "--cancelled-rate", 0.03,
+                    "--missing-rate", 0.3, "--mismatch-rate", 0.01,
+                    "--outlier-rate", 0.012, "--out", flights]) == 0
+
+        def drive(work, *models):
+            monkeypatch.setattr(sys, "argv", [str(DRIVER), "--workdir", str(work),
+                                              "--data", str(flights),
+                                              "--models", *models])
+            capsys.readouterr()
+            runpy.run_path(str(DRIVER), run_name="__main__")
+            return capsys.readouterr().out
+
+        work = tmp_path / "ols"
+        out = drive(work, "ols")
+        manifests = ["pruned.csv", "analysis.txt", "ols.bin", "ols.report.json",
+                     "ranked.json", "ols.report.json.report"]
+        commands = [json.loads((work / f"{m}.manifest.json").read_text())["command"]
+                    for m in manifests]
+        assert commands == ["preprocess", "analyze", "train", "evaluate", "report",
+                            "report"]
+        assert (work / "ols.bin").exists() and (work / "analysis.txt").exists()
+
+        prune = json.loads((work / "prune_report.json").read_text())
+        for stage, n in prune["removed"].items():
+            assert f"  {stage:22s} {n:9d} removed  " in out
+        after = prune["stats_after_outliers"]
+        for field in ("mean", "std", "minimum", "maximum"):
+            assert f"  {field:8s} {after[field]:8.3f}  reference " in out
+        correlations = json.loads(
+            (work / "analysis.txt.manifest.json").read_text())["correlations"]
+        lines = [line for line in out.splitlines()
+                 if "reference" in line and line.split()[0] in correlations]
+        assert len(lines) == 6
+        for line in lines:
+            attribute, measured, word, _ = line.split()
+            assert (measured, word) == (f"{correlations[attribute]:.4f}", "reference")
+        (summary,) = json.loads((work / "ols.report.json").read_text())["models"]
+        assert f"  ols      MSE {summary['mse']:10.3f}  MAE {summary['mae']:7.3f}" in out
+
+        work = tmp_path / "none"
+        out = drive(work)
+        assert (work / "analysis.txt.manifest.json").exists()
+        assert not list(work.glob("*.bin")) and not (work / "ranked.json").exists()
+        assert "model scores" not in out and "CRS_DEP_TIME" in out

@@ -1,18 +1,12 @@
-"""Drive the whole command chain end to end, on synthetic or real records.
+"""Drive the command chain end to end, on generated flights or a given CSV.
 
-Every step goes through `delaycast.cli.main`, so each writes its manifest and
-a failing step stops the run on its `error:` line. The working directory
-ends up holding every artifact the tools emit: the prune report, analysis
-tables, one model file and evaluation report per requested kind, and the
-merged ranking with chart data. `--models` with no kinds stops after
-`analyze`.
-
-Without --data the chain starts from generated flights. With --data it runs
-on that flight-records CSV (the 32-column 2019-2023 export) and ends by
-printing the measured removal fractions, post-filter delay statistics,
-correlations and model scores beside the reference values. The measured
-values are read back from the run's own artifacts: the prune report, the
-`analyze` manifest and each kind's evaluation report.
+Every step runs through `delaycast.cli.main`, so each writes its manifest.
+The working directory collects the prune report, analysis tables, one model
+file and evaluation report per kind in --models (none stops after
+`analyze`), and the merged ranking with chart data. With --data PATH the
+chain runs on that flight-records CSV (the 32-column 2019-2023 export) and
+ends by printing the measured values, read back from the prune report, the
+`analyze` manifest and the evaluation reports, beside the reference values.
 
     python3 scripts/run_full_pipeline.py --workdir runs/demo --count 2000
     python3 scripts/run_full_pipeline.py --data flights.csv --models mlp lstm --epochs 3
@@ -94,7 +88,7 @@ def print_reference(prune_path, analyze_manifest, reports) -> None:
     for kind, path in reports.items():
         bundle = read_json(path)
         (summary,) = bundle["models"]
-        component_rows[kind] = [ComponentRow(**row) for row in bundle["components"][kind]]
+        component_rows[kind] = [ComponentRow(**r) for r in bundle["components"][kind]]
         ref = REFERENCE_TOTALS.get(kind)
         note = f"  reference {ref[0]:8.3f} / {ref[1]:6.3f}" if ref else ""
         print(f"  {kind:8s} MSE {summary['mse']:10.3f}  MAE {summary['mae']:7.3f}{note}")
@@ -110,9 +104,8 @@ def print_reference(prune_path, analyze_manifest, reports) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", default="runs/demo")
-    parser.add_argument("--data",
-                        help="flight-records CSV to run on instead of generated "
-                             "flights; also prints the reference comparison")
+    parser.add_argument("--data", help="flight-records CSV to run on in place of "
+                                       "synth; prints the reference comparison")
     parser.add_argument("--count", type=int, default=2000,
                         help="generated flights (ignored with --data)")
     parser.add_argument("--seed", type=int, default=7)

@@ -20,9 +20,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from delaycast.cli import main as cli  # noqa: E402
-from delaycast.evalreport import ComponentRow, render_components  # noqa: E402
+from delaycast.evalreport import read_bundle, render_components  # noqa: E402
 from delaycast.preprocess import DelayStats, PruneReport  # noqa: E402
-from delaycast.regressors import MODEL_KINDS  # noqa: E402
+from delaycast.regressors import MODEL_KINDS, NEURAL_KINDS, SEQUENCE_KINDS  # noqa: E402
 
 REFERENCE_REMOVAL = {"cancelled_or_diverted": 2.87, "missing_components": 79.3,
                      "outlier": 8.248}
@@ -86,12 +86,11 @@ def print_reference(prune_path, analyze_manifest, reports) -> None:
     section("model scores (measured vs reference; not expected to match)")
     component_rows = {}
     for kind, path in reports.items():
-        bundle = read_json(path)
-        (summary,) = bundle["models"]
-        component_rows[kind] = [ComponentRow(**r) for r in bundle["components"][kind]]
+        (summary,), components = read_bundle(path)
+        component_rows[kind] = components[kind]
         ref = REFERENCE_TOTALS.get(kind)
         note = f"  reference {ref[0]:8.3f} / {ref[1]:6.3f}" if ref else ""
-        print(f"  {kind:8s} MSE {summary['mse']:10.3f}  MAE {summary['mae']:7.3f}{note}")
+        print(f"  {kind:8s} MSE {summary.mse:10.3f}  MAE {summary.mae:7.3f}{note}")
 
     show = "lstm" if "lstm" in reports else next(iter(reports))
     section(f"{show} per-component rows (measured)")
@@ -138,9 +137,9 @@ def main() -> None:
         model_file = work / f"{kind}.bin"
         train = ["train", "--in", pruned, "--model", kind, "--seed", args.seed,
                  "--out", model_file]
-        if kind in ("mlp", "lstm", "bilstm", "hybrid"):
+        if kind in NEURAL_KINDS:
             train += ["--epochs", args.epochs, "--batch", "128"]
-        if kind in ("lstm", "bilstm", "hybrid"):
+        if kind in SEQUENCE_KINDS:
             train += ["--window", args.window]
         run(train)
         reports[kind] = work / f"{kind}.report.json"

@@ -20,7 +20,8 @@ Pearson r as the table prints it. The train manifest adds `rows_train`,
 `rows_held_out` and `timings` (`read_s` for the CSV, `fit_s` for the table
 build, split and fit, `save_s`); the evaluate manifest adds `rows_scored`
 and `timings` (`read_s` for the model file and CSV, `score_s` for the table
-build and scoring).
+build and scoring). Train and evaluate both split chronologically at
+`DEFAULT_TRAIN_FRACTION`, so evaluate's test split is the rows train held out.
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
@@ -51,12 +52,11 @@ import numpy as np
 
 from .container import ModelFileError
 from .evalreport import (
-    ComponentRow,
-    ModelSummary,
     _aligned,
     compare,
     evaluate,
     export_chart_data,
+    read_bundle,
     render_components,
     render_totals,
     report_bundle,
@@ -391,7 +391,6 @@ def cmd_train(args) -> int:
     seed = flags.seed()
     epochs = flags.get("epochs", 50, cast=int)
     batch = flags.get("batch", cast=int)
-    fraction = flags.get("train-fraction", DEFAULT_TRAIN_FRACTION, cast=float)
     trees = flags.get("trees", 100, cast=int)
     rounds = flags.get("rounds", 100, cast=int)
     depth = flags.get("depth", cast=int)
@@ -407,8 +406,6 @@ def cmd_train(args) -> int:
         (trees >= 1, f"trees must be >= 1, got {trees}"),
         (rounds >= 1, f"rounds must be >= 1, got {rounds}"),
         (patience >= 1, f"patience must be >= 1, got {patience}"),
-        (0.0 < fraction < 1.0,
-         f"train-fraction must be in (0, 1), got {fraction}"),
     ])
 
     timings = {}
@@ -422,13 +419,13 @@ def cmd_train(args) -> int:
     with _timed(timings, "fit_s"):
         codebook = fit_codebook(flights)
         table = build_table(flights, codebook, targets)
-        train_t, test_t = chronological_split(table, fraction)
+        train_t, test_t = chronological_split(table, DEFAULT_TRAIN_FRACTION)
         trained, history = train_model(train_t, model_kind, options)
     with _timed(timings, "save_s"):
         save_model(trained, out)
     _write_manifest("train", out, config=flags.resolved,
                     seeds={"seed": seed},
-                    decisions={"train_fraction": fraction,
+                    decisions={"train_fraction": DEFAULT_TRAIN_FRACTION,
                                "split": "chronological",
                                "settings": trained.settings},
                     inputs=[in_path], outputs=[out], started=started,
@@ -450,7 +447,6 @@ def cmd_evaluate(args) -> int:
     report_out = flags.get("report-out", default=f"{model_path}.report.json",
                            cast=str)
     part = flags.get("split", "test", cast=str)
-    fraction = flags.get("train-fraction", DEFAULT_TRAIN_FRACTION, cast=float)
     if part not in ("train", "test", "all"):
         raise ValueError(f"unknown split {part!r}; valid: train, test, all")
 
@@ -462,7 +458,7 @@ def cmd_evaluate(args) -> int:
         codebook = LabelCodebook(columns=dict(trained.codebook_columns))
         table = build_table(flights, codebook, trained.target_mode)
         if part != "all":
-            train_t, test_t = chronological_split(table, fraction)
+            train_t, test_t = chronological_split(table, DEFAULT_TRAIN_FRACTION)
             table = train_t if part == "train" else test_t
         summary, rows = evaluate(trained, table, name=trained.kind)
     bundle = report_bundle([summary],
@@ -470,7 +466,8 @@ def cmd_evaluate(args) -> int:
     Path(report_out).write_text(
         json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_manifest("evaluate", report_out, config=flags.resolved, seeds={},
-                    decisions={"train_fraction": fraction, "split": part},
+                    decisions={"train_fraction": DEFAULT_TRAIN_FRACTION,
+                               "split": part},
                     inputs=[model_path, in_path], outputs=[report_out],
                     started=started,
                     rows_scored=summary.manifest["rows_scored"],
@@ -479,21 +476,6 @@ def cmd_evaluate(args) -> int:
     if rows:
         sys.stdout.write("\n" + render_components(rows))
     return 0
-
-
-def _read_bundle(path):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "models" not in data:
-        raise ValueError(f"{path} is not an evaluation report bundle")
-    summaries = [ModelSummary(name=m["name"], mse=m["mse"], mae=m["mae"],
-                              target_mode=m["target_mode"],
-                              manifest=m.get("manifest", {}))
-                 for m in data["models"]]
-    components = {name: tuple(ComponentRow(r["name"], r["true_mean"],
-                                           r["pred_mean"], r["mae"])
-                              for r in rows)
-                  for name, rows in data.get("components", {}).items()}
-    return summaries, components
 
 
 def cmd_report(args) -> int:
@@ -513,7 +495,7 @@ def cmd_report(args) -> int:
 
     summaries, components = [], {}
     for path in paths:
-        got_summaries, got_components = _read_bundle(path)
+        got_summaries, got_components = read_bundle(path)
         summaries.extend(got_summaries)
         components.update(got_components)
     if not summaries:
@@ -582,12 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("train", cmd_train, "fit one model kind on pruned records", [
         ("--in", {}), ("--out", {}), ("--model", {}), ("--targets", {}),
         ("--window", num), ("--seed", num), ("--epochs", num), ("--batch", num),
-        ("--train-fraction", dec), ("--trees", num), ("--rounds", num),
+        ("--trees", num), ("--rounds", num),
         ("--depth", num), ("--min-leaf", num), ("--learning-rate", dec),
         ("--patience", num), ("--clip", dec), ("--checkpoint", {})])
     add("evaluate", cmd_evaluate, "score a saved model on held-out rows", [
         ("--model-file", {}), ("--in", {}), ("--report-out", {}),
-        ("--split", {}), ("--train-fraction", dec)])
+        ("--split", {})])
     add("report", cmd_report, "merge and rank evaluation reports", [
         ("--summaries", {"nargs": "+"}), ("--format", {}), ("--out", {}),
         ("--chart-out", {})])

@@ -8,6 +8,7 @@ chart data exports as a grouped-bar CSV of (model, metric, value).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,6 +137,22 @@ def report_bundle(summaries, components=None) -> dict:
                     "pred_mean": r.pred_mean, "mae": r.mae} for r in rows]
             for name, rows in components.items()}
     return bundle
+
+
+def read_bundle(path):
+    """Read a `report_bundle` file back: (summaries, {name: ComponentRow tuple})."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict) or "models" not in data:
+        raise ValueError(f"{path} is not an evaluation report bundle")
+    summaries = [ModelSummary(name=m["name"], mse=m["mse"], mae=m["mae"],
+                              target_mode=m["target_mode"],
+                              manifest=m.get("manifest", {}))
+                 for m in data["models"]]
+    components = {name: tuple(ComponentRow(r["name"], r["true_mean"],
+                                           r["pred_mean"], r["mae"])
+                              for r in rows)
+                  for name, rows in data.get("components", {}).items()}
+    return summaries, components
 
 
 def export_chart_data(summaries, path) -> str:

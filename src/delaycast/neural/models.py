@@ -1,21 +1,22 @@
-"""Model assembly: layer stacks, the two-path hybrid, and window plumbing.
+"""One `Network` class for the four neural kinds, their builders, and windows.
 
-A model object owns named layers whose parameters are views of one float64
-`vector`, a `params` dict of those views ("layer.param" keys, in vector and
-model-file order), a pure `forward`, and a `forward_cached`/`backward` pair
-for training; `backward` files gradients into views of `grad_vector`. `spec`
-is a plain dict that `build_from_spec` can turn back into an identically
-shaped (freshly seeded) model, which is how checkpoints and model files
-rehydrate.
+A `Network` runs one or more paths of named layers over the same input and
+joins them along the feature axis; a tail then runs on the result. mlp, lstm
+and bilstm are a single path; hybrid is a convolutional and a recurrent path
+under a dense head. Layer parameters are views of one float64 `vector`, and
+`params` is a dict of those views ("layer.param" keys, in vector and
+model-file order). A network has a pure `forward` and a
+`forward_cached`/`backward` pair for training; `backward` files gradients
+into views of `grad_vector`. `spec` is a plain dict that `build_from_spec`
+can turn back into an identically shaped (freshly seeded) model, which is
+how checkpoints and model files rehydrate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..numerics import Rng, matrix
+from ..numerics import Rng
 from .layers import Conv1d, Dense, Flatten, MaxPool1d
 from .lstm import Bidirectional, LstmLayer
 
@@ -36,13 +37,23 @@ def _param_owners(name, layer):
     return [(name, layer)]
 
 
-class _Assembly:
-    """Shared plumbing for named-layer models; `layers` in parameter order."""
+class Network:
+    """Layer paths over one input, joined along the feature axis, then a tail.
 
-    def __init__(self, kind: str, spec: dict, takes_sequences: bool, layers: list):
-        self.kind = kind
+    Every (name, layer) list in `paths` reads the input. The paths' outputs
+    are concatenated along axis 1 (a single path's output passes through
+    unchanged) and `tail` runs on the result. Parameters sit in path order,
+    then tail order. The paths' input gradients add.
+    """
+
+    def __init__(self, spec: dict, takes_sequences: bool, paths: list,
+                 tail=()):
+        self.kind = spec["kind"]
         self.spec = spec
         self.takes_sequences = takes_sequences
+        self.paths = paths
+        self.tail = tail
+        layers = [*(pair for path in paths for pair in path), *tail]
         slots = [(f"{prefix}.{key}", leaf.params, key) for name, layer in layers
                  for prefix, leaf in _param_owners(name, layer) for key in leaf.params]
         self.vector = np.concatenate([held[key].ravel() for _, held, key in slots])
@@ -72,6 +83,31 @@ class _Assembly:
         y, _ = self.forward_cached(x)
         return y
 
+    def forward_cached(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        want = 3 if self.takes_sequences else 2
+        if x.ndim != want:
+            raise ValueError(
+                f"{self.kind} model expects {want}-D input, got shape {x.shape}")
+        outs, path_caches = zip(*(_forward_layers(path, x) for path in self.paths))
+        joined = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+        y, tail_caches = _forward_layers(self.tail, joined)
+        return y, (path_caches, tail_caches, [out.shape[1] for out in outs])
+
+    def backward(self, caches, grad_y):
+        """Files the tail's gradients first, then each path's from its last
+        layer back. Returns (grads, gradient at the input)."""
+        path_caches, tail_caches, widths = caches
+        grads = {}
+        grad_joined = self._backward_layers(self.tail, tail_caches, grad_y, grads)
+        grad_x, start = None, 0
+        for path, path_cache, width in zip(self.paths, path_caches, widths):
+            gx = self._backward_layers(path, path_cache,
+                                       grad_joined[:, start:start + width], grads)
+            grad_x = gx if grad_x is None else grad_x + gx
+            start += width
+        return grads, grad_x
+
     def load_params(self, tensors: dict) -> None:
         params = self.params
         if set(tensors) != set(params):
@@ -85,65 +121,6 @@ class _Assembly:
                                  f"{params[name].shape} vs {value.shape}")
             params[name][...] = value
 
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        want = 3 if self.takes_sequences else 2
-        if x.ndim != want:
-            raise ValueError(
-                f"{self.kind} model expects {want}-D input, got shape {x.shape}")
-        return x
-
-
-class Sequential(_Assembly):
-    def __init__(self, kind: str, layers: list, spec: dict, takes_sequences: bool):
-        super().__init__(kind, spec, takes_sequences, layers)
-        self.layers = layers  # list of (name, layer), applied in order
-
-    def forward_cached(self, x):
-        return _forward_layers(self.layers, self._check_input(x))
-
-    def backward(self, caches, grad_y):
-        grads = {}
-        grad_x = self._backward_layers(self.layers, caches, grad_y, grads)
-        return grads, grad_x
-
-
-class HybridNet(_Assembly):
-    """Convolutional and recurrent paths over the same window, concatenated.
-
-    CNN path: conv -> pool -> flatten -> dense. Recurrent path:
-    bidirectional then unidirectional LSTM -> dense. Head: dense on the
-    128-wide concatenation. Both paths see the same input, so input
-    gradients add.
-    """
-
-    def __init__(self, spec: dict, cnn_layers: list, lstm_layers: list,
-                 head: Dense):
-        super().__init__("hybrid", spec, True,
-                         [*cnn_layers, *lstm_layers, ("out", head)])
-        self.cnn_layers = cnn_layers
-        self.lstm_layers = lstm_layers
-        self.head = head
-
-    def forward_cached(self, x):
-        x = self._check_input(x)
-        y_cnn, caches_cnn = _forward_layers(self.cnn_layers, x)
-        y_lstm, caches_lstm = _forward_layers(self.lstm_layers, x)
-        joined = np.concatenate([y_cnn, y_lstm], axis=1)
-        y, cache_head = self.head.forward(joined)
-        return y, (caches_cnn, caches_lstm, cache_head, y_cnn.shape[1])
-
-    def backward(self, caches, grad_y):
-        caches_cnn, caches_lstm, cache_head, cnn_width = caches
-        grads = {}
-        grad_joined = self._backward_layers([("out", self.head)], [cache_head],
-                                            grad_y, grads)
-        gx_cnn = self._backward_layers(self.cnn_layers, caches_cnn,
-                                       grad_joined[:, :cnn_width], grads)
-        gx_lstm = self._backward_layers(self.lstm_layers, caches_lstm,
-                                        grad_joined[:, cnn_width:], grads)
-        return grads, gx_cnn + gx_lstm
-
 
 # --- builders ----------------------------------------------------------------
 
@@ -154,7 +131,7 @@ def _check_output(output: int) -> None:
 
 
 def mlp_build(input_size: int = 11, hidden=(64, 32), output: int = 5,
-              seed: int = 0) -> Sequential:
+              seed: int = 0) -> Network:
     _check_output(output)
     rng = Rng(seed)
     layers = []
@@ -165,11 +142,11 @@ def mlp_build(input_size: int = 11, hidden=(64, 32), output: int = 5,
     layers.append(("out", Dense(width, output, "identity", rng)))
     spec = {"kind": "mlp", "input": input_size, "hidden": list(hidden),
             "output": output, "seed": seed}
-    return Sequential("mlp", layers, spec, takes_sequences=False)
+    return Network(spec, False, [layers])
 
 
 def lstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
-                     output: int = 5, seed: int = 0) -> Sequential:
+                     output: int = 5, seed: int = 0) -> Network:
     """Stacked recurrent net: per-step first layer, final-state second."""
     _check_output(output)
     rng = Rng(seed)
@@ -181,11 +158,11 @@ def lstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
     ]
     spec = {"kind": "lstm", "input": input_size, "units": units,
             "dense": dense, "output": output, "seed": seed}
-    return Sequential("lstm", layers, spec, takes_sequences=True)
+    return Network(spec, True, [layers])
 
 
 def bilstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
-                       output: int = 5, seed: int = 0) -> Sequential:
+                       output: int = 5, seed: int = 0) -> Network:
     """As lstm_model_build with each recurrent layer run in both directions."""
     _check_output(output)
     rng = Rng(seed)
@@ -197,13 +174,16 @@ def bilstm_model_build(input_size: int = 11, units: int = 11, dense: int = 64,
     ]
     spec = {"kind": "bilstm", "input": input_size, "units": units,
             "dense": dense, "output": output, "seed": seed}
-    return Sequential("bilstm", layers, spec, takes_sequences=True)
+    return Network(spec, True, [layers])
 
 
 def hybrid_model_build(input_size: int = 11, output: int = 5, window: int = 4,
                        units: int = 11, filters: int = 64, kernel: int = 3,
-                       dense: int = 64, seed: int = 0) -> HybridNet:
-    """Two-path net; the flatten width pins the model to one window length."""
+                       dense: int = 64, seed: int = 0) -> Network:
+    """Two paths over the same window under a dense head on their 2 * dense
+    concatenation. CNN path: conv -> pool -> flatten -> dense. Recurrent
+    path: bidirectional then unidirectional LSTM -> dense. The flatten width
+    pins the model to one window length."""
     _check_output(output)
     conv_len = window - kernel + 1
     pooled = conv_len // MaxPool1d.width
@@ -227,7 +207,7 @@ def hybrid_model_build(input_size: int = 11, output: int = 5, window: int = 4,
     spec = {"kind": "hybrid", "input": input_size, "output": output,
             "window": window, "units": units, "filters": filters,
             "kernel": kernel, "dense": dense, "seed": seed}
-    return HybridNet(spec, cnn_layers, lstm_layers, head)
+    return Network(spec, True, [cnn_layers, lstm_layers], [("out", head)])
 
 
 _BUILDERS = {
@@ -252,26 +232,6 @@ def build_from_spec(spec: dict):
 # --- windowing ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceBatch:
-    """Uniform-length windows with one target row each, order preserved."""
-
-    x: np.ndarray  # (m, T, d)
-    y: np.ndarray  # (m, k)
-
-    def __post_init__(self):
-        if self.x.ndim != 3:
-            raise ValueError(f"sequences must be 3-D, got shape {self.x.shape}")
-        matrix(self.y, rows=self.x.shape[0], cols=self.y.shape[1])
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.x.shape[1]
-
-
 def sliding_windows(x: np.ndarray, window: int) -> np.ndarray:
     """(n - window + 1, window, d) C-contiguous windows of consecutive rows.
 
@@ -285,15 +245,3 @@ def sliding_windows(x: np.ndarray, window: int) -> np.ndarray:
     count = x.shape[0] - window + 1
     return np.stack([x[k:k + count] for k in range(window)], axis=1)
 
-
-def make_sequences(x, y, window: int = 1) -> SequenceBatch:
-    """Sliding windows of `window` consecutive rows; target = final row's y.
-
-    n rows yield n - window + 1 sequences. Build per split so no window
-    straddles a train/test boundary.
-    """
-    x = matrix(x)
-    y = matrix(y)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError(f"X has {x.shape[0]} rows but Y has {y.shape[0]}")
-    return SequenceBatch(x=sliding_windows(x, window), y=y[window - 1:].copy())

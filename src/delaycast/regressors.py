@@ -26,7 +26,6 @@ from .neural import (
     bilstm_model_build,
     hybrid_model_build,
     lstm_model_build,
-    make_sequences,
     mlp_build,
     sliding_windows,
     train,
@@ -185,8 +184,9 @@ def _fit_neural(table: FeatureTable, kind: str, options: FitOptions):
     if kind == "mlp":
         x_fit, y_fit = xin, yin
     else:
-        batch = make_sequences(xin, yin, window=options.window)
-        x_fit, y_fit = batch.x, batch.y
+        # target = the window's final row, as in predict_table
+        x_fit = sliding_windows(xin, options.window)
+        y_fit = yin[options.window - 1:]
 
     batch_size = options.batch_size
     if batch_size is None:

@@ -83,21 +83,15 @@ def screening_columns(flights):
 
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, float]:
     """1-based mid-ranks and the tie term sum(t^3 - t) over tie groups."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True, equal_nan=False)
+    end = np.cumsum(counts) - 1
+    start = end - (counts - 1)
+    # average of ranks start+1 .. end+1
+    ranks = (0.5 * (start + end) + 1.0)[group]
     tie_term = 0.0
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        t = j - i + 1
-        # average of ranks i+1 .. j+1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        if t > 1:
-            tie_term += t**3 - t
-        i = j + 1
+    for t in counts[counts > 1].tolist():
+        tie_term += t**3 - t
     return ranks, tie_term
 
 
@@ -166,8 +160,8 @@ def kruskal_h(groups) -> KruskalResult:
     """Kruskal-Wallis H over >= 2 groups with mid-rank ties and tie correction.
 
     H = [12 / (N(N+1)) * sum R_j^2 / n_j - 3(N+1)] / (1 - sum(t^3 - t)/(N^3 - N)).
-    Raises when any group is empty or all pooled values are identical (the
-    tie correction degenerates to zero).
+    Raises when any group is empty or holds NaN, or all pooled values are
+    identical (the tie correction degenerates to zero).
     """
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if len(arrays) < 2:
@@ -175,6 +169,8 @@ def kruskal_h(groups) -> KruskalResult:
     if any(a.ndim != 1 or a.size == 0 for a in arrays):
         raise ValueError("kruskal_h groups must be non-empty 1-D")
     pooled = np.concatenate(arrays)
+    if np.isnan(pooled).any():
+        raise ValueError("kruskal_h groups must not hold NaN")
     n_total = pooled.size
     ranks, tie_term = _midranks(pooled)
     correction = 1.0 - tie_term / (n_total**3 - n_total)

@@ -354,8 +354,7 @@ def tree_predict(trees: TreeArrays, x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ForestModel:
     """Bagged trees. Member t was fit on rows Rng(seed).spawn(t).integers(0, n, n)
-    of the n training rows (on all of them when fit without bootstrap), so the
-    seed alone reproduces every member.
+    of the n training rows, so the seed alone reproduces every member.
     """
 
     trees: TreeArrays
@@ -367,8 +366,7 @@ class ForestModel:
 
 
 def forest_fit(x, y, n_estimators: int = 100, max_depth: int = 20,
-               min_samples_leaf: int = 1, seed: int = 0,
-               bootstrap: bool = True) -> ForestModel:
+               min_samples_leaf: int = 1, seed: int = 0) -> ForestModel:
     """Bagged trees on seeded bootstrap resamples (n draws with replacement).
 
     Each tree owns an independent substream, so the forest is reproducible
@@ -381,10 +379,7 @@ def forest_fit(x, y, n_estimators: int = 100, max_depth: int = 20,
     root = Rng(seed)
     trees = []
     for t in range(n_estimators):
-        if bootstrap:
-            idx = root.spawn(t).integers(0, n, n)
-        else:
-            idx = np.arange(n, dtype=np.int64)
+        idx = root.spawn(t).integers(0, n, n)
         trees.append(tree_fit(x[idx], y[idx], max_depth=max_depth,
                               min_samples_leaf=min_samples_leaf))
     return ForestModel(trees=_concat(trees), seed=seed)

@@ -11,7 +11,6 @@ from delaycast.neural import (
     Flatten,
     LstmLayer,
     MaxPool1d,
-    SequenceBatch,
     TrainConfig,
     TrainingError,
     bilstm_model_build,
@@ -22,8 +21,8 @@ from delaycast.neural import (
     lstm_cell_forward,
     lstm_model_build,
     lstm_params,
-    make_sequences,
     mlp_build,
+    sliding_windows,
     train,
 )
 from delaycast.neural.layers import glorot
@@ -362,44 +361,34 @@ class TestModels:
             build_from_spec({"kind": "transformer"})
 
 
-class TestSequences:
+class TestSlidingWindows:
     def test_window_one_is_per_record(self):
         x = np.arange(10.0).reshape(5, 2)
-        y = np.arange(5.0).reshape(5, 1)
-        batch = make_sequences(x, y, window=1)
-        assert len(batch) == 5 and batch.window == 1
-        assert np.array_equal(batch.x[:, 0, :], x)
-        assert np.array_equal(batch.y, y)
+        windows = sliding_windows(x, 1)
+        assert windows.shape == (5, 1, 2)
+        assert np.array_equal(windows[:, 0, :], x)
 
-    def test_window_three_targets_align_to_final_row(self):
+    def test_window_three_holds_consecutive_rows(self):
         x = np.arange(10.0).reshape(5, 2)
-        y = np.arange(5.0).reshape(5, 1)
-        batch = make_sequences(x, y, window=3)
-        assert len(batch) == 3
-        assert np.array_equal(batch.y[:, 0], [2.0, 3.0, 4.0])
-        assert np.array_equal(batch.x[0], x[0:3])
-        assert np.array_equal(batch.x[2], x[2:5])
+        windows = sliding_windows(x, 3)
+        assert windows.shape == (3, 3, 2) and windows.flags.c_contiguous
+        assert np.array_equal(windows[0], x[0:3])
+        assert np.array_equal(windows[2], x[2:5])
 
     def test_windows_built_per_split_never_straddle(self):
         x = np.arange(20.0).reshape(10, 2)
-        y = np.arange(10.0).reshape(10, 1)
-        train_part = make_sequences(x[:7], y[:7], window=3)
-        test_part = make_sequences(x[7:], y[7:], window=3)
+        train_part = sliding_windows(x[:7], 3)
+        test_part = sliding_windows(x[7:], 3)
         # last train window ends at row 6, first test window starts at row 7
-        assert np.array_equal(train_part.x[-1], x[4:7])
-        assert np.array_equal(test_part.x[0], x[7:10])
+        assert np.array_equal(train_part[-1], x[4:7])
+        assert np.array_equal(test_part[0], x[7:10])
 
     def test_errors(self):
         x = np.ones((3, 2))
-        y = np.ones((3, 1))
         with pytest.raises(ValueError, match="window"):
-            make_sequences(x, y, window=0)
+            sliding_windows(x, 0)
         with pytest.raises(ValueError, match="cannot fill"):
-            make_sequences(x, y, window=4)
-        with pytest.raises(ValueError, match="rows"):
-            make_sequences(x, np.ones((2, 1)), window=1)
-        with pytest.raises(ValueError):
-            SequenceBatch(x=np.ones((2, 2)), y=np.ones((2, 1)))
+            sliding_windows(x, 4)
 
 
 def _toy_problem(n=60, seed=0):
@@ -481,11 +470,10 @@ class TestTrainer:
 
     def test_recurrent_training_with_clipping_runs(self):
         x, y = _toy_problem(n=30, seed=8)
-        batch = make_sequences(x, y[:, :1], window=3)
         model = lstm_model_build(units=4, dense=8, output=1, seed=13)
         config = TrainConfig(epochs=2, batch_size=8, clip_max_norm=1.0,
                              learning_rate=0.01)
-        history = train(model, batch.x, batch.y, config)
+        history = train(model, sliding_windows(x, 3), y[2:, :1], config)
         assert len(history) == 2
         assert all(np.isfinite(h.train_mse) for h in history)
 
@@ -551,6 +539,18 @@ _PINNED = {
 }
 
 
+def _layer_keys(*layers):
+    return [f"{layer}.{key}" for layer in layers for key in ("w", "b")]
+
+
+_FILING_ORDER = {
+    "mlp": _layer_keys("out", "dense2", "dense1"),
+    "lstm": _layer_keys("out", "dense", "lstm2", "lstm1"),
+    "bilstm": _layer_keys("out", "dense", "bi2.fwd", "bi2.bwd", "bi1.fwd", "bi1.bwd"),
+    "hybrid": _layer_keys("out", "cnn_dense", "conv", "lstm_dense", "lstm2",
+                          "bi.fwd", "bi.bwd"),
+}
+
 def _pinned_training(kind, seed):
     """Two epochs on a 120-row toy problem; the sequence kinds clip at 1.
 
@@ -561,8 +561,7 @@ def _pinned_training(kind, seed):
     y = 4.0 * np.hstack([y, y, y[:, :1]])
     clip = None
     if kind != "mlp":
-        batch = make_sequences(x, y, window=4)
-        x, y, clip = batch.x, batch.y, 1.0
+        x, y, clip = sliding_windows(x, 4), y[3:], 1.0
     model = _BUILDERS[kind](seed)
     train(model, x, y, TrainConfig(epochs=2, batch_size=16, clip_max_norm=clip))
     return model
@@ -585,6 +584,18 @@ class TestParameterVector:
         assert all(np.shares_memory(g, model.grad_vector) for g in grads.values())
         model.vector[...] = 0.0  # reaches every layer, the bidirectional halves too
         assert np.array_equal(model.forward(x), np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_backward_files_gradients_in_pinned_order(self, kind):
+        # the clip sums squared gradients in this order, so it fixes the bytes
+        # of every clipped model: the tail first, then each path from its
+        # last layer back
+        model = _BUILDERS[kind](1)
+        x = Rng(2).uniform_array((3, 4, 11) if model.takes_sequences else (3, 11),
+                                 -1.0, 1.0)
+        pred, caches = model.forward_cached(x)
+        grads, _ = model.backward(caches, pred)
+        assert list(grads) == _FILING_ORDER[kind]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))

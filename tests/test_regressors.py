@@ -11,7 +11,7 @@ from delaycast.features import (
     fit_standardizer,
     positive_variance_columns,
 )
-from delaycast.neural import TrainConfig, make_sequences, mlp_build, train
+from delaycast.neural import TrainConfig, mlp_build, sliding_windows, train
 from delaycast.preprocess import run_pipeline
 from delaycast.regressors import (
     MODEL_KINDS,
@@ -130,7 +130,7 @@ class TestNeuralKinds:
                                 FitOptions(window=4, epochs=1, batch_size=64, seed=2))
         for trained in (a, hybrid):
             xin = trained.scaler.apply(test_t.x) - trained.input_offset
-            windows = make_sequences(xin, test_t.y, window=trained.window).x
+            windows = sliding_windows(xin, trained.window)
             want = (trained.target_offset
                     + trained.target_scale * trained.inner.forward(windows))
             assert np.array_equal(predict_table(trained, test_t), want)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycast.stats import (
-    KruskalResult, chi2_sf, correlation_table,
+    KruskalResult, _midranks, chi2_sf, correlation_table,
     kruskal_h, pearson, redundancy_test,
 )
 
@@ -173,6 +173,42 @@ def test_kruskal_errors():
         kruskal_h([[1.0], []])
     with pytest.raises(ValueError, match="identical"):
         kruskal_h([[5.0, 5.0], [5.0, 5.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        kruskal_h([[1.0, float("nan")], [2.0, 3.0]])
+
+
+def _midranks_loop(values):
+    """Group-by-group mid-ranks over a stable sort, the reference for _midranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    tie_term = 0.0
+    i = 0
+    sorted_vals = values[order]
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        t = j - i + 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        if t > 1:
+            tie_term += t**3 - t
+        i = j + 1
+    return ranks, tie_term
+
+
+def test_midranks_equal_the_loop_on_tie_heavy_values():
+    rng = np.random.default_rng(11)
+    cases = [np.array([0.0, -0.0, 0.0, 1.0, -0.0]), np.array([3.0]),
+             np.full(7, -0.0), np.array([2.0, 1.0, 2.0, 1.0, 2.0])]
+    for n, levels in ((50, 2), (400, 5), (3000, 40), (2000, 2000)):
+        values = rng.integers(-levels, levels, n).astype(float)
+        values[rng.random(n) < 0.25] = -0.0
+        cases.append(values)
+    for values in cases:
+        ranks, tie_term = _midranks(values)
+        want_ranks, want_tie = _midranks_loop(values)
+        assert np.array_equal(ranks, want_ranks)
+        assert tie_term == want_tie and type(tie_term) is float
 
 
 def test_kruskal_against_scipy_random_inputs():

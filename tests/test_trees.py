@@ -288,15 +288,6 @@ class TestTree:
 
 
 class TestForest:
-    def test_single_tree_without_bootstrap_equals_plain_tree(self):
-        rng = Rng(1)
-        x = rng.uniform_array((50, 2))
-        y = rng.uniform_array((50, 2))
-        forest = forest_fit(x, y, n_estimators=1, max_depth=6,
-                            min_samples_leaf=2, seed=5, bootstrap=False)
-        tree = tree_fit(x, y, max_depth=6, min_samples_leaf=2)
-        assert np.array_equal(forest_predict(forest, x), tree_predict(tree, x))
-
     def test_same_seed_is_bit_identical(self):
         rng = Rng(2)
         x = rng.uniform_array((80, 3))

@@ -17,17 +17,27 @@ skipped-cell `diagnostics`, `rows_out` after each prune stage, and
 its decisions. The analyze manifest adds `rows_in`, `rows_usable` (the rows
 that carry every screened attribute) and `correlations`, each attribute's
 Pearson r as the table prints it. The train manifest adds `rows_train`,
-`rows_held_out` and `timings` (`read_s` for the CSV, `fit_s` for the table
-build, split and fit, `save_s`); the evaluate manifest adds `rows_scored`
-and `timings` (`read_s` for the model file and CSV, `score_s` for the table
-build and scoring). Train and evaluate both split chronologically at
-`DEFAULT_TRAIN_FRACTION`, so evaluate's test split is the rows train held out.
+`rows_held_out` and `timings` (`read_s` for the CSV, `table_s` for the
+codebook, table build and split, `fit_s` for the fit alone, `save_s`); the
+evaluate manifest adds `rows_scored` and `timings` (`read_s` for the model
+file and CSV, `score_s` for the table build and scoring). Train and evaluate
+both split chronologically at `DEFAULT_TRAIN_FRACTION`, so evaluate's test
+split is the rows train held out.
+
+Preprocess, analyze, train and evaluate read their CSV through one path,
+`_read_flights`, which keeps the last parse of the process and hands it
+back while the file still holds the same bytes (checked by its stat fields
+and a CRC-32 of its bytes). So a chain run in one process, such as the
+driver script's, parses its pruned file once for every train and evaluate;
+each of these commands records whether it did in `read_reused`. A command
+run on its own starts with nothing kept.
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
-then built-in defaults. A config value of the wrong type (a bool, a fraction
-for an integer flag, a non-string for a text flag) is an error. Errors exit
-nonzero with a single "error: ..." line.
+then built-in defaults. A config key that names no flag of the command, or
+a config value of the wrong type (a bool, a fraction for an integer flag, a
+non-string for a text flag), is an error. Errors exit nonzero with a single
+"error: ..." line.
 
 `main` first pins glibc's malloc thresholds (`pin_malloc_thresholds`), once
 per process, so that memory freed between tree levels and epochs is reused
@@ -46,6 +56,7 @@ import os
 import resource
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +89,7 @@ from .preprocess import (
     run_pipeline,
 )
 from .regressors import MODEL_KINDS, FitOptions, train_model
-from .schema import read_csv, write_csv
+from .schema import BLOCK_BYTES, read_csv, write_csv
 from .stats import (
     CONTINUOUS_ATTRIBUTES,
     DEFAULT_REDUNDANCY_THRESHOLD,
@@ -104,6 +115,11 @@ class Flags:
     def __init__(self, args):
         self._args = vars(args)
         self._config = self._load_config(self._args.get("config"))
+        flags = set(self._args) - {"command", "func", "config"}
+        unknown = [k for k in self._config if k.replace("-", "_") not in flags]
+        if unknown:
+            raise ValueError(f"config keys name no flag of {self._args['command']}: "
+                             + ", ".join(unknown))
         self.resolved = {}
 
     @staticmethod
@@ -170,15 +186,70 @@ def _problems(checks) -> None:
         raise ValueError("; ".join(bad))
 
 
+class _Crc32Reader:
+    """A binary stream's `read`, folding every block it passes on into `crc`.
+
+    `str()` gives the path, as `read_csv` would see it when called with the
+    path, so perfbench's tracer counts the rows of the file that was read.
+    """
+
+    def __init__(self, stream, path):
+        self._stream, self._path = stream, str(path)
+        self.crc = 0
+
+    def read(self, size):
+        block = self._stream.read(size)
+        self.crc = zlib.crc32(block, self.crc)
+        return block
+
+    def __str__(self):
+        return self._path
+
+
+def _stat_key(stat) -> tuple:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _crc32(path) -> int:
+    with open(path, "rb") as stream:
+        reader = _Crc32Reader(stream, path)
+        while reader.read(BLOCK_BYTES):
+            pass
+    return reader.crc
+
+
+# (stat key, CRC-32, flights, diagnostics) of the last CSV parsed, or None;
+# its arrays are read-only, so the commands of one process can share them
+_last_parse = None
+
+
 def _read_flights(path):
-    """(flights, diagnostics) of a CSV that must hold at least one usable row."""
-    flights, diagnostics = read_csv(path)
+    """(flights, diagnostics, reused) of a CSV that must hold at least one usable row.
+
+    Hands back the last parse (`reused` True) when the file holds the bytes
+    it was parsed from: its device, inode, size and mtime must match those
+    taken when that parse ended, and then a CRC-32 of its bytes the one taken
+    while they were parsed. A miss drops the last parse before parsing, so
+    two are never held at once; a read that raises leaves none.
+    """
+    global _last_parse
+    reused = (_last_parse is not None
+              and _stat_key(os.stat(path)) == _last_parse[0]
+              and _crc32(path) == _last_parse[1])
+    if not reused:
+        _last_parse = None
+        with open(path, "rb") as stream:
+            reader = _Crc32Reader(stream, path)
+            flights, diagnostics = read_csv(reader)
+            _last_parse = (_stat_key(os.fstat(stream.fileno())), reader.crc,
+                           flights, diagnostics)
+    _, _, flights, diagnostics = _last_parse
     if diagnostics:
         print(f"note: skipped {len(diagnostics)} malformed cells/rows in {path}",
               file=sys.stderr)
     if not len(flights):
         raise ValueError(f"no usable records in {path}")
-    return flights, diagnostics
+    return flights, diagnostics, reused
 
 
 # mallopt(3) parameters and the values glibc's dynamic rule reaches after one
@@ -295,7 +366,7 @@ def cmd_preprocess(args) -> int:
     tolerance = flags.get("sum-tolerance", DEFAULT_SUM_TOLERANCE, cast=float)
     timings = {}
     with _timed(timings, "read_s"):
-        flights, diagnostics = _read_flights(in_path)
+        flights, diagnostics, reused = _read_flights(in_path)
     with _timed(timings, "prune_s"):
         retained, report = run_pipeline(flights, sum_tolerance=tolerance)
     with _timed(timings, "write_s"):
@@ -314,7 +385,7 @@ def cmd_preprocess(args) -> int:
                     inputs=[in_path], outputs=[out, report_path],
                     started=started, rows_in=report.input_count,
                     diagnostics=len(diagnostics), rows_out=rows_out,
-                    timings=timings)
+                    timings=timings, read_reused=reused)
     sys.stdout.write(report.to_text())
     return 0
 
@@ -325,7 +396,7 @@ def cmd_analyze(args) -> int:
     in_path = flags.get("in", required=True, cast=str)
     out = flags.get("out", cast=str)
     threshold = flags.get("threshold", DEFAULT_REDUNDANCY_THRESHOLD, cast=float)
-    flights, _ = _read_flights(in_path)
+    flights, _, reused = _read_flights(in_path)
 
     usable, columns, target = screening_columns(flights)
     n_usable = target.size
@@ -370,7 +441,7 @@ def cmd_analyze(args) -> int:
                                "attributes": list(CONTINUOUS_ATTRIBUTES)},
                     inputs=[in_path], outputs=outputs, started=started,
                     qualify=out is None, rows_in=len(flights),
-                    rows_usable=n_usable,
+                    rows_usable=n_usable, read_reused=reused,
                     correlations={row.attribute: row.r for row in corr})
     return 0
 
@@ -410,16 +481,17 @@ def cmd_train(args) -> int:
 
     timings = {}
     with _timed(timings, "read_s"):
-        flights, _ = _read_flights(in_path)
+        flights, _, reused = _read_flights(in_path)
     options = FitOptions(seed=seed, window=window, max_depth=depth,
                          min_samples_leaf=min_leaf, n_estimators=trees,
                          rounds=rounds, learning_rate=rate, epochs=epochs,
                          batch_size=batch, patience=patience,
                          clip_max_norm=clip, checkpoint_path=checkpoint)
-    with _timed(timings, "fit_s"):
+    with _timed(timings, "table_s"):
         codebook = fit_codebook(flights)
         table = build_table(flights, codebook, targets)
         train_t, test_t = chronological_split(table, DEFAULT_TRAIN_FRACTION)
+    with _timed(timings, "fit_s"):
         trained, history = train_model(train_t, model_kind, options)
     with _timed(timings, "save_s"):
         save_model(trained, out)
@@ -430,7 +502,7 @@ def cmd_train(args) -> int:
                                "settings": trained.settings},
                     inputs=[in_path], outputs=[out], started=started,
                     rows_train=len(train_t), rows_held_out=len(test_t),
-                    timings=timings)
+                    timings=timings, read_reused=reused)
     print(f"trained {model_kind} on {len(train_t)} rows "
           f"({len(test_t)} held out); saved {out}")
     if history:
@@ -453,7 +525,7 @@ def cmd_evaluate(args) -> int:
     timings = {}
     with _timed(timings, "read_s"):
         trained = load_model(model_path)
-        flights, _ = _read_flights(in_path)
+        flights, _, reused = _read_flights(in_path)
     with _timed(timings, "score_s"):
         codebook = LabelCodebook(columns=dict(trained.codebook_columns))
         table = build_table(flights, codebook, trained.target_mode)
@@ -471,7 +543,7 @@ def cmd_evaluate(args) -> int:
                     inputs=[model_path, in_path], outputs=[report_out],
                     started=started,
                     rows_scored=summary.manifest["rows_scored"],
-                    timings=timings)
+                    timings=timings, read_reused=reused)
     sys.stdout.write(render_totals([summary]))
     if rows:
         sys.stdout.write("\n" + render_components(rows))

@@ -51,23 +51,24 @@ class LabelCodebook:
     columns: dict  # column name -> tuple of categories, sorted
 
     def encode(self, column: str, values) -> np.ndarray:
-        """Codes of a column's values, looked up once per distinct value.
+        """Codes of a column's values, each looked up in the category dict.
 
-        An unknown value is an error naming it.
+        An unknown value is an error naming the smallest unknown one.
         """
         cats = self.columns.get(column)
         if cats is None:
             raise ValueError(f"codebook has no column {column!r}")
-        # np.unique, not np.searchsorted: numpy 2.4's searchsorted misorders
-        # StringDType arrays
-        distinct, inverse = np.unique(np.asarray(values, dtype=StringDType()),
-                                      return_inverse=True)
+        # a dict lookup, not np.searchsorted: numpy 2.4's searchsorted
+        # misorders StringDType arrays
+        values = np.asarray(values, dtype=StringDType())
+        text = values.ravel().tolist()
         lookup = {c: i for i, c in enumerate(cats)}
         try:
-            codes = np.array([lookup[v] for v in distinct.tolist()], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"unknown {column} category {exc.args[0]!r}") from None
-        return codes[inverse]
+            codes = [lookup[v] for v in text]
+        except KeyError:
+            unknown = min(set(text) - lookup.keys())
+            raise ValueError(f"unknown {column} category {unknown!r}") from None
+        return np.array(codes, dtype=np.intp).reshape(values.shape)
 
 
 _FIELD_OF = {"AIRLINE": "airline", "ORIGIN": "origin", "DEST": "dest"}

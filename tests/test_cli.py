@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import delaycast
 from delaycast import cli
 from delaycast.cli import main
 from delaycast.modelfile import load_model
-from delaycast.schema import Flights, read_csv, write_csv
+from delaycast.schema import Flights, SchemaError, read_csv, write_csv
 from delaycast.stats import correlation_table, screening_columns
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels
 
@@ -202,6 +203,32 @@ class TestFlagResolution:
         assert run(["synth", "--config", cfg, "--out", out]) == 0
         assert len(out.read_text().strip().splitlines()) == 13
 
+    @pytest.mark.parametrize("config,err", [
+        ({"train-fraction": 0.9},
+         "error: config keys name no flag of train: train-fraction\n"),
+        ({"min-lef": 3, "model": "tree", "train_fraction": 0.9},
+         "error: config keys name no flag of train: min-lef, train_fraction\n"),
+        ({"config": "other.json"}, "error: config keys name no flag of train: config\n"),
+    ])
+    def test_config_keys_must_name_a_flag(self, tmp_path, capsys, config, err):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["train", "--config", cfg, "--in", tmp_path / "p.csv",
+                    "--model", "ols", "--out", tmp_path / "m.bin"]) == 1
+        assert capsys.readouterr().err == err
+
+    def test_config_keys_take_either_spelling(self, tmp_path):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 5, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_leaf": 7, "depth": 3, "model": "tree"}))
+        assert run(["train", "--config", cfg, "--in", pruned,
+                    "--out", tmp_path / "m.bin"]) == 0
+        manifest = json.loads((tmp_path / "m.bin.manifest.json").read_text())
+        assert manifest["config"]["min-leaf"] == 7
+        assert manifest["decisions"]["settings"]["min_samples_leaf"] == 7
+
     @pytest.mark.parametrize("summaries", [5, [], ["a.json", 3]])
     def test_report_summaries_must_be_paths(self, tmp_path, capsys, summaries):
         cfg = tmp_path / "cfg.json"
@@ -227,10 +254,12 @@ class TestManifests:
                     f"{pruned}.analyze.manifest.json", f"{model}.manifest.json",
                     f"{rep}.manifest.json",
                     f"{tmp_path / 'totals.csv'}.manifest.json"]
-        commands = []
+        commands, reused = [], {}
         for path in expected:
             manifest = json.loads((tmp_path / path).read_text())
             commands.append(manifest["command"])
+            if "read_reused" in manifest:
+                reused[manifest["command"]] = manifest["read_reused"]
             assert manifest["wall_time_s"] >= 0.0
             assert isinstance(manifest["config"], dict)
             assert manifest["peak_rss_mb"] > 0
@@ -238,6 +267,9 @@ class TestManifests:
             assert manifest["minor_faults"] >= 0
         assert commands == ["synth", "preprocess", "analyze", "train", "evaluate",
                             "report"]
+        # analyze parses p.csv; train and evaluate reuse that parse
+        assert reused == {"preprocess": False, "analyze": False, "train": True,
+                          "evaluate": True}
 
     def test_preprocess_manifest_counts_rows_and_memory(self, tmp_path):
         flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
@@ -304,7 +336,8 @@ class TestManifests:
         assert trained["rows_held_out"] == scored["rows_scored"] > 0
         bundle = json.loads(rep.read_text())
         assert scored["rows_scored"] == bundle["models"][0]["manifest"]["rows_scored"]
-        for manifest, phases in ((trained, {"read_s", "fit_s", "save_s"}),
+        assert (trained["read_reused"], scored["read_reused"]) == (False, True)
+        for manifest, phases in ((trained, {"read_s", "table_s", "fit_s", "save_s"}),
                                  (scored, {"read_s", "score_s"})):
             assert set(manifest["timings"]) == phases
             assert all(seconds >= 0.0 for seconds in manifest["timings"].values())
@@ -360,6 +393,112 @@ class TestManifests:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed CSV at line 151: invalid UTF-8 ")
         assert err.count("\n") == 1
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """An empty parse cache and a count of cli.read_csv calls."""
+    calls = []
+    parse = cli.read_csv
+
+    def counted(source):
+        calls.append(str(source))
+        return parse(source)
+
+    monkeypatch.setattr(cli, "_last_parse", None)
+    monkeypatch.setattr(cli, "read_csv", counted)
+    return calls
+
+
+def pruned_csv(tmp_path, seed=5):
+    flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+    assert run(["synth", "--count", 300, "--seed", seed, "--out", flights]) == 0
+    assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+    return pruned
+
+
+class TestParseReuse:
+    def test_train_then_evaluate_parse_once_and_score_as_cold(self, tmp_path, cold):
+        pruned = pruned_csv(tmp_path)
+        model = tmp_path / "m.bin"
+        cli._last_parse = None
+        cold.clear()
+        assert run(["train", "--in", pruned, "--model", "ols", "--out", model]) == 0
+        assert run(["evaluate", "--model-file", model, "--in", pruned,
+                    "--report-out", tmp_path / "warm.json"]) == 0
+        assert cold == [str(pruned)]
+        cli._last_parse = None
+        assert run(["evaluate", "--model-file", model, "--in", pruned,
+                    "--report-out", tmp_path / "cold.json"]) == 0
+        assert len(cold) == 2
+        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+
+    def test_same_size_rewrite_with_restored_mtime_is_parsed_again(self, tmp_path, cold):
+        pruned = pruned_csv(tmp_path)
+        assert cli._read_flights(pruned)[2] is False
+        assert cli._read_flights(pruned)[2] is True
+        before = os.stat(pruned)
+        header, first, second, *rest = pruned.read_bytes().split(b"\n")
+        assert first != second
+        with open(pruned, "r+b") as fh:  # in place: the same inode
+            fh.write(b"\n".join([header, second, first, *rest]))
+        os.utime(pruned, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert cli._stat_key(os.stat(pruned)) == cli._stat_key(before)
+        calls = len(cold)
+        flights, _, reused = cli._read_flights(pruned)
+        assert reused is False and len(cold) == calls + 1
+        fresh, _ = read_csv(pruned)
+        for name in Flights.FIELDS:
+            assert getattr(flights, name).tolist() == getattr(fresh, name).tolist()
+
+    def test_hit_still_notes_skipped_rows_and_refuses_an_empty_file(
+            self, tmp_path, capsys, cold):
+        flights = tmp_path / "f.csv"
+        assert run(["synth", "--count", 50, "--seed", 2, "--out", flights]) == 0
+        with open(flights, "a", encoding="utf-8") as fh:
+            fh.write("2022-01-03,X\n")
+        capsys.readouterr()
+        for reused in (False, True):
+            assert cli._read_flights(flights)[2] is reused
+            assert capsys.readouterr().err == (
+                f"note: skipped 1 malformed cells/rows in {flights}\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text(flights.read_text().split("\n", 1)[0] + "\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no usable records"):
+                cli._read_flights(empty)
+        assert cold.count(str(empty)) == 1
+
+    def test_failed_read_leaves_no_entry(self, tmp_path, cold):
+        pruned = pruned_csv(tmp_path)
+        cli._read_flights(pruned)
+        assert cli._last_parse is not None
+        bad = tmp_path / "bad.csv"
+        bad.write_text("FL_DATE,AIRLINE\n2022-01-03,X\n")
+        with pytest.raises(SchemaError, match="missing required columns"):
+            cli._read_flights(bad)
+        assert cli._last_parse is None
+        with pytest.raises(SchemaError):
+            cli._read_flights(bad)
+
+    def test_reading_another_file_releases_the_last_parse_first(
+            self, tmp_path, monkeypatch, cold):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first, second = pruned_csv(tmp_path / "a"), pruned_csv(tmp_path / "b", seed=6)
+        flights = cli._read_flights(first)[0]
+        held = weakref.ref(flights)
+        del flights
+        alive_at_parse = []
+        parse = cli.read_csv
+
+        def probe(source):
+            alive_at_parse.append(held() is not None)
+            return parse(source)
+
+        monkeypatch.setattr(cli, "read_csv", probe)
+        cli._read_flights(second)
+        assert alive_at_parse == [False]
 
 
 # Allocates and frees ten 1 MiB arrays 20 times after the pin; prints the

@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 
 from delaycast.features import (
     CONTINUOUS_FEATURES, FEATURE_NAMES, FeatureTable,
@@ -43,6 +44,14 @@ def test_codebook_lexicographic_and_errors():
         cb.encode("AIRLINE", "WN")
     with pytest.raises(ValueError, match="no column"):
         cb.encode("NOPE", "x")
+
+
+def test_codebook_names_the_smallest_unknown_value():
+    cb = fit_codebook(small_records())
+    values = np.array(["UA", "WN", "AA", "B6", "WN"], dtype=StringDType())
+    with pytest.raises(ValueError, match="^unknown AIRLINE category 'B6'$"):
+        cb.encode("AIRLINE", values)
+    assert cb.encode("AIRLINE", values[[0, 2, 0]]).tolist() == [2, 0, 2]
 
 
 def test_build_table_order_and_values():

@@ -17,12 +17,15 @@ skipped-cell `diagnostics`, `rows_out` after each prune stage, and
 its decisions. The analyze manifest adds `rows_in`, `rows_usable` (the rows
 that carry every screened attribute) and `correlations`, each attribute's
 Pearson r as the table prints it. The train manifest adds `rows_train`,
-`rows_held_out` and `timings` (`read_s` for the CSV, `table_s` for the
-codebook, table build and split, `fit_s` for the fit alone, `save_s`); the
-evaluate manifest adds `rows_scored` and `timings` (`read_s` for the model
-file and CSV, `score_s` for the table build and scoring). Train and evaluate
-both split chronologically at `DEFAULT_TRAIN_FRACTION`, so evaluate's test
-split is the rows train held out.
+`rows_held_out`, `rows_windows` (the training examples, rows_train - window
++ 1), `rows_validation` (the examples at their end a neural kind holds out
+for early stopping, 0 for the others) and `timings` (`read_s` for the CSV,
+`table_s` for the codebook, table build and split, `fit_s` for the fit
+alone, `save_s`); the evaluate manifest adds `rows_scored` and `timings`
+(`read_s` for the model file and CSV, `score_s` for the table build and
+scoring). Train and evaluate both split chronologically at
+`DEFAULT_TRAIN_FRACTION`, so evaluate's test split is the rows train held
+out.
 
 Preprocess, analyze, train and evaluate read their CSV through one path,
 `_read_flights`, which keeps the last parse of the process and hands it
@@ -81,7 +84,7 @@ from .features import (
     fit_codebook,
 )
 from .modelfile import load_model, save_model
-from .neural import TrainingError
+from .neural import TrainingError, validation_rows
 from .preprocess import (
     DEFAULT_SUM_TOLERANCE,
     IQR_MULTIPLIER,
@@ -409,13 +412,13 @@ def cmd_analyze(args) -> int:
 
     red_rows = []
     for kept, cand, kept_field, cand_field in _REDUNDANCY_PAIRS:
-        kept_vals = getattr(flights, kept_field)[usable]
-        cand_vals = getattr(flights, cand_field)[usable]
-        if (cand_vals == "").all():
+        # the vocabularies are sorted, so groups by code are the groups by value
+        cand_col = getattr(flights, cand_field)
+        cand_used, cand_codes = np.unique(cand_col.codes[usable], return_inverse=True)
+        if (cand_col.vocabulary[cand_used] == "").all():
             red_rows.append((f"{kept} vs {cand}", "-", "-", "-", "no data"))
             continue
-        kept_codes = np.unique(kept_vals, return_inverse=True)[1]
-        cand_codes = np.unique(cand_vals, return_inverse=True)[1]
+        kept_codes = np.unique(getattr(flights, kept_field).codes[usable], return_inverse=True)[1]
         res = redundancy_test(target, kept_codes, cand_codes,
                               kept_name=kept, candidate_name=cand,
                               threshold=threshold)
@@ -493,6 +496,7 @@ def cmd_train(args) -> int:
         train_t, test_t = chronological_split(table, DEFAULT_TRAIN_FRACTION)
     with _timed(timings, "fit_s"):
         trained, history = train_model(train_t, model_kind, options)
+    windows = len(train_t) - window + 1
     with _timed(timings, "save_s"):
         save_model(trained, out)
     _write_manifest("train", out, config=flags.resolved,
@@ -502,6 +506,8 @@ def cmd_train(args) -> int:
                                "settings": trained.settings},
                     inputs=[in_path], outputs=[out], started=started,
                     rows_train=len(train_t), rows_held_out=len(test_t),
+                    rows_windows=windows, rows_validation=validation_rows(
+                        windows, trained.settings.get("validation_fraction", 0.0)),
                     timings=timings, read_reused=reused)
     print(f"trained {model_kind} on {len(train_t)} rows "
           f"({len(test_t)} held out); saved {out}")

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.dtypes import StringDType
 
-from .schema import COMPONENT_FIELDS, Flights
+from .schema import COMPONENT_FIELDS, Flights, TextColumn
 
 FEATURE_NAMES = ("CRS_DEP_TIME", "TAXI_OUT", "CRS_ARR_TIME", "TAXI_IN",
                  "DISTANCE", "YEAR", "MONTH", "DAY", "AIRLINE", "ORIGIN", "DEST")
@@ -50,25 +49,21 @@ class LabelCodebook:
 
     columns: dict  # column name -> tuple of categories, sorted
 
-    def encode(self, column: str, values) -> np.ndarray:
-        """Codes of a column's values, each looked up in the category dict.
+    def encode(self, column: str, values: TextColumn) -> np.ndarray:
+        """Codes of a text column's rows: each vocabulary entry is looked up once.
 
-        An unknown value is an error naming the smallest unknown one.
+        An unknown value some row holds is an error naming the smallest one.
         """
         cats = self.columns.get(column)
         if cats is None:
             raise ValueError(f"codebook has no column {column!r}")
-        # a dict lookup, not np.searchsorted: numpy 2.4's searchsorted
-        # misorders StringDType arrays
-        values = np.asarray(values, dtype=StringDType())
-        text = values.ravel().tolist()
         lookup = {c: i for i, c in enumerate(cats)}
-        try:
-            codes = [lookup[v] for v in text]
-        except KeyError:
-            unknown = min(set(text) - lookup.keys())
-            raise ValueError(f"unknown {column} category {unknown!r}") from None
-        return np.array(codes, dtype=np.intp).reshape(values.shape)
+        table = np.array([lookup.get(v, -1) for v in values.vocabulary.tolist()], dtype=np.intp)
+        codes = table[values.codes]
+        if (codes < 0).any():  # the vocabulary is sorted: the smallest code is the smallest value
+            unknown = values.vocabulary[values.codes[codes < 0].min()]
+            raise ValueError(f"unknown {column} category {unknown!r}")
+        return codes
 
 
 _FIELD_OF = {"AIRLINE": "airline", "ORIGIN": "origin", "DEST": "dest"}
@@ -82,7 +77,9 @@ def fit_codebook(flights: Flights) -> LabelCodebook:
     """
     out = {}
     for col in CATEGORICAL_FEATURES:
-        vocab = sorted(np.unique(getattr(flights, _FIELD_OF[col])).tolist())
+        values = getattr(flights, _FIELD_OF[col])
+        used = np.bincount(values.codes, minlength=len(values.vocabulary)) > 0
+        vocab = values.vocabulary[used].tolist()
         if not vocab:
             raise ValueError(f"no categories for column {col}")
         out[col] = tuple(vocab)

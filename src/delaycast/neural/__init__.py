@@ -17,7 +17,14 @@ from .models import (
     mlp_build,
     sliding_windows,
 )
-from .training import EpochStats, TrainConfig, TrainingError, load_checkpoint, train
+from .training import (
+    EpochStats,
+    TrainConfig,
+    TrainingError,
+    load_checkpoint,
+    train,
+    validation_rows,
+)
 
 __all__ = [
     "Conv1d", "Dense", "Flatten", "MaxPool1d",
@@ -26,4 +33,5 @@ __all__ = [
     "Network", "bilstm_model_build", "build_from_spec", "hybrid_model_build",
     "lstm_model_build", "mlp_build", "sliding_windows",
     "EpochStats", "TrainConfig", "TrainingError", "load_checkpoint", "train",
+    "validation_rows",
 ]

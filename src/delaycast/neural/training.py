@@ -82,6 +82,11 @@ def load_checkpoint(path):
     return model, meta
 
 
+def validation_rows(examples: int, fraction: float) -> int:
+    """How many of `examples` `train` holds out at their end for early stopping."""
+    return int(fraction * examples)
+
+
 def train(model, x, y, config: TrainConfig):
     """Fit in place; returns the per-epoch history tuple.
 
@@ -97,7 +102,7 @@ def train(model, x, y, config: TrainConfig):
         raise ValueError(f"X has {x.shape[0]} rows but Y has {y.shape[0]}")
     if x.shape[0] < 1:
         raise ValueError("empty training set")
-    n_val = int(config.validation_fraction * x.shape[0])
+    n_val = validation_rows(x.shape[0], config.validation_fraction)
     x_train, y_train = x[:x.shape[0] - n_val], y[:y.shape[0] - n_val]
     x_val, y_val = x[x.shape[0] - n_val:], y[y.shape[0] - n_val:]
     if x_train.shape[0] < 1:

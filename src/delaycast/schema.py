@@ -13,11 +13,14 @@ bitmaps:
 - FL_DATE (required, ISO YYYY-MM-DD only) is an int64 day ordinal from 1
   to `datetime.date.max`, as `datetime.date.toordinal` counts;
 - CANCELLED and DIVERTED (required) are int8, 0 or 1;
-- text is a numpy `StringDType` array, "" where blank, and is not checked.
+- text is a `TextColumn`, after Arrow's dictionary arrays: int32 codes into
+  a vocabulary of distinct str sorted by code point, "" where blank.
 
 A cell is blank when it is empty or "NA" after stripping whitespace.
-`Flights` refuses a non-text value outside its kind's domain and keeps its
-arrays read-only, so every value it holds is one a CSV cell can carry.
+`Flights` refuses a non-text value outside its kind's domain and a text
+column whose vocabulary is not sorted distinct str or whose codes fall
+outside it, and keeps its arrays read-only, so every value it holds is one
+a CSV cell can carry.
 
 The reader takes RFC 4180 CSV in UTF-8. A record ends in "\n" or "\r\n"
 (the last one may lack it). A field is either unquoted, holding no '"',
@@ -53,7 +56,8 @@ time, one column at a time:
   division rounds correctly (Clinger's fast path, PLDI 1990), so a value is
   bit-equal to `float(cell)`;
 - dates once per distinct value, text once per distinct value: unquoted,
-  decoded and stripped;
+  decoded and stripped; each chunk's text values join their column's
+  vocabulary, which is sorted once at the end;
 - every other cell (padded, signed with "+", with an exponent, "NA", bad)
   stripped, then through the scalar decoder of its kind, which words every
   diagnostic.
@@ -61,8 +65,9 @@ time, one column at a time:
 Ingest is strict per cell: a bad cell skips the whole row and leaves a
 diagnostic, never a silently-coerced value.
 
-The writer encodes by dictionary, as Arrow and Parquet do: per CHUNK_ROWS
-rows, each column's distinct values are formatted once and every cell is
+The writer encodes by dictionary, as Arrow and Parquet do: each text
+column's vocabulary is formatted once per write, and per CHUNK_ROWS rows
+each other column's distinct values are formatted once; every cell is then
 looked up among them. A text value is quoted, its quotes doubled, when it
 holds `,`, `"`, a line feed or a carriage return; no other cell is quoted.
 """
@@ -192,11 +197,11 @@ def _encode_number(v) -> str:
     return str(int(f)) if f == int(f) else repr(f)
 
 
-# Column kinds: how a cell decodes and how its column is stored.
+# Column kinds: how a cell decodes and how its column is stored (text: its codes).
 _DECODERS = {"date": _decode_day, "int": _decode_int,
              "flag": _decode_flag, "hhmm": parse_hhmm, "number": _decode_float,
              "component": _decode_component}
-_DTYPES = {"date": np.int64, "text": _TEXT, "flag": np.int8, "int": np.float64,
+_DTYPES = {"date": np.int64, "text": np.int32, "flag": np.int8, "int": np.float64,
            "hhmm": np.float64, "number": np.float64, "component": np.float64}
 
 # (column, field, required, kind); order is the export column order.
@@ -265,12 +270,62 @@ _DOMAINS = {"number": "a finite number", "component": "a finite number >= 0",
             "date": f"a day ordinal from 1 to {_LAST_DAY}"}
 
 
-class Flights:
-    """Flight rows as columns: attribute `<field>` is that field's array.
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
-    Every column has one entry per row, of its kind's dtype, and holds only
-    values a CSV cell of its kind can carry (module docstring); the arrays
-    are read-only. `len()` counts rows and `select(index)` keeps the rows a
+
+class TextColumn:
+    """A text column as int32 codes into its vocabulary, after Arrow's dictionary arrays.
+
+    `vocabulary` is an object array of distinct str sorted by code point, so
+    the codes are canonical and order as their values do; row i holds
+    `vocabulary[codes[i]]`. Both arrays are read-only. The vocabulary may
+    hold values no row uses: indexing takes rows by their codes and shares
+    the vocabulary.
+    """
+
+    __slots__ = ("codes", "vocabulary")
+
+    def __init__(self, codes, vocabulary):
+        self.codes = _read_only(np.asarray(codes, dtype=np.int32))
+        self.vocabulary = _read_only(np.asarray(vocabulary, dtype=object))
+
+    @classmethod
+    def encode(cls, values) -> "TextColumn":
+        """Dictionary-encode an array or sequence of str."""
+        vocabulary, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
+        return cls(codes, vocabulary)
+
+    def __getitem__(self, index) -> "TextColumn":
+        return TextColumn(self.codes[index], self.vocabulary)
+
+
+def _check_text(name: str, column: TextColumn, n: int) -> None:
+    """Refuse a text column Flights cannot keep, naming the field."""
+    if column.codes.shape != (n,):
+        raise SchemaError(f"column {name} has shape {column.codes.shape}, expected ({n},)")
+    words = column.vocabulary.tolist()
+    for i, word in enumerate(words):
+        if not isinstance(word, str):
+            raise SchemaError(f"{name} vocabulary entry {i}: {word!r} is not str")
+        if i and not words[i - 1] < word:
+            raise SchemaError(f"{name} vocabulary is not sorted and distinct: "
+                              f"{words[i - 1]!r} before {word!r}")
+    outside = (column.codes < 0) | (column.codes >= len(words))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise SchemaError(f"{name} row {i}: code {column.codes[i]} is outside its "
+                          f"vocabulary of {len(words)} values")
+
+
+class Flights:
+    """Flight rows as columns: attribute `<field>` is that field's column.
+
+    A non-text column is one array of its kind's dtype; a text column is a
+    `TextColumn`. Every column has one entry per row and holds only values a
+    CSV cell of its kind can carry (module docstring); the arrays are
+    read-only. `len()` counts rows and `select(index)` keeps the rows a
     boolean mask or an index array picks, in that order.
     """
 
@@ -279,10 +334,13 @@ class Flights:
     def __init__(self, columns):
         """`columns` maps every field name to a one-dimensional array.
 
-        A non-text value outside its kind's domain, or NaN in a required
-        column, is a SchemaError naming the field and the 0-based row. Each
-        array is cast to its kind's dtype (not copied when it has it) and
-        made read-only.
+        A text field may instead map to a `TextColumn`; an array of str is
+        dictionary-encoded into one. A non-text value outside its kind's
+        domain, NaN in a required column, or a text column that is not
+        str values (a vocabulary unsorted, holding a duplicate or a non-str,
+        or a code outside it) is a SchemaError naming the field. Each
+        non-text array is cast to its kind's dtype (not copied when it has
+        it) and made read-only.
         """
         wrong = sorted(set(columns) ^ set(self.FIELDS))
         if wrong:
@@ -290,22 +348,28 @@ class Flights:
         self._n = len(columns["fl_date"])
         for name, (_, required, kind) in _FIELD_INFO.items():
             values = columns[name]
+            if kind == "text":
+                if not isinstance(values, TextColumn):
+                    try:
+                        values = TextColumn.encode(values)
+                    except TypeError:  # the sort met values it cannot order
+                        raise SchemaError(f"{name} holds values that are not str") from None
+                _check_text(name, values, self._n)
+                setattr(self, name, values)
+                continue
             if values.shape != (self._n,):
                 raise SchemaError(
                     f"column {name} has shape {values.shape}, expected ({self._n},)")
-            if kind != "text":
-                ok = _NUMBER_OK[kind](values)
-                if not required:
-                    ok |= np.isnan(values)
-                if not ok.all():
-                    i = int(np.argmin(ok))
-                    raise SchemaError(
-                        f"{name} row {i}: {values[i].item()!r} is not {_DOMAINS[kind]}")
-            # astype copies a StringDType array even when the dtypes are equal
+            ok = _NUMBER_OK[kind](values)
+            if not required:
+                ok |= np.isnan(values)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise SchemaError(
+                    f"{name} row {i}: {values[i].item()!r} is not {_DOMAINS[kind]}")
             if values.dtype != _DTYPES[kind]:
                 values = values.astype(_DTYPES[kind])
-            values.flags.writeable = False
-            setattr(self, name, values)
+            setattr(self, name, _read_only(values))
 
     def __len__(self) -> int:
         return self._n
@@ -315,8 +379,7 @@ class Flights:
         subset = object.__new__(Flights)
         for name in self.FIELDS:
             values = getattr(self, name)[index]
-            values.flags.writeable = False
-            setattr(subset, name, values)
+            setattr(subset, name, values if isinstance(values, TextColumn) else _read_only(values))
         subset._n = len(subset.fl_date)
         return subset
 
@@ -406,12 +469,15 @@ def _date_cells(data, starts, ends):
     `rest` lists the non-blank cells `_decode_day` refuses, their values 0.
     """
     dictionary, codes, blank = _text_cells(data, starts, ends)
-    values = np.array([_day_or_zero(raw) for raw in dictionary.tolist()], dtype=np.int64)[codes]
+    values = np.array([_day_or_zero(raw) for raw in dictionary], dtype=np.int64)[codes]
     return values, blank, np.flatnonzero((values == 0) & ~blank)
 
 
 def _text_cells(data, starts, ends):
     """A text column as (dictionary, codes, blank): cell i is dictionary[codes[i]].
+
+    The dictionary is a list of str in no particular order, and two of its
+    entries may be equal, as " AA" and "AA" or "NA" and "" are once stripped.
 
     Cells of up to _TEXT_BYTES bytes are grouped by a hash of their bytes
     and length, and each checked against its group's first. Each group, and
@@ -441,8 +507,7 @@ def _text_cells(data, starts, ends):
         [_cell_text(data, starts[i], ends[i]) for i in at], dtype=_TEXT))
     blank = (dictionary == "") | (dictionary == "NA")
     dictionary[blank] = ""
-    # taking str objects and packing them once beats taking StringDType cells
-    return dictionary.astype(object), codes, blank[codes]
+    return dictionary.tolist(), codes, blank[codes]
 
 
 def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields,
@@ -450,8 +515,9 @@ def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields
     """Decode records numbered from `first_row`; returns the good rows' columns.
 
     `counts` holds each record's field count, `starts` and `ends` each
-    field's span in `data`. Appends the chunk's diagnostics in (row, header
-    column) order.
+    field's span in `data`. A text column comes back as (dictionary, codes)
+    as `_text_cells` gives them. Appends the chunk's diagnostics in (row,
+    header column) order.
     """
     firsts = np.cumsum(counts) - counts
     empty = (counts == 1) & (starts[firsts] == ends[firsts])  # a blank line
@@ -497,7 +563,7 @@ def _decode_chunk(data, starts, ends, counts, first_row: int, width: int, fields
         columns[field_name] = values
     found.sort(key=lambda d: d[:2])
     diagnostics.extend(CellDiagnostic(row_no, col, msg) for row_no, _, col, msg in found)
-    return {name: dictionaries[name][values[~bad]].astype(_TEXT) if name in dictionaries
+    return {name: (dictionaries[name], values[~bad]) if name in dictionaries
             else values[~bad] for name, values in columns.items()}
 
 
@@ -686,6 +752,8 @@ def read_csv(source):
 
         fields = tuple(col_to_idx.items())
         parts = {name: [np.empty(0, _DTYPES[_FIELD_INFO[name][2]])] for name in col_to_idx}
+        # per text column: each distinct value -> its code, in order of arrival
+        vocabularies = {name: {} for name in col_to_idx if _FIELD_INFO[name][2] == "text"}
         diagnostics: list[CellDiagnostic] = []
         first_row = 1
         rest = (data, starts[width:], ends[width:], counts[1:])
@@ -693,13 +761,22 @@ def read_csv(source):
             chunk = _decode_chunk(data, starts, ends, counts, first_row, width, fields,
                                   diagnostics)
             for name, values in chunk.items():
+                if name in vocabularies:
+                    dictionary, codes = values
+                    index = vocabularies[name]
+                    values = np.array([index.setdefault(word, len(index)) for word in dictionary],
+                                      dtype=np.int32)[codes]
                 parts[name].append(values)
             first_row += len(counts)
         columns = {name: np.concatenate(parts.pop(name)) for name in col_to_idx}
+        for name, index in vocabularies.items():  # codes by arrival -> codes by value
+            vocabulary, rank = np.unique(np.array(list(index), dtype=object), return_inverse=True)
+            columns[name] = TextColumn(rank.astype(np.int32)[columns[name]], vocabulary)
         n = len(columns["fl_date"])
         for name, (_, _, kind) in _FIELD_INFO.items():
             if name not in columns:  # optional column absent from the header
-                columns[name] = np.full(n, "" if kind == "text" else np.nan, _DTYPES[kind])
+                columns[name] = TextColumn(np.zeros(n, np.int32), [""]) if kind == "text" \
+                    else np.full(n, np.nan, _DTYPES[kind])
         return Flights(columns), diagnostics
 
 
@@ -710,18 +787,20 @@ def write_csv(flights: Flights, sink) -> int:
     round-trip: read_csv(write_csv(flights)) reproduces the columns, except
     that text reads back stripped of surrounding whitespace and "NA" blank.
     """
+    # each text column's vocabulary as cells, quoted where needed, once per write
+    text = {name: np.array(['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v
+                            for v in getattr(flights, name).vocabulary.tolist()], dtype=object)
+            for _, name, _, kind in _COLUMN_SPEC if kind == "text"}
     with _text_sink(sink) as stream:
         stream.write(",".join(BTS_COLUMNS) + "\n")
         for start in range(0, len(flights), CHUNK_ROWS):
             cells = []
             for _, name, _, kind in _COLUMN_SPEC:
-                values = getattr(flights, name)[start:start + CHUNK_ROWS]
-                if kind == "text":  # hashing str beats sorting StringDType
-                    text = values.tolist()
-                    quoted = {v: '"' + v.replace('"', '""') + '"'
-                              for v in set(text) if _NEEDS_QUOTES.search(v)}
-                    cells.append(map(quoted.get, text, text) if quoted else text)
+                if kind == "text":
+                    codes = getattr(flights, name).codes[start:start + CHUNK_ROWS]
+                    cells.append(text[name][codes].tolist())
                 else:
+                    values = getattr(flights, name)[start:start + CHUNK_ROWS]
                     distinct, codes = np.unique(values, return_inverse=True)
                     cells.append(_format_distinct(kind, distinct)[codes].tolist())
             stream.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -55,11 +55,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from .numerics import Rng
 from .preprocess import iqr_bounds
-from .schema import COMPONENT_FIELDS, Flights
+from .schema import COMPONENT_FIELDS, Flights, TextColumn
 
 LABELS = ("clean", "cancelled", "missing", "mismatch", "outlier")
 
@@ -159,6 +158,12 @@ def _row_starts(fixed: np.ndarray, flex: np.ndarray, extra: np.ndarray) -> np.nd
         starts.append(p)
         p += f + extra[p] if x else f
     return np.array(starts, dtype=np.int64)
+
+
+def _coded(words, draws) -> TextColumn:
+    """The text column words[draws]: `words` holds distinct str, `draws` indexes them."""
+    vocabulary, rank = np.unique(np.array(words, dtype=object), return_inverse=True)
+    return TextColumn(rank[draws], vocabulary)
 
 
 def generate(config: SynthConfig) -> SynthResult:
@@ -281,26 +286,24 @@ def generate(config: SynthConfig) -> SynthResult:
     cancelled_flag = np.zeros(n, dtype=np.int8)
     cancelled_flag[rows[grounded]] = 1
     diverted_flag = cancelled.astype(np.int8) - cancelled_flag
-    cancellation_code = np.full(n, "", dtype=StringDType())
-    cancellation_code[rows[grounded]] = np.array(list("ABCD"), dtype=StringDType())[
-        (u[starts[rows[grounded]] + 1] * 4).astype(np.int64)]
+    reason = np.zeros(n, dtype=np.int64)  # 0 is "", k is "ABCD"[k - 1]
+    reason[rows[grounded]] = 1 + (u[starts[rows[grounded]] + 1] * 4).astype(np.int64)
 
-    # text columns index per-airline and per-airport vocabularies
-    names = np.array([name for name, _ in airlines], dtype=StringDType())
-    codes = np.array([code for _, code in airlines], dtype=StringDType())
-    ports = np.array(airports, dtype=StringDType())
+    names = [name for name, _ in airlines]
+    codes = [code for _, code in airlines]
+    cities = [port + " Metro, US" for port in airports]
     components = np.where((clean | mismatch | outlier)[:, None], comps, np.nan)
     columns = dict(
         fl_date=fl_date,
-        airline=names[a],
-        airline_dot=(names + ": " + codes)[a],
-        airline_code=codes[a],
-        dot_code=np.array([str(19000 + k) for k in range(len(airlines))], dtype=StringDType())[a],
+        airline=_coded(names, a),
+        airline_dot=_coded([f"{name}: {code}" for name, code in airlines], a),
+        airline_code=_coded(codes, a),
+        dot_code=_coded([str(19000 + k) for k in range(len(airlines))], a),
         fl_number=1000.0 + np.arange(n),
-        origin=ports[o],
-        origin_city=(ports + " Metro, US")[o],
-        dest=ports[d],
-        dest_city=(ports + " Metro, US")[d],
+        origin=_coded(airports, o),
+        origin_city=_coded(cities, o),
+        dest=_coded(airports, d),
+        dest_city=_coded(cities, d),
         crs_dep_time=dep.astype(np.float64),
         dep_time=flown_column(dep_actual),
         dep_delay=dep_delay,
@@ -312,7 +315,7 @@ def generate(config: SynthConfig) -> SynthResult:
         arr_time=flown_column(arr_actual),
         arr_delay=arr_delay,
         cancelled=cancelled_flag,
-        cancellation_code=cancellation_code,
+        cancellation_code=_coded(["", *"ABCD"], reason),
         diverted=diverted_flag,
         crs_elapsed_time=crs_elapsed,
         elapsed_time=crs_elapsed + arr_delay - dep_delay,

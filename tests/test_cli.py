@@ -10,15 +10,21 @@ import types
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import delaycast
 from delaycast import cli
+from delaycast import regressors, schema
 from delaycast.cli import main
 from delaycast.modelfile import load_model
+from delaycast.neural import train
 from delaycast.schema import Flights, SchemaError, read_csv, write_csv
-from delaycast.stats import correlation_table, screening_columns
+from delaycast.stats import correlation_table, redundancy_test, screening_columns
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels
+
+from test_schema import decoded, make_record
+import test_schema
 
 STAGE_OF_LABEL = {"cancelled": "cancelled_or_diverted",
                   "missing": "missing_components",
@@ -321,6 +327,40 @@ class TestManifests:
         for row in table:
             assert f"{manifest['correlations'][row.attribute]:.4f}" in printed
 
+    def test_analyze_groups_text_rows_by_value(self, tmp_path, monkeypatch, capsys):
+        # padded cells read back stripped; code-point order puts "Z" < "a" < "é"
+        words = ["é", "Z", "a", " Z", "a", "é ", "Z"]
+        varied = ("crs_dep_time", "taxi_out", "crs_arr_time", "taxi_in", "crs_elapsed_time",
+                  "distance")
+        records = [make_record(fl_number=i, arr_delay=float(i % 5), airline=words[i % 7],
+                               **{name: float(10 + (i * (k + 2)) % 11)
+                                  for k, name in enumerate(varied)},
+                               airline_dot=words[i % 3] + "x", airline_code="",
+                               dot_code=words[i % 4], origin=words[i % 5],
+                               origin_city=words[(i + 1) % 7], dest=words[i % 6],
+                               dest_city=words[i % 2])
+                   for i in range(30)]
+        path = tmp_path / "p.csv"
+        write_csv(test_schema.flights(records), path)
+        calls = []
+
+        def recording(target, kept_codes, cand_codes, **names):
+            calls.append((names["kept_name"], names["candidate_name"], kept_codes, cand_codes))
+            return redundancy_test(target, kept_codes, cand_codes, **names)
+
+        monkeypatch.setattr(cli, "redundancy_test", recording)
+        assert run(["analyze", "--in", path]) == 0
+        blank_pair = [line.split() for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("AIRLINE vs AIRLINE_CODE")]
+        assert blank_pair == [["AIRLINE", "vs", "AIRLINE_CODE", "-", "-", "-", "no", "data"]]
+        assert [call[:2] for call in calls] == [
+            ("AIRLINE", "AIRLINE_DOT"), ("AIRLINE", "DOT_CODE"),
+            ("ORIGIN", "ORIGIN_CITY"), ("DEST", "DEST_CITY")]
+        for *columns, kept_codes, cand_codes in calls:
+            for column, codes in zip(columns, (kept_codes, cand_codes)):
+                values = [r[schema._HEADER_MAP[column]].strip() for r in records]
+                np.testing.assert_array_equal(codes, np.unique(values, return_inverse=True)[1])
+
     def test_train_and_evaluate_manifests_count_rows_and_time_phases(self, tmp_path):
         flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
         model, rep = tmp_path / "m.bin", tmp_path / "r.json"
@@ -344,6 +384,33 @@ class TestManifests:
             assert sum(manifest["timings"].values()) <= manifest["wall_time_s"]
         # timings go in the manifest only, never in a byte-gated output
         assert "read_s" not in rep.read_text()
+
+    def test_train_manifest_counts_windows_and_validation_rows(self, tmp_path, monkeypatch):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 5, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+        fitted = []  # (examples, validation fraction) of each neural fit
+
+        def recording_train(model, x, y, config):
+            fitted.append((len(x), config.validation_fraction))
+            return train(model, x, y, config)
+
+        monkeypatch.setattr(regressors, "train", recording_train)
+        for kind, window in (("ols", 1), ("mlp", 1), ("lstm", 3)):
+            model = tmp_path / f"{kind}.bin"
+            argv = ["train", "--in", pruned, "--model", kind, "--out", model]
+            if kind != "ols":
+                argv += ["--window", window, "--epochs", 1]
+            assert run(argv) == 0
+            manifest = json.loads((tmp_path / f"{kind}.bin.manifest.json").read_text())
+            if kind == "ols":  # one example per row, no early stopping
+                assert manifest["rows_windows"] == manifest["rows_train"]
+                assert manifest["rows_validation"] == 0
+                continue
+            examples, fraction = fitted.pop()
+            assert manifest["rows_windows"] == examples == manifest["rows_train"] - window + 1
+            assert manifest["rows_validation"] == int(fraction * examples) > 0
+        assert fitted == []
 
     def test_synth_manifest_counts_labels_fences_and_memory(self, tmp_path):
         flights = tmp_path / "f.csv"
@@ -449,7 +516,8 @@ class TestParseReuse:
         assert reused is False and len(cold) == calls + 1
         fresh, _ = read_csv(pruned)
         for name in Flights.FIELDS:
-            assert getattr(flights, name).tolist() == getattr(fresh, name).tolist()
+            assert decoded(getattr(flights, name)).tolist() == \
+                decoded(getattr(fresh, name)).tolist()
 
     def test_hit_still_notes_skipped_rows_and_refuses_an_empty_file(
             self, tmp_path, capsys, cold):

@@ -2,14 +2,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from numpy.dtypes import StringDType
 
 from delaycast.features import (
     CONTINUOUS_FEATURES, FEATURE_NAMES, FeatureTable,
     build_table, chronological_split, expand_date, fit_codebook,
     fit_standardizer, positive_variance_columns,
 )
-from delaycast.schema import Flights
+from delaycast.schema import Flights, TextColumn
 
 from test_schema import flights, make_record
 
@@ -39,19 +38,28 @@ def test_expand_date():
 def test_codebook_lexicographic_and_errors():
     cb = fit_codebook(small_records())
     assert cb.columns["AIRLINE"] == ("AA", "DL", "UA")
-    assert cb.encode("AIRLINE", "DL") == 1
+    assert cb.encode("AIRLINE", TextColumn.encode(["DL"])).tolist() == [1]
     with pytest.raises(ValueError, match="unknown AIRLINE"):
-        cb.encode("AIRLINE", "WN")
+        cb.encode("AIRLINE", TextColumn.encode(["WN"]))
     with pytest.raises(ValueError, match="no column"):
-        cb.encode("NOPE", "x")
+        cb.encode("NOPE", TextColumn.encode(["x"]))
 
 
 def test_codebook_names_the_smallest_unknown_value():
     cb = fit_codebook(small_records())
-    values = np.array(["UA", "WN", "AA", "B6", "WN"], dtype=StringDType())
+    values = TextColumn.encode(["UA", "WN", "AA", "B6", "WN"])
     with pytest.raises(ValueError, match="^unknown AIRLINE category 'B6'$"):
         cb.encode("AIRLINE", values)
     assert cb.encode("AIRLINE", values[[0, 2, 0]]).tolist() == [2, 0, 2]
+
+
+def test_codebook_takes_only_the_values_rows_use():
+    recs = small_records()
+    kept = recs.select(np.array([0, 3]))  # both AA; the vocabulary still holds DL and UA
+    assert kept.airline.vocabulary is recs.airline.vocabulary
+    cb = fit_codebook(kept)
+    assert cb.columns == {"AIRLINE": ("AA",), "ORIGIN": ("ATL", "ORD"), "DEST": ("LAX",)}
+    assert build_table(kept, cb).x[:, FEATURE_NAMES.index("AIRLINE")].tolist() == [0, 0]
 
 
 def test_build_table_order_and_values():
@@ -73,7 +81,7 @@ def test_build_table_order_and_values():
     assert row0[FEATURE_NAMES.index("YEAR")] == 2021
     assert row0[FEATURE_NAMES.index("MONTH")] == 3
     assert row0[FEATURE_NAMES.index("DAY")] == 1
-    assert row0[FEATURE_NAMES.index("AIRLINE")] == cb.encode("AIRLINE", "UA")
+    assert row0[FEATURE_NAMES.index("AIRLINE")] == cb.encode("AIRLINE", TextColumn.encode(["UA"]))[0]
     # component order: carrier, weather, nas, security, late aircraft
     assert np.array_equal(table.y[0], np.array([10.0, 0.0, 5.0, 0.0, 0.0]))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from delaycast import schema
 from delaycast.schema import (
-    BTS_COLUMNS, CellDiagnostic, Flights, SchemaError,
+    BTS_COLUMNS, CellDiagnostic, Flights, SchemaError, TextColumn,
     parse_hhmm, read_csv, write_csv,
 )
 
@@ -57,17 +57,28 @@ def make_record(**overrides):
     return base
 
 
+def column_array(kind, values):
+    """A column of `kind` as Flights takes it: text as an object array of str."""
+    return np.array(values, dtype=object if kind == "text" else schema._DTYPES[kind])
+
+
 def flights(records):
     """A Flights value of rows as make_record builds them."""
-    return Flights({name: np.array([r[name] for r in records], dtype=schema._DTYPES[kind])
+    return Flights({name: column_array(kind, [r[name] for r in records])
                     for _, name, _, kind in schema._COLUMN_SPEC})
+
+
+def decoded(column):
+    """A column's values as one array: a text column's codes looked up in its vocabulary."""
+    return column.vocabulary[column.codes] if isinstance(column, TextColumn) else column
 
 
 def assert_same_rows(table, other):
     """Both tables hold the same rows, compared field by field; NaN equals NaN."""
     assert len(table) == len(other)
     for name in Flights.FIELDS:
-        np.testing.assert_array_equal(getattr(table, name), getattr(other, name), err_msg=name)
+        np.testing.assert_array_equal(decoded(getattr(table, name)),
+                                      decoded(getattr(other, name)), err_msg=name)
 
 
 _OPTIONAL_NUMBERS = [name for _, name, required, kind in schema._COLUMN_SPEC
@@ -136,7 +147,10 @@ def test_blank_is_nan_only_where_a_cell_may_be_blank():
 def test_stored_columns_are_read_only():
     columns = _edge_columns(5)
     table = Flights(columns)
-    assert not any(getattr(table, name).flags.writeable for name in Flights.FIELDS)
+    stored = [getattr(table, name) for name in Flights.FIELDS]
+    stored = [a for column in stored for a in (
+        (column.codes, column.vocabulary) if isinstance(column, TextColumn) else (column,))]
+    assert not any(a.flags.writeable for a in stored)
     assert table.distance is columns["distance"]  # made read-only, not copied
     with pytest.raises(ValueError, match="read-only"):
         table.dep_time[0] = math.inf
@@ -158,9 +172,12 @@ def test_select_is_fancy_indexing_without_a_recheck(monkeypatch, index):
     kept = table.select(index)
     assert len(kept) == len(table.fl_date[index])
     for name in Flights.FIELDS:
-        values = getattr(kept, name)
-        np.testing.assert_array_equal(values, getattr(table, name)[index])
-        assert values.dtype == getattr(table, name).dtype
+        values, parent = getattr(kept, name), getattr(table, name)
+        if isinstance(values, TextColumn):  # codes taken, the vocabulary shared
+            assert values.vocabulary is parent.vocabulary
+            values, parent = values.codes, parent.codes
+        np.testing.assert_array_equal(values, parent[index])
+        assert values.dtype == parent.dtype
         assert not values.flags.writeable
     monkeypatch.undo()
     # every other construction still checks: a selected column made bad is refused
@@ -263,7 +280,7 @@ def test_read_csv_accepts_float_formatted_flags_and_quotes():
     row = '2021-01-01,"Delta, Inc.",ATL,LAX,0.0,1.0,1946.0'
     records, diags = read_csv(io.BytesIO(f"{header}\n{row}\n".encode()))
     assert diags == []
-    assert records.airline[0] == "Delta, Inc."
+    assert decoded(records.airline)[0] == "Delta, Inc."
     assert records.diverted[0] == 1
     assert records.distance[0] == 1946.0
 
@@ -378,7 +395,7 @@ def _read_column(column, field, cells):
     table, diags = read_csv(io.BytesIO(buf.getvalue().encode()))
     by_row = {d.row: d for d in diags}
     # a blank number reads back NaN, which the scalar path calls None
-    kept = iter(None if v != v else v for v in getattr(table, field).tolist())
+    kept = iter(None if v != v else v for v in decoded(getattr(table, field)).tolist())
     outcomes = []
     for row_no in range(1, len(cells) + 1):
         if row_no in by_row:
@@ -456,7 +473,7 @@ def _reference_csv(table) -> str:
 
     def column(kind, values):
         if kind == "text":
-            return values.tolist()
+            return decoded(values).tolist()
         if kind == "flag":
             return values.astype(str).tolist()
         if kind == "date":
@@ -502,7 +519,7 @@ def _edge_columns(n_rows: int) -> dict:
     for j, (_, name, _, kind) in enumerate(schema._COLUMN_SPEC):
         values = _EDGE_VALUES[kind]
         cells = [values[(i + j) % len(values)] for i in range(n_rows)]
-        columns[name] = np.array(cells, dtype=schema._DTYPES[kind])
+        columns[name] = column_array(kind, cells)
     return columns
 
 
@@ -552,6 +569,61 @@ def test_value_outside_its_domain_is_refused(field, value):
     columns[field][3] = value
     with pytest.raises(SchemaError, match=f"^{field} row 3: {re.escape(repr(value))} is not "):
         Flights(columns)
+
+
+_BAD_TEXT = [
+    (TextColumn([0, 1, 1, 0, 1], ["b", "a"]),
+     r"^airline vocabulary is not sorted and distinct: 'b' before 'a'$"),
+    (TextColumn([0, 1, 1, 0, 1], ["a", "a"]),
+     r"^airline vocabulary is not sorted and distinct: 'a' before 'a'$"),
+    (TextColumn([0, 1, 1, 0, 1], ["a", 7]), r"^airline vocabulary entry 1: 7 is not str$"),
+    (TextColumn([0, 1, 2, 0, 1], ["a", "b"]),
+     r"^airline row 2: code 2 is outside its vocabulary of 2 values$"),
+    (TextColumn([0, 0, 0, -1, 0], ["a"]),
+     r"^airline row 3: code -1 is outside its vocabulary of 1 values$"),
+    (TextColumn([0, 0], ["a"]), r"^column airline has shape \(2,\), expected \(5,\)$"),
+    (np.array(["a", None, "b", "a", "b"], dtype=object), r"^airline holds values that are not str$"),
+    (np.arange(5), r"^airline vocabulary entry 0: 0 is not str$"),
+]
+
+
+@pytest.mark.parametrize("column,message", _BAD_TEXT)
+def test_text_column_that_is_not_str_values_is_refused(column, message):
+    with pytest.raises(SchemaError, match=message):
+        Flights(dict(_edge_columns(5), airline=column))
+
+
+def test_plain_text_is_encoded_once_at_the_boundary():
+    cells = ["é", "Z", "a", "", "Z", "é"]
+    table = flights([make_record(origin=cell) for cell in cells])
+    assert table.origin.vocabulary.tolist() == ["", "Z", "a", "é"]  # by code point
+    assert table.origin.codes.tolist() == [3, 1, 2, 0, 1, 3]
+    assert table.origin.codes.dtype == np.int32
+
+
+def test_read_vocabulary_is_sorted_and_distinct_across_chunks(monkeypatch):
+    # padding, quoting and the two spellings of blank read as one value each;
+    # "AA", "a" and "é" first appear in later chunks and blocks
+    airlines = ["UA", " UA", '" UA "', "UA ", "DL", "UA", "AA", "DL ", '"AA"', "é", "a", "UA"]
+    codes = ["", "NA", " NA ", "B", " B", '""', "A", "NA", "", "C ", '"B"', " "]
+    header = "FL_DATE,AIRLINE,ORIGIN,DEST,CANCELLED,DIVERTED,CANCELLATION_CODE"
+    data = "".join([header + "\n"] + [f"2021-01-01,{airline},ORD,SFO,0,0,{code}\n"
+                                       for airline, code in zip(airlines, codes)]).encode()
+    monkeypatch.setattr(schema, "CHUNK_ROWS", 3)
+    monkeypatch.setattr(schema, "BLOCK_BYTES", 64)
+    chunked, diags = read_csv(io.BytesIO(data))
+    monkeypatch.undo()
+    whole, _ = read_csv(io.BytesIO(data))
+    assert diags == [] and len(chunked) == len(airlines)
+    for column, cells, vocabulary in (
+            (chunked.airline, airlines, ["AA", "DL", "UA", "a", "é"]),
+            (chunked.cancellation_code, codes, ["", "A", "B", "C"])):
+        assert column.vocabulary.tolist() == vocabulary
+        want = [cell.strip().strip('"').strip().replace("NA", "") for cell in cells]
+        assert decoded(column).tolist() == want
+    for name in ("airline", "cancellation_code"):  # the codes do not depend on the chunking
+        assert getattr(chunked, name).vocabulary.tolist() == getattr(whole, name).vocabulary.tolist()
+        assert getattr(chunked, name).codes.tolist() == getattr(whole, name).codes.tolist()
 
 
 def test_carriage_return_is_quoted_and_read_back(tmp_path):
@@ -790,7 +862,8 @@ def test_block_seams_do_not_move_records(monkeypatch, block):
     data = _seam_csv()
     whole, whole_diags = read_csv(io.BytesIO(data))
     assert len(whole) > 20 and len(whole_diags) > 4
-    assert "a\nb" in whole.origin_city.tolist() and "é\r\né" in whole.dest_city.tolist()
+    assert "a\nb" in decoded(whole.origin_city).tolist()
+    assert "é\r\né" in decoded(whole.dest_city).tolist()
     monkeypatch.setattr(schema, "BLOCK_BYTES", block)
     for source in (io.BytesIO(data), io.StringIO(data.decode(), newline="")):
         table, diags = read_csv(source)

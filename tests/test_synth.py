@@ -11,7 +11,7 @@ from delaycast.preprocess import run_pipeline
 from delaycast.schema import write_csv
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels, write_labels
 
-from test_schema import assert_same_rows
+from test_schema import assert_same_rows, decoded
 
 MIXED = dict(cancelled_rate=0.05, missing_rate=0.04, mismatch_rate=0.04,
              outlier_rate=0.05)
@@ -116,9 +116,9 @@ def test_vocab_respects_config_and_routes_avoid_self_loops():
     cfg = SynthConfig(count=300, seed=8, airlines=3, airports=4)
     res = generate(cfg)
     f = res.flights
-    assert len(set(f.airline.tolist())) <= 3
-    assert len(set(f.origin.tolist()) | set(f.dest.tolist())) <= 4
-    assert (f.origin != f.dest).all()
+    assert len(set(decoded(f.airline).tolist())) <= 3
+    assert len(set(decoded(f.origin).tolist()) | set(decoded(f.dest).tolist())) <= 4
+    assert (decoded(f.origin) != decoded(f.dest)).all()
 
 
 def test_paired_columns_are_deterministic_functions_of_their_base():
@@ -126,12 +126,12 @@ def test_paired_columns_are_deterministic_functions_of_their_base():
     res = generate(SynthConfig(count=400, seed=11))
     f = res.flights
     by_airline = {}
-    for airline, *key in zip(f.airline.tolist(), f.airline_dot.tolist(),
-                             f.airline_code.tolist(), f.dot_code.tolist()):
+    for airline, *key in zip(*(decoded(column).tolist() for column in (
+            f.airline, f.airline_dot, f.airline_code, f.dot_code))):
         assert by_airline.setdefault(airline, key) == key
     by_airport = {}
-    for port, city in zip(f.origin.tolist() + f.dest.tolist(),
-                          f.origin_city.tolist() + f.dest_city.tolist()):
+    for port, city in zip(decoded(f.origin).tolist() + decoded(f.dest).tolist(),
+                          decoded(f.origin_city).tolist() + decoded(f.dest_city).tolist()):
         assert by_airport.setdefault(port, city) == city
 
 

@@ -276,19 +276,19 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 class TextColumn:
-    """A text column as int32 codes into its vocabulary, after Arrow's dictionary arrays.
+    """A text column as integer codes into its vocabulary, after Arrow's dictionary arrays.
 
     `vocabulary` is an object array of distinct str sorted by code point, so
     the codes are canonical and order as their values do; row i holds
-    `vocabulary[codes[i]]`. Both arrays are read-only. The vocabulary may
-    hold values no row uses: indexing takes rows by their codes and shares
-    the vocabulary.
+    `vocabulary[codes[i]]`. Both arrays are read-only. `Flights` keeps the
+    codes as int32. The vocabulary may hold values no row uses: indexing
+    takes rows by their codes and shares the vocabulary.
     """
 
     __slots__ = ("codes", "vocabulary")
 
     def __init__(self, codes, vocabulary):
-        self.codes = _read_only(np.asarray(codes, dtype=np.int32))
+        self.codes = _read_only(np.asarray(codes))
         self.vocabulary = _read_only(np.asarray(vocabulary, dtype=object))
 
     @classmethod
@@ -301,10 +301,12 @@ class TextColumn:
         return TextColumn(self.codes[index], self.vocabulary)
 
 
-def _check_text(name: str, column: TextColumn, n: int) -> None:
-    """Refuse a text column Flights cannot keep, naming the field."""
+def _checked_text(name: str, column: TextColumn, n: int) -> TextColumn:
+    """The column with int32 codes; a SchemaError naming the field if Flights cannot keep it."""
     if column.codes.shape != (n,):
         raise SchemaError(f"column {name} has shape {column.codes.shape}, expected ({n},)")
+    if column.codes.dtype.kind not in "iu":
+        raise SchemaError(f"{name} codes are {column.codes.dtype}, not integers")
     words = column.vocabulary.tolist()
     for i, word in enumerate(words):
         if not isinstance(word, str):
@@ -317,6 +319,9 @@ def _check_text(name: str, column: TextColumn, n: int) -> None:
         i = int(np.argmax(outside))
         raise SchemaError(f"{name} row {i}: code {column.codes[i]} is outside its "
                           f"vocabulary of {len(words)} values")
+    if column.codes.dtype != np.int32:  # cast once checked, so no code wraps into range
+        column = TextColumn(column.codes.astype(np.int32), column.vocabulary)
+    return column
 
 
 class Flights:
@@ -354,8 +359,7 @@ class Flights:
                         values = TextColumn.encode(values)
                     except TypeError:  # the sort met values it cannot order
                         raise SchemaError(f"{name} holds values that are not str") from None
-                _check_text(name, values, self._n)
-                setattr(self, name, values)
+                setattr(self, name, _checked_text(name, values, self._n))
                 continue
             if values.shape != (self._n,):
                 raise SchemaError(

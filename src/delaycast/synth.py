@@ -163,7 +163,7 @@ def _row_starts(fixed: np.ndarray, flex: np.ndarray, extra: np.ndarray) -> np.nd
 def _coded(words, draws) -> TextColumn:
     """The text column words[draws]: `words` holds distinct str, `draws` indexes them."""
     vocabulary, rank = np.unique(np.array(words, dtype=object), return_inverse=True)
-    return TextColumn(rank[draws], vocabulary)
+    return TextColumn(rank.astype(np.int32)[draws], vocabulary)
 
 
 def generate(config: SynthConfig) -> SynthResult:

@@ -582,6 +582,9 @@ _BAD_TEXT = [
     (TextColumn([0, 0, 0, -1, 0], ["a"]),
      r"^airline row 3: code -1 is outside its vocabulary of 1 values$"),
     (TextColumn([0, 0], ["a"]), r"^column airline has shape \(2,\), expected \(5,\)$"),
+    (TextColumn([0, 0, 2 ** 32, 0, 0], ["a"]),  # as int32 it would wrap to 0
+     r"^airline row 2: code 4294967296 is outside its vocabulary of 1 values$"),
+    (TextColumn([0.0, 0.0, 0.0, 0.0, 0.0], ["a"]), r"^airline codes are float64, not integers$"),
     (np.array(["a", None, "b", "a", "b"], dtype=object), r"^airline holds values that are not str$"),
     (np.arange(5), r"^airline vocabulary entry 0: 0 is not str$"),
 ]
@@ -599,6 +602,8 @@ def test_plain_text_is_encoded_once_at_the_boundary():
     assert table.origin.vocabulary.tolist() == ["", "Z", "a", "é"]  # by code point
     assert table.origin.codes.tolist() == [3, 1, 2, 0, 1, 3]
     assert table.origin.codes.dtype == np.int32
+    assert Flights(dict(_edge_columns(2), origin=TextColumn([1, 0], ["a", "b"]))
+                   ).origin.codes.dtype == np.int32
 
 
 def test_read_vocabulary_is_sorted_and_distinct_across_chunks(monkeypatch):

@@ -13,8 +13,9 @@ also records `peak_rss_mb`, this process's peak resident memory so far, and
 skipped-cell `diagnostics`, `rows_out` after each prune stage, and
 `timings`, the wall seconds spent reading, pruning and writing (`read_s`,
 `prune_s`, `write_s`). The synth manifest adds `rows_out`, the
-`label_counts`, and the planted IQR fences (`iqr_lower`, `iqr_upper`) among
-its decisions. The analyze manifest adds `rows_in`, `rows_usable` (the rows
+`label_counts`, the planted IQR fences (`iqr_lower`, `iqr_upper`) among its
+decisions, and `timings` (`generate_s`, `write_s` for the flights CSV,
+`labels_s` for the label file). The analyze manifest adds `rows_in`, `rows_usable` (the rows
 that carry every screened attribute) and `correlations`, each attribute's
 Pearson r as the table prints it. The train manifest adds `rows_train`,
 `rows_held_out`, `rows_windows` (the training examples, rows_train - window
@@ -343,9 +344,13 @@ def cmd_synth(args) -> int:
         airlines=flags.get("airlines", 6, cast=int),
         airports=flags.get("airports", 10, cast=int),
     )
-    result = generate(config)
-    write_csv(result.flights, out)
-    write_labels(result.labels, labels_path)
+    timings = {}
+    with _timed(timings, "generate_s"):
+        result = generate(config)
+    with _timed(timings, "write_s"):
+        write_csv(result.flights, out)
+    with _timed(timings, "labels_s"):
+        write_labels(result.labels, labels_path)
     _write_manifest("synth", out, config=flags.resolved,
                     seeds={"seed": config.seed},
                     decisions={"iqr_multiplier": IQR_MULTIPLIER,
@@ -355,7 +360,8 @@ def cmd_synth(args) -> int:
                                "iqr_upper": result.iqr_upper},
                     inputs=[], outputs=[out, labels_path], started=started,
                     rows_out=len(result.flights),
-                    label_counts={label: result.labels.count(label) for label in LABELS})
+                    label_counts={label: result.labels.count(label) for label in LABELS},
+                    timings=timings)
     print(f"wrote {len(result.flights)} rows to {out}; labels to {labels_path}")
     return 0
 
@@ -472,7 +478,6 @@ def cmd_train(args) -> int:
     rate = flags.get("learning-rate", cast=float)
     patience = flags.get("patience", 5, cast=int)
     clip = flags.get("clip", cast=float)
-    checkpoint = flags.get("checkpoint", cast=str)
     _problems([
         (window >= 1, f"window must be >= 1, got {window}"),
         (epochs >= 1, f"epochs must be >= 1, got {epochs}"),
@@ -489,7 +494,7 @@ def cmd_train(args) -> int:
                          min_samples_leaf=min_leaf, n_estimators=trees,
                          rounds=rounds, learning_rate=rate, epochs=epochs,
                          batch_size=batch, patience=patience,
-                         clip_max_norm=clip, checkpoint_path=checkpoint)
+                         clip_max_norm=clip)
     with _timed(timings, "table_s"):
         codebook = fit_codebook(flights)
         table = build_table(flights, codebook, targets)
@@ -644,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--window", num), ("--seed", num), ("--epochs", num), ("--batch", num),
         ("--trees", num), ("--rounds", num),
         ("--depth", num), ("--min-leaf", num), ("--learning-rate", dec),
-        ("--patience", num), ("--clip", dec), ("--checkpoint", {})])
+        ("--patience", num), ("--clip", dec)])
     add("evaluate", cmd_evaluate, "score a saved model on held-out rows", [
         ("--model-file", {}), ("--in", {}), ("--report-out", {}),
         ("--split", {})])

@@ -86,8 +86,6 @@ def load_model(path) -> TrainedModel:
     """Rebuild a TrainedModel; raises ModelFileError on anything off."""
     meta, tensors = read_container(path)
     kind = meta.get("kind")
-    if kind == "checkpoint":
-        raise ModelFileError("file holds a training checkpoint, not a model")
     if kind not in MODEL_KINDS:
         raise ModelFileError(f"unknown model kind {kind!r} in file")
     for key in ("target_mode", "feature_names", "window", "codebook", "payload"):

@@ -21,7 +21,6 @@ from .training import (
     EpochStats,
     TrainConfig,
     TrainingError,
-    load_checkpoint,
     train,
     validation_rows,
 )
@@ -32,6 +31,6 @@ __all__ = [
     "lstm_params",
     "Network", "bilstm_model_build", "build_from_spec", "hybrid_model_build",
     "lstm_model_build", "mlp_build", "sliding_windows",
-    "EpochStats", "TrainConfig", "TrainingError", "load_checkpoint", "train",
+    "EpochStats", "TrainConfig", "TrainingError", "train",
     "validation_rows",
 ]

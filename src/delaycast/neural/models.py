@@ -9,7 +9,7 @@ model-file order). A network has a pure `forward` and a
 `forward_cached`/`backward` pair for training; `backward` files gradients
 into views of `grad_vector`. `spec` is a plain dict that `build_from_spec`
 can turn back into an identically shaped (freshly seeded) model, which is
-how checkpoints and model files rehydrate.
+how model files rehydrate.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared trainer: Adam on MSE, chronological batches, early stop, checkpoints.
+"""Shared trainer: Adam on MSE, chronological batches, early stop.
 
 Batches are never shuffled; the validation block is the chronological tail
 of the training rows, so the monitored metric always looks at the most
@@ -8,14 +8,12 @@ recent data the model has not memorized batch-by-batch.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..container import read_container, write_container
 from ..numerics import adam_init, adam_step, clip_global_norm
-from .models import build_from_spec
 
 
 @dataclass
@@ -25,7 +23,6 @@ class TrainConfig:
     validation_fraction: float = 0.2
     patience: int = 5
     clip_max_norm: Optional[float] = None
-    checkpoint_path: Optional[str] = None
     learning_rate: float = 1e-3
 
     def __post_init__(self):
@@ -59,29 +56,6 @@ def _metrics(model, x, y):
     return float((diff * diff).mean()), float(np.abs(diff).mean())
 
 
-def _write_checkpoint(path, model, config: TrainConfig, epoch: int, stats):
-    meta = {
-        "kind": "checkpoint",
-        "spec": model.spec,
-        "seed": model.spec["seed"],
-        "config": {k: v for k, v in asdict(config).items() if k != "checkpoint_path"},
-        "epoch": epoch,
-        "metrics": {"val_mse": stats.val_mse, "val_mae": stats.val_mae,
-                    "train_mse": stats.train_mse, "train_mae": stats.train_mae},
-    }
-    write_container(path, meta, model.params)
-
-
-def load_checkpoint(path):
-    """Rebuild the checkpointed model. Returns (model, meta)."""
-    meta, tensors = read_container(path)
-    if meta.get("kind") != "checkpoint":
-        raise ValueError(f"not a training checkpoint: kind={meta.get('kind')!r}")
-    model = build_from_spec(meta["spec"])
-    model.load_params(tensors)
-    return model, meta
-
-
 def validation_rows(examples: int, fraction: float) -> int:
     """How many of `examples` `train` holds out at their end for early stopping."""
     return int(fraction * examples)
@@ -90,8 +64,7 @@ def validation_rows(examples: int, fraction: float) -> int:
 def train(model, x, y, config: TrainConfig):
     """Fit in place; returns the per-epoch history tuple.
 
-    The model is left holding the best-validation parameters, which are also
-    the ones in the checkpoint file when a path is configured. Stops early
+    The model is left holding the best-validation parameters. Stops early
     once `patience` consecutive epochs fail to improve validation MSE; with
     no validation rows (fraction 0) the train metrics are monitored instead.
     A non-finite loss restores the best parameters and raises.
@@ -147,9 +120,6 @@ def train(model, x, y, config: TrainConfig):
             best_mse = val_mse
             best_epoch = epoch
             best = vector.copy()
-            if config.checkpoint_path is not None:
-                _write_checkpoint(config.checkpoint_path, model, config,
-                                  epoch, stats)
         if epoch - best_epoch >= config.patience:
             break
 

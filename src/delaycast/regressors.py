@@ -74,7 +74,6 @@ class FitOptions:
     batch_size: Optional[int] = None
     patience: int = 5
     clip_max_norm: Optional[float] = None
-    checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
         if self.window < 1:
@@ -198,7 +197,6 @@ def _fit_neural(table: FeatureTable, kind: str, options: FitOptions):
     config = TrainConfig(epochs=options.epochs, batch_size=batch_size,
                          validation_fraction=_VALIDATION_FRACTION,
                          patience=options.patience, clip_max_norm=clip,
-                         checkpoint_path=options.checkpoint_path,
                          learning_rate=rate)
     history = train(model, x_fit, y_fit, config)
     best_val = min(h.val_mse for h in history)

@@ -65,11 +65,18 @@ time, one column at a time:
 Ingest is strict per cell: a bad cell skips the whole row and leaves a
 diagnostic, never a silently-coerced value.
 
-The writer encodes by dictionary, as Arrow and Parquet do: each text
-column's vocabulary is formatted once per write, and per CHUNK_ROWS rows
-each other column's distinct values are formatted once; every cell is then
-looked up among them. A text value is quoted, its quotes doubled, when it
-holds `,`, `"`, a line feed or a carriage return; no other cell is quoted.
+The writer encodes by dictionary, as Arrow and Parquet do: a column's
+distinct cells are formatted once per write, each ending in its separator,
+and CHUNK_ROWS rows at a time every cell is looked up among them and the
+rows joined. A text column's dictionary is its vocabulary. A non-text
+column whose present values are whole numbers below 2**53 in absolute
+value, spanning at most _CODE_SPAN values (clocks, minutes, miles, flags,
+days), is coded as value - min with no sort, a blank as the span, and only
+the values that occur are formatted. Any other column is sorted and
+formatted per chunk instead, so that a column of mostly distinct values
+holds no more than a chunk of cells at once. A text value is quoted, its
+quotes doubled, when it holds `,`, `"`, a line feed or a carriage return;
+no other cell is quoted.
 """
 
 from __future__ import annotations
@@ -92,6 +99,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 CHUNK_ROWS = 8192
 # Bytes the reader takes from its source at a time.
 BLOCK_BYTES = 1 << 20
+# A whole-number column whose present values span at most this many is
+# written with codes value - min, so no sort.
+_CODE_SPAN = 1 << 16
 # csv's default field_size_limit, counted in bytes; it also bounds the part
 # of a block carried into the next.
 FIELD_LIMIT = 131072
@@ -784,6 +794,32 @@ def read_csv(source):
         return Flights(columns), diagnostics
 
 
+def _non_text_cells(kind: str, values: np.ndarray, end: str):
+    """A function giving the cells of any slice of a non-text column, each ending in `end`.
+
+    A column coded as value - min (module docstring) has its cells
+    formatted once, here; any other is sorted and formatted per slice.
+    """
+    floating = values.dtype.kind == "f"
+    present = values[~np.isnan(values)] if floating else values
+    lo, hi = (present.min().item(), present.max().item()) if len(present) else (0, -1)
+    if (hi - lo >= _CODE_SPAN or max(-lo, hi) >= 2.0 ** 53
+            or floating and not (present == np.trunc(present)).all()):
+        def sorted_cells(chunk):
+            distinct, codes = np.unique(chunk, return_inverse=True)
+            return (_format_distinct(kind, distinct) + end)[codes]
+        return sorted_cells
+    span = int(hi - lo) + 1
+
+    def codes(chunk):  # fmin takes span over NaN
+        return np.fmin(chunk - lo, span).astype(np.intp)
+
+    occurs = np.flatnonzero(np.bincount(codes(values), minlength=span + 1)[:span])
+    cells = np.full(span + 1, end, dtype=object)  # the last is a blank's
+    cells[occurs] = _format_distinct(kind, lo + occurs) + end
+    return lambda chunk: cells[codes(chunk)]
+
+
 def write_csv(flights: Flights, sink) -> int:
     """Write flights in the standard column order; returns the row count.
 
@@ -791,21 +827,24 @@ def write_csv(flights: Flights, sink) -> int:
     round-trip: read_csv(write_csv(flights)) reproduces the columns, except
     that text reads back stripped of surrounding whitespace and "NA" blank.
     """
-    # each text column's vocabulary as cells, quoted where needed, once per write
-    text = {name: np.array(['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v
-                            for v in getattr(flights, name).vocabulary.tolist()], dtype=object)
-            for _, name, _, kind in _COLUMN_SPEC if kind == "text"}
+    # per column: the array sliced per chunk, and slice -> its cells, each
+    # ending in the column's separator
+    columns = []
+    for j, (_, name, _, kind) in enumerate(_COLUMN_SPEC):
+        end = "\n" if j == len(_COLUMN_SPEC) - 1 else ","
+        column = getattr(flights, name)
+        if kind == "text":
+            cells = np.array([('"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v)
+                               else v) + end for v in column.vocabulary.tolist()], dtype=object)
+            columns.append((column.codes, cells.__getitem__))
+        else:
+            columns.append((column, _non_text_cells(kind, column, end)))
     with _text_sink(sink) as stream:
         stream.write(",".join(BTS_COLUMNS) + "\n")
         for start in range(0, len(flights), CHUNK_ROWS):
-            cells = []
-            for _, name, _, kind in _COLUMN_SPEC:
-                if kind == "text":
-                    codes = getattr(flights, name).codes[start:start + CHUNK_ROWS]
-                    cells.append(text[name][codes].tolist())
-                else:
-                    values = getattr(flights, name)[start:start + CHUNK_ROWS]
-                    distinct, codes = np.unique(values, return_inverse=True)
-                    cells.append(_format_distinct(kind, distinct)[codes].tolist())
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            stop = min(start + CHUNK_ROWS, len(flights))
+            rows = np.empty((stop - start, len(columns)), dtype=object)
+            for j, (column, cells) in enumerate(columns):
+                rows[:, j] = cells(column[start:stop])
+            stream.write("".join(rows.ravel().tolist()))
         return len(flights)

@@ -311,6 +311,16 @@ class TestManifests:
         assert "read_s" not in pruned.read_text()
         assert "read_s" not in (tmp_path / "p.csv.report.json").read_text()
 
+    def test_synth_manifest_times_each_phase(self, tmp_path):
+        flights = tmp_path / "f.csv"
+        assert run(["synth", "--count", 300, "--seed", 2, "--out", flights]) == 0
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"generate_s", "write_s", "labels_s"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        assert "generate_s" not in flights.read_text()
+
     def test_analyze_manifest_records_screening(self, tmp_path):
         flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
         assert run(["synth", "--count", 300, "--seed", 4, "--out", flights]) == 0

@@ -6,7 +6,6 @@ import pytest
 from delaycast.container import ModelFileError, read_container, write_container
 from delaycast.features import chronological_split
 from delaycast.modelfile import load_model, save_model
-from delaycast.neural import TrainConfig, load_checkpoint, mlp_build, train
 from delaycast.regressors import FitOptions, TrainedModel, predict_table, train_model
 from delaycast.trees import TreeArrays, tree_predict
 
@@ -153,24 +152,6 @@ class TestCorruption:
 
 
 class TestCrossKind:
-    def test_model_file_rejected_by_checkpoint_loader(self, split_tables, tmp_path):
-        train_t, _ = split_tables
-        trained, _ = train_model(train_t, "tree", KIND_OPTIONS["tree"])
-        path = tmp_path / "tree.model"
-        save_model(trained, path)
-        with pytest.raises(ValueError, match="checkpoint"):
-            load_checkpoint(path)
-
-    def test_checkpoint_rejected_by_model_loader(self, tmp_path):
-        net = mlp_build(input_size=3, output=1, seed=0)
-        x = np.linspace(0, 1, 30).reshape(10, 3)
-        y = x.sum(axis=1, keepdims=True)
-        path = tmp_path / "ckpt.model"
-        train(net, x, y, TrainConfig(epochs=1, batch_size=5,
-                                     checkpoint_path=str(path)))
-        with pytest.raises(ModelFileError, match="checkpoint"):
-            load_model(path)
-
     def test_kind_metadata_must_be_known(self, split_tables, tmp_path):
         path = TestCorruption()._saved(split_tables, tmp_path)
         meta, tensors = read_container(path)

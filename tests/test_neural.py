@@ -16,7 +16,6 @@ from delaycast.neural import (
     bilstm_model_build,
     build_from_spec,
     hybrid_model_build,
-    load_checkpoint,
     lstm_cell_backward,
     lstm_cell_forward,
     lstm_model_build,
@@ -427,22 +426,6 @@ class TestTrainer:
         h1 = train(mlp_build(output=5, seed=9), x, y5, config)
         h2 = train(mlp_build(output=5, seed=9), x, y5, config)
         assert h1 == h2
-
-    def test_checkpoint_round_trip_is_bit_identical(self, tmp_path):
-        x, y = _toy_problem(n=40, seed=5)
-        y5 = np.hstack([y, y, y[:, :1]])
-        path = tmp_path / "best.ckpt"
-        model = mlp_build(output=5, seed=10)
-        config = TrainConfig(epochs=8, batch_size=8, learning_rate=0.005,
-                             checkpoint_path=str(path))
-        history = train(model, x, y5, config)
-        loaded, meta = load_checkpoint(path)
-        assert np.array_equal(loaded.forward(x), model.forward(x))
-        assert np.array_equal(loaded.vector, model.vector)
-        assert all(np.shares_memory(p, loaded.vector) for p in loaded.params.values())
-        assert meta["seed"] == 10
-        assert meta["epoch"] == min(range(len(history)),
-                                    key=lambda i: history[i].val_mse) + 1
 
     def test_returned_model_matches_best_epoch(self):
         x, y = _toy_problem(n=50, seed=6)

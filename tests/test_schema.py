@@ -532,6 +532,52 @@ def test_write_csv_bytes_match_csv_writer_encoder(monkeypatch, chunk_rows):
     assert buf.getvalue() == _reference_csv(table)
 
 
+_SPAN = schema._CODE_SPAN
+# per field, the values its column cycles through: whole numbers of narrow
+# span, which the writer codes as value - min, except where a comment says
+_NARROW_VALUES = {
+    "fl_date": [738000, 738031, 738001],
+    "fl_number": [-5.0, 0.0, -0.0, 7.0, _NAN],
+    "crs_dep_time": [0.0, -0.0, 90.0, 1440.0, _NAN, 1439.0],
+    "dep_time": [1440.0],
+    "dep_delay": [-43.0, 0.0, -0.0, 12.0, _NAN, 7719.0],
+    "taxi_in": [_NAN],  # all blank
+    "cancelled": [0, 1],
+    "diverted": [1, 0, 0],
+    "crs_elapsed_time": [5.0, 5.0 + _SPAN, _NAN],  # one value too wide: sorted per chunk
+    "elapsed_time": [5.0, 4.0 + _SPAN, 17.0],  # exactly _CODE_SPAN values
+    "air_time": [2.0 ** 53 - 1, 2.0 ** 53 - 3],
+    "delay_due_carrier": [0.0, -0.0, 57.0, _NAN],
+}
+
+
+def _narrow_columns(n_rows: int) -> dict:
+    columns = {}
+    for j, (_, name, _, kind) in enumerate(schema._COLUMN_SPEC):
+        values = _NARROW_VALUES.get(name, _EDGE_VALUES[kind][:4] if kind == "text"
+                                    else [3.0, _NAN, 1.0])
+        columns[name] = column_array(kind, [values[(i + j) % len(values)]
+                                            for i in range(n_rows)])
+    return columns
+
+
+@pytest.mark.parametrize("chunk_rows", [schema.CHUNK_ROWS, 1, 7])
+def test_write_csv_codes_narrow_whole_columns_without_sorting(monkeypatch, chunk_rows):
+    table = Flights(_narrow_columns(60))
+    monkeypatch.setattr(schema, "CHUNK_ROWS", chunk_rows)
+    sorted_chunks = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda values, **kw: (
+        sorted_chunks.append(len(values)), unique(values, **kw))[1])
+    buf = io.StringIO()
+    assert write_csv(table, buf) == 60
+    monkeypatch.undo()
+    assert buf.getvalue() == _reference_csv(table)
+    # only the column one value too wide is sorted, once per chunk
+    assert sorted_chunks == [min(chunk_rows, 60 - start)
+                             for start in range(0, 60, chunk_rows)]
+
+
 def test_write_csv_empty_table_is_header_only():
     buf = io.StringIO()
     assert write_csv(Flights(_edge_columns(0)), buf) == 0

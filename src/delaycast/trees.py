@@ -55,10 +55,12 @@ class TreeArrays:
     """One or more regression trees as flat node arrays.
 
     Tree t owns nodes roots[t] up to the next root (the last tree runs to the
-    end), numbered level by level from its root. Node i either splits rows
-    with `x[feature[i]] <= threshold[i]` to left[i], the rest to right[i]
-    (child indices counted from the tree's root), or is a leaf: feature,
-    left and right -1. value[i] is the node's prediction, used at leaves.
+    end). Node i either splits rows with `x[feature[i]] <= threshold[i]` to
+    left[i], the rest to right[i] (child indices counted from the tree's
+    root), or is a leaf: feature, left and right -1. value[i] is the node's
+    prediction, used at leaves. Grown trees are numbered level by level: a
+    tree's k-th split node has its children at 2k+1 and 2k+2 from its root
+    (`level_order_children`), and their leaves hold threshold 0.0.
     """
 
     feature: np.ndarray    # (m,) int64
@@ -115,6 +117,21 @@ class TreeArrays:
         hi = self.roots[t + 1] if t + 1 < self.n_trees else self.feature.size
         return TreeArrays(*(getattr(self, name)[lo:hi] for name in _NODE_FIELDS),
                           roots=np.zeros(1, dtype=np.int64))
+
+
+def level_order_children(feature, roots):
+    """(left, right) of trees numbered level by level: the k-th split node
+    (feature >= 0) of each tree has its children at 2k+1 and 2k+2 from the
+    tree's root; leaves get -1.
+    """
+    feature = _index_array("feature", feature)
+    roots = _index_array("roots", roots)
+    split = feature >= 0
+    before = np.cumsum(split) - split          # split nodes before each node
+    sizes = np.diff(np.append(roots, feature.size))
+    k = before - np.repeat(before[roots], sizes)
+    left = np.where(split, 2 * k + 1, -1)
+    return left, np.where(split, left + 1, -1)
 
 
 def _concat(parts) -> TreeArrays:
@@ -182,6 +199,14 @@ class _Boost:
         return gbt_split_gain(gl, nl, gr, nr, self.reg_lambda, self.gamma)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from the one before; the first does."""
+    starts = np.empty(a.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
 def _best_splits(cell_code, centered, mean, sizes, p, objective, min_leaf):
     """Each node's best candidate as (node, feature, low code, high code, gain).
 
@@ -206,16 +231,16 @@ def _best_splits(cell_code, centered, mean, sizes, p, objective, min_leaf):
     ok = (nl >= min_leaf) & (nr >= min_leaf)
     cand, seg, nl, nr = cand[ok], seg[ok], nl[ok], nr[ok]
     node = seg // p
-    base = prefix[seg_start[seg]]
-    lc = prefix[cand + 1] - base
-    rc = prefix[seg_end[seg]] - base - lc
-    gain = objective.gain(lc, rc, nl, nr, mean[node])
+    base = np.take(prefix, seg_start[seg], axis=0)
+    lc = np.take(prefix, cand + 1, axis=0) - base
+    rc = np.take(prefix, seg_end[seg], axis=0) - base - lc
+    gain = objective.gain(lc, rc, nl, nr, np.take(mean, node, axis=0))
     if gain.size == 0:
         return node, node, cand, cand, gain
-    head = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-    top = np.repeat(np.maximum.reduceat(gain, head), np.diff(np.r_[head, node.size]))
+    head = np.flatnonzero(_run_starts(node))
+    top = np.repeat(np.maximum.reduceat(gain, head), np.diff(head, append=node.size))
     tied = np.flatnonzero(gain >= top - _TIE_REL * np.abs(top))
-    pick = tied[np.r_[True, node[tied[1:]] != node[tied[:-1]]]]
+    pick = tied[_run_starts(node[tied])]
     at = cand[pick]
     return node[pick], seg[pick] % p, cell_code[at], cell_code[at + 1], gain[pick]
 
@@ -238,26 +263,26 @@ def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
     for depth in range(max_depth + 1):
         count = sizes.size
         pos = row_pos[rows]
-        sums = np.stack([np.bincount(pos, w[rows, j], minlength=count)
+        w_rows = np.take(w, rows, axis=0)
+        sums = np.stack([np.bincount(pos, w_rows[:, j], minlength=count)
                          for j in range(w.shape[1])], axis=1)
         mean = sums / sizes[:, None]
-        centered[rows] = w[rows] - mean[pos]
-        sse = np.bincount(pos, (centered[rows] ** 2).sum(axis=1), minlength=count)
+        level_centered = w_rows - np.take(mean, pos, axis=0)
+        centered[rows] = level_centered
+        sse = np.bincount(pos, (level_centered ** 2).sum(axis=1), minlength=count)
         value, floor = objective.node(sums, sizes, sse)
         feature = np.full(count, -1, dtype=np.int64)
         threshold = np.zeros(count)
         if depth < max_depth:
             node, f, lo, hi, gain = _best_splits(
-                cell_code, centered[cell_row], mean, sizes, p, objective, min_leaf)
+                cell_code, np.take(centered, cell_row, axis=0), mean, sizes, p,
+                objective, min_leaf)
             take = gain > floor[node]
             feature[node[take]] = f[take]
             threshold[node[take]] = (values[lo[take]] + values[hi[take]]) / 2.0
         split = feature >= 0
         n_split = int(split.sum())
-        left = np.full(count, -1, dtype=np.int64)
-        left[split] = first + count + 2 * np.arange(n_split)
-        right = np.where(split, left + 1, -1)
-        levels.append((feature, threshold, left, right, value))
+        levels.append((feature, threshold, value))
         if n_split == 0:
             break
         # route the rows of split nodes; children keep their parents' order
@@ -276,8 +301,10 @@ def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
             cell_child[rows] = child
             order = np.argsort(cell_child[cell_row], kind="stable")[:rows.size * p]
             cell_row, cell_code = cell_row[order], cell_code[order]
-    tree = TreeArrays(*(np.concatenate(parts) for parts in zip(*levels)),
-                      roots=np.zeros(1, dtype=np.int64))
+    feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
+    roots = np.zeros(1, dtype=np.int64)
+    tree = TreeArrays(feature, threshold, *level_order_children(feature, roots),
+                      value, roots)
     return tree, row_node
 
 

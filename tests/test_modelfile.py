@@ -1,5 +1,7 @@
 """Round-trip, corruption, and cross-kind checks for the model file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,28 +71,30 @@ class TestTreeMatrix:
                  left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
                  value=[[0.0], [1.0], [0.0], [3.0], [5.0]], roots=[0])
 
+    def trained(self, **changes):
+        tree = TreeArrays(**{**self.NODES, **changes})
+        return TrainedModel(kind="tree", target_mode="total",
+                            feature_names=("a", "b", "c"), codebook_columns={},
+                            window=1, inner=tree)
+
     def saved(self, tmp_path, **changes):
-        tree = TreeArrays(**self.NODES)
-        trained = TrainedModel(kind="tree", target_mode="total",
-                               feature_names=("a", "b", "c"), codebook_columns={},
-                               window=1, inner=tree)
         path = tmp_path / "tree.model"
-        save_model(trained, path)
+        save_model(self.trained(), path)
         if changes:
             meta, tensors = read_container(path)
             for name, value in changes.items():
-                tensors[f"trees.{name}"] = np.asarray(value, dtype=np.float64)
+                tensors[f"trees.{name}"] = np.asarray(value)
             write_container(path, meta, tensors)
         return path
 
     def test_level_order_layout(self, tmp_path):
         _, tensors = read_container(self.saved(tmp_path))
-        assert tensors["trees.feature"].tolist() == [2.0, -1.0, 0.0, -1.0, -1.0]
-        assert tensors["trees.threshold"].tolist() == [1.5, 0.0, -3.0, 0.0, 0.0]
-        assert tensors["trees.left"].tolist() == [1.0, -1.0, 3.0, -1.0, -1.0]
-        assert tensors["trees.right"].tolist() == [2.0, -1.0, 4.0, -1.0, -1.0]
+        assert tensors["trees.feature"].dtype == np.int8
+        assert tensors["trees.feature"].tolist() == [2, -1, 0, -1, -1]
+        assert tensors["trees.threshold"].tolist() == [1.5, -3.0]
+        assert "trees.left" not in tensors and "trees.right" not in tensors
         assert tensors["trees.value"].shape == (5, 1)
-        assert tensors["trees.roots"].tolist() == [0.0]
+        assert tensors["trees.roots"].tolist() == [0]
 
     def test_round_trip_routes_identically(self, tmp_path):
         tree = TreeArrays(**self.NODES)
@@ -104,20 +108,104 @@ class TestTreeMatrix:
             load_model(path)
 
     def test_bad_child_index(self, tmp_path):
-        path = self.saved(tmp_path, right=[9, -1, 4, -1, -1])
+        # three splits in five nodes: the third's children would be 5 and 6
+        path = self.saved(tmp_path, feature=[2, 0, 0, -1, -1],
+                          threshold=[1.5, 0.5, -3.0])
         with pytest.raises(ModelFileError, match="child index"):
             load_model(path)
 
     def test_unreachable_rows(self, tmp_path):
-        path = self.saved(tmp_path, feature=[2, -1, -1, -1, -1],
-                          left=[1, -1, -1, -1, -1], right=[2, -1, -1, -1, -1])
+        path = self.saved(tmp_path, feature=[2, -1, -1, -1, -1], threshold=[1.5])
         with pytest.raises(ModelFileError, match="unreachable"):
             load_model(path)
+
+    def test_non_integral_feature_refused(self, tmp_path):
+        path = self.saved(tmp_path, feature=[2.5, -1.0, 0.0, -1.0, -1.0])
+        with pytest.raises(ModelFileError, match="integers"):
+            load_model(path)
+
+    def test_save_refuses_other_layouts(self, tmp_path):
+        # the root's children swapped places: valid, but not level order
+        swapped = self.trained(feature=[2, 0, -1, -1, -1],
+                               threshold=[1.5, -3.0, 0.0, 0.0, 0.0],
+                               left=[2, 3, -1, -1, -1], right=[1, 4, -1, -1, -1])
+        with pytest.raises(ModelFileError, match="level by level"):
+            save_model(swapped, tmp_path / "swapped.model")
+        for leaf_threshold in (0.25, -0.0):
+            odd = self.trained(threshold=[1.5, leaf_threshold, -3.0, 0.0, 0.0])
+            with pytest.raises(ModelFileError, match="leaf thresholds"):
+                save_model(odd, tmp_path / "odd.model")
 
     def test_wrong_width(self, tmp_path):
         path = self.saved(tmp_path, threshold=[1.5, 0.0, -3.0, 0.0])
         with pytest.raises(ModelFileError, match="disagree"):
             load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["forest", "gbt"])
+def test_grown_trees_round_trip_bit_for_bit(kind, split_tables, tmp_path):
+    trained, _ = train_model(split_tables[0], kind, KIND_OPTIONS[kind])
+    save_model(trained, tmp_path / "m.model")
+    before, after = trained.inner.trees, load_model(tmp_path / "m.model").inner.trees
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        a, b = getattr(before, name), getattr(after, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestContainer:
+    TENSORS = {"code": np.array([3, -1, 7], dtype=np.int8),
+               "weight": np.array([[0.5, -2.0]]), "count": np.arange(4)}
+
+    def test_mixed_dtypes_read_back_as_read_only_views(self, tmp_path):
+        write_container(tmp_path / "c.bin", {"note": "x"}, self.TENSORS)
+        meta, tensors = read_container(tmp_path / "c.bin")
+        assert meta == {"note": "x"}
+        assert list(tensors) == list(self.TENSORS)
+        for name, a in self.TENSORS.items():
+            assert tensors[name].dtype == a.dtype
+            assert np.array_equal(tensors[name], a)
+            assert not tensors[name].flags.writeable
+
+    def test_float64_tensors_declare_no_dtype(self, tmp_path):
+        write_container(tmp_path / "c.bin", {}, {"w": np.ones(2), "f": np.ones(2, "f4")})
+        header = (tmp_path / "c.bin").read_bytes().split(b"\n", 1)[0]
+        assert b"dtype" not in header
+        _, tensors = read_container(tmp_path / "c.bin")
+        assert tensors["f"].dtype == np.float64
+
+    def test_unsupported_dtype_refused(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, {}, self.TENSORS)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"dtype":"int8"', b'"dtype":"uint8"', 1))
+        with pytest.raises(ModelFileError, match="unsupported tensor declaration"):
+            read_container(path)
+
+    def test_payload_length_follows_each_dtype(self, tmp_path):
+        # 3 int8 + 2 float64 + 4 int64 = 51 bytes; read as int16 it needs 54
+        path = tmp_path / "c.bin"
+        write_container(path, {}, self.TENSORS)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"dtype":"int8"', b'"dtype":"int16"', 1))
+        with pytest.raises(ModelFileError, match="51 bytes but header declares 54"):
+            read_container(path)
+
+    def test_neither_side_copies_the_payload(self, tmp_path):
+        big = np.arange(32 << 17, dtype=np.float64)   # 32 MiB
+        path = tmp_path / "big.bin"
+        tracemalloc.start()
+        try:
+            write_container(path, {}, {"big": big})
+            _, written_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _, tensors = read_container(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written_peak < big.nbytes / 4
+        assert read_peak < big.nbytes * 1.25
+        assert np.array_equal(tensors["big"], big)
 
 
 class TestCorruption:
@@ -146,8 +234,9 @@ class TestCorruption:
     def test_header_tamper(self, split_tables, tmp_path):
         path = self._saved(split_tables, tmp_path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b'"version":3', b'"version":2', 1))
-        with pytest.raises(ModelFileError, match="version"):
+        assert b'"version":4' in blob
+        path.write_bytes(blob.replace(b'"version":4', b'"version":3', 1))
+        with pytest.raises(ModelFileError, match="unsupported container version 3"):
             load_model(path)
 
 

@@ -23,10 +23,12 @@ import zlib
 import numpy as np
 
 FORMAT_NAME = "delaycast-model"
-# 4: per-tensor dtypes; tree files drop child indices and leaf thresholds
-# (version 3 stored every tensor as float64, version 2 twelve per-gate arrays
-# per LSTM, version 1 used FNV-1a-64 and one node matrix per tree)
-FORMAT_VERSION = 4
+# 5: tree files' trees.value holds leaf rows only (version 4 one row per
+# node; it introduced per-tensor dtypes and dropped child indices and leaf
+# thresholds; version 3 stored every tensor as float64, version 2 twelve
+# per-gate arrays per LSTM, version 1 used FNV-1a-64 and one node matrix per
+# tree)
+FORMAT_VERSION = 5
 _DTYPES = {name: np.dtype(code) for name, code in (
     ("float64", "<f8"), ("int8", "<i1"), ("int16", "<i2"), ("int32", "<i4"),
     ("int64", "<i8"))}

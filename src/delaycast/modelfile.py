@@ -1,14 +1,13 @@
 """Save/load for every trained model kind over the tensor container format.
 
-Tree kinds store their `TreeArrays` as four tensors, the same for a tree,
-a forest and a boosting model, and nothing the level order implies:
+Tree kinds store the four arrays of their `TreeArrays` as they are (since
+container version 5), the same for a tree, a forest and a boosting model:
 trees.threshold (split nodes only, in node order), trees.value (float64,
-one row per node), trees.roots (int64, each tree's first node) and
-trees.feature (one entry per node, -1 marking a leaf, in the smallest
-signed integer type that holds the largest feature index). Children are
-not stored: a tree's k-th split node has its children at 2k+1 and 2k+2
-from its root, and leaves read back threshold 0.0, so only trees in that
-layout are saved and each round-trips bit for bit. Forest members are
+one row per leaf, in node order), trees.roots (int64, each tree's first
+node) and trees.feature (one entry per node, -1 marking a leaf, in the
+smallest signed integer type that holds the largest feature index).
+Children are implied by the level order, loading applies `TreeArrays`' own
+checks, and each file round-trips bit for bit. Forest members are
 recomputed from the stored seed, not stored. The neural kinds persist
 their parameter dict under a "net." prefix next to the rebuild spec. The
 container checks a CRC-32 of the payload.
@@ -16,41 +15,23 @@ container checks a CRC-32 of the payload.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .container import ModelFileError, read_container, write_container
 from .features import Standardizer
 from .linear import LinearModel
 from .regressors import MODEL_KINDS, TrainedModel
 from .neural import build_from_spec
-from .trees import ForestModel, GbtModel, TreeArrays, level_order_children
+from .trees import ForestModel, GbtModel, TreeArrays
 
 
 def _tree_tensors(trees: TreeArrays) -> dict:
-    left, right = level_order_children(trees.feature, trees.roots)
-    if not (np.array_equal(trees.left, left) and np.array_equal(trees.right, right)):
-        raise ModelFileError("tree nodes must be numbered level by level")
-    split = left >= 0
-    leaf_threshold = trees.threshold[~split]
-    if (leaf_threshold != 0.0).any() or np.signbit(leaf_threshold).any():
-        raise ModelFileError("leaf thresholds must be 0.0")
-    width = np.min_scalar_type(-1 - int(trees.feature.max(initial=0)))
     # feature last: the 8-byte tensors before it stay aligned when read
-    return {"trees.threshold": trees.threshold[split], "trees.value": trees.value,
-            "trees.roots": trees.roots, "trees.feature": trees.feature.astype(width)}
+    return {"trees.threshold": trees.threshold, "trees.value": trees.value,
+            "trees.roots": trees.roots, "trees.feature": trees.feature}
 
 
 def _load_trees(tensors) -> TreeArrays:
-    feature, roots = tensors["trees.feature"], tensors["trees.roots"]
-    left, right = level_order_children(feature, roots)
-    split = left >= 0
-    stored = tensors["trees.threshold"]
-    if stored.shape != (int(split.sum()),):
-        raise ModelFileError(f"{stored.size} thresholds disagree with "
-                             f"{int(split.sum())} split nodes")
-    threshold = np.zeros(split.size)
-    threshold[split] = stored
-    return TreeArrays(feature, threshold, left, right, tensors["trees.value"], roots)
+    return TreeArrays(tensors["trees.feature"], tensors["trees.threshold"],
+                      tensors["trees.value"], tensors["trees.roots"])
 
 
 def _inner_tensors(trained: TrainedModel):

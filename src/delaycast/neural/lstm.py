@@ -23,12 +23,6 @@ from ..numerics import Rng
 from .layers import glorot
 
 
-def _blocks(gates, units):
-    """The i, f, o, g column blocks of an (n, 4u) gate array, as views."""
-    return (gates[:, :units], gates[:, units:2 * units],
-            gates[:, 2 * units:3 * units], gates[:, 3 * units:])
-
-
 def lstm_params(input_size: int, units: int, rng: Rng) -> dict:
     """Fresh gate weights: glorot blocks, zero bias except the f block = 1.
 
@@ -47,7 +41,8 @@ def lstm_params(input_size: int, units: int, rng: Rng) -> dict:
 def lstm_cell_forward(x, h_prev, c_prev, params):
     """One step. Returns (h, c, cache); cache feeds lstm_cell_backward.
 
-    The cache holds the activated gates as one (n, 4u) array, blocks i|f|o|g.
+    The cache holds the activated gates as one gate-major (4, n, u) array,
+    i, f, o, g, so each gate is a contiguous block.
     """
     w, b = params["w"], params["b"]
     units = b.shape[0] // 4
@@ -57,15 +52,16 @@ def lstm_cell_forward(x, h_prev, c_prev, params):
     if h_prev.shape != (x.shape[0], units) or c_prev.shape != h_prev.shape:
         raise ValueError(
             f"state shapes {h_prev.shape}/{c_prev.shape} do not match (n, {units})")
-    gates = x @ w[:d]
-    gates += h_prev @ w[d:]
-    gates += b
-    sig = gates[:, :3 * units]
+    z = x @ w[:d]
+    z += h_prev @ w[d:]
+    z += b
+    gates = np.ascontiguousarray(z.reshape(-1, 4, units).transpose(1, 0, 2))
+    sig = gates[:3]
     sig *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2))
     np.tanh(gates, out=gates)
     sig += 1.0
     sig *= 0.5
-    i, f, o, g = _blocks(gates, units)
+    i, f, o, g = gates
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -82,14 +78,18 @@ def lstm_cell_backward(cache, grad_h, grad_c):
     params, x, h_prev, c_prev, gates, tanh_c = cache
     if grad_h.shape != tanh_c.shape or grad_c.shape != tanh_c.shape:
         raise ValueError("upstream gradient shapes do not match the cached step")
-    units = tanh_c.shape[1]
-    i, f, o, g = _blocks(gates, units)
+    i, f, o, g = gates
     dc = grad_c + grad_h * o * (1.0 - tanh_c * tanh_c)
     # loss gradient at each activated gate, then back through its activation
-    dz = np.concatenate([dc * g, dc * c_prev, grad_h * tanh_c, dc * i], axis=1)
-    deriv = gates * (1.0 - gates)  # sigmoid' on i|f|o
-    deriv[:, 3 * units:] = 1.0 - g * g  # tanh' on g
-    dz *= deriv
+    dz = np.empty_like(gates)
+    np.multiply(dc, g, out=dz[0])
+    np.multiply(dc, c_prev, out=dz[1])
+    np.multiply(grad_h, tanh_c, out=dz[2])
+    np.multiply(dc, i, out=dz[3])
+    sig = gates[:3]
+    dz[:3] *= sig * (1.0 - sig)  # sigmoid' on i|f|o
+    dz[3] *= 1.0 - g * g  # tanh' on g
+    dz = dz.transpose(1, 0, 2).reshape(x.shape[0], -1)  # (n, 4u), blocks i|f|o|g
     grads = {"w": np.concatenate([x, h_prev], axis=1).T @ dz, "b": dz.sum(axis=0)}
     grad_xh = dz @ params["w"].T
     d = x.shape[1]

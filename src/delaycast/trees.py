@@ -1,9 +1,12 @@
 """Regression trees, bagged ensembles, and gradient-boosted chains.
 
-Every model here is one `TreeArrays`: flat node arrays (feature, threshold,
-left, right, value) holding one or more trees back to back, plus the offset
-of each tree's root. A single tree, a forest and a boosting model differ
-only in how many trees the arrays hold and how their leaves are combined.
+Every model here is one `TreeArrays`: one or more trees back to back in four
+flat arrays, all in node order: each node's feature (-1 at leaves), the
+thresholds of split nodes only, the values of leaves only, and the offset of
+each tree's root. A single tree, a forest and a boosting model differ only
+in how many trees the arrays hold and how their leaves are combined.
+Children are not stored: trees are numbered level by level, so a tree's
+k-th split node has its children at 2k+1 and 2k+2 from its root.
 
 All three grow through one level-wise exact split search (`_grow`). Each
 feature is rank-coded once; the (row, feature) cells stay sorted by (node,
@@ -21,6 +24,8 @@ integer label encoding.
 The split gain of the boosted trees is XGBoost's (Chen & Guestrin, KDD
 2016); grouping cells by rank follows LightGBM's histograms (Ke et al.,
 NeurIPS 2017), kept exact by grouping on each node's distinct values.
+LightGBM's model format likewise keeps split thresholds and leaf values as
+separate arrays.
 """
 
 from __future__ import annotations
@@ -38,73 +43,69 @@ _TIE_REL = 1e-12
 # (row, tree) pairs routed per block at prediction: bounds its index arrays
 _ROUTE_ENTRIES = 1 << 20
 
-_NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
-
-
 def _index_array(name: str, data) -> np.ndarray:
     a = np.asarray(data)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.round(a))).all():
         raise ValueError(f"{name} must hold integers")
-    return a.astype(np.int64)
+    return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class TreeArrays:
-    """One or more regression trees as flat node arrays.
+    """One or more regression trees in four flat arrays, all in node order.
 
     Tree t owns nodes roots[t] up to the next root (the last tree runs to the
-    end). Node i either splits rows with `x[feature[i]] <= threshold[i]` to
-    left[i], the rest to right[i] (child indices counted from the tree's
-    root), or is a leaf: feature, left and right -1. value[i] is the node's
-    prediction, used at leaves. Grown trees are numbered level by level: a
-    tree's k-th split node has its children at 2k+1 and 2k+2 from its root
-    (`level_order_children`), and their leaves hold threshold 0.0.
+    end). With S(i) the number of split nodes before node i, node i either
+    splits rows with `x[feature[i]] <= threshold[S(i)]` to its left child,
+    the rest to its right, or is a leaf (feature -1) predicting
+    value[i - S(i)]. Trees are numbered level by level: a tree's k-th split
+    node has its children at 2k+1 and 2k+2 from its root, so a tree of m
+    nodes holds (m - 1) / 2 splits, its k-th split sits at local index 2k or
+    lower, and split i of tree t has its left child at node 2 S(i) + t + 1.
     """
 
-    feature: np.ndarray    # (m,) int64
-    threshold: np.ndarray  # (m,) float64
-    left: np.ndarray       # (m,) int64
-    right: np.ndarray      # (m,) int64
-    value: np.ndarray      # (m, k) float64
+    feature: np.ndarray    # (m,) the smallest signed integer type holding it
+    threshold: np.ndarray  # (splits,) float64
+    value: np.ndarray      # (leaves, k) float64
     roots: np.ndarray      # (t,) int64
 
     def __post_init__(self):
         feature = _index_array("feature", self.feature)
-        left = _index_array("left", self.left)
-        right = _index_array("right", self.right)
-        roots = _index_array("roots", self.roots)
+        roots = _index_array("roots", self.roots).astype(np.int64, copy=False)
         threshold = np.asarray(self.threshold, dtype=np.float64)
         value = np.asarray(self.value, dtype=np.float64)
         m = feature.size
-        if threshold.shape != (m,) or left.size != m or right.size != m \
-                or value.ndim != 2 or value.shape[0] != m:
-            raise ValueError("node arrays disagree in length")
-        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
-            raise ValueError("node thresholds and values must be finite")
         if (roots.size == 0) != (m == 0) or (m and (
                 roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= m)):
             raise ValueError("roots must be increasing node offsets starting at 0")
-        sizes = np.diff(np.append(roots, m))
-        start = np.repeat(roots, sizes)
-        local = np.arange(m) - start
-        size = np.repeat(sizes, sizes)
-        split = feature >= 0
-        if (feature < -1).any() or (left[~split] != -1).any() \
-                or (right[~split] != -1).any():
-            raise ValueError("leaves need feature, left and right -1")
-        for child in (left[split], right[split]):
-            if ((child <= local[split]) | (child >= size[split])).any():
-                raise ValueError("child index must point past its parent "
-                                 "inside the same tree")
-        refs = np.bincount(np.concatenate([left[split], right[split]])
-                           + np.concatenate([start[split]] * 2), minlength=m)
-        if (refs != (local > 0)).any():
-            raise ValueError(f"node {int(np.argmax(refs != (local > 0)))} is "
-                             "unreachable or shared")
-        for name, a in zip(_NODE_FIELDS + ("roots",),
-                           (feature, threshold, left, right, value, roots)):
+        if (feature < -1).any():
+            raise ValueError("features must be -1 at leaves, else column indices")
+        feature = feature.astype(np.min_scalar_type(-1 - int(feature.max(initial=0))),
+                                 copy=False)
+        split_at = np.flatnonzero(feature >= 0)
+        splits = split_at.size
+        if threshold.shape != (splits,) or value.ndim != 2 \
+                or value.shape[0] != m - splits:
+            raise ValueError(f"threshold {threshold.shape} and value {value.shape} "
+                             f"disagree with {splits} splits and {m - splits} leaves")
+        if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+            raise ValueError("node thresholds and values must be finite")
+        # each tree holds (m - 1) / 2 splits, its k-th at local index 2k or
+        # lower; then trees before t hold (roots[t] - t) / 2 splits, so the
+        # g-th split overall, at node i of tree t, needs i - 2g <= t
+        tree_splits = np.diff(np.searchsorted(split_at, roots), append=splits)
+        k = np.arange(splits)
+        k *= 2
+        split_at -= k
+        if (2 * tree_splits != np.diff(roots, append=m) - 1).any() or (
+                split_at > np.repeat(np.arange(roots.size), tree_splits)).any():
+            raise ValueError("nodes are not numbered level by level: a tree of m "
+                             "nodes needs (m - 1) / 2 splits, its k-th at local "
+                             "index 2k or lower")
+        for name, a in zip(("feature", "threshold", "value", "roots"),
+                           (feature, threshold, value, roots)):
             object.__setattr__(self, name, a)
 
     @property
@@ -113,32 +114,20 @@ class TreeArrays:
 
     def member(self, t: int) -> "TreeArrays":
         """Tree t on its own."""
-        lo = self.roots[t]
-        hi = self.roots[t + 1] if t + 1 < self.n_trees else self.feature.size
-        return TreeArrays(*(getattr(self, name)[lo:hi] for name in _NODE_FIELDS),
+        lo = int(self.roots[t])
+        hi = int(self.roots[t + 1]) if t + 1 < self.n_trees else self.feature.size
+        # the trees before t hold (lo - t) / 2 splits and (lo + t) / 2 leaves
+        return TreeArrays(self.feature[lo:hi],
+                          self.threshold[(lo - t) // 2:(hi - t - 1) // 2],
+                          self.value[(lo + t) // 2:(hi + t + 1) // 2],
                           roots=np.zeros(1, dtype=np.int64))
-
-
-def level_order_children(feature, roots):
-    """(left, right) of trees numbered level by level: the k-th split node
-    (feature >= 0) of each tree has its children at 2k+1 and 2k+2 from the
-    tree's root; leaves get -1.
-    """
-    feature = _index_array("feature", feature)
-    roots = _index_array("roots", roots)
-    split = feature >= 0
-    before = np.cumsum(split) - split          # split nodes before each node
-    sizes = np.diff(np.append(roots, feature.size))
-    k = before - np.repeat(before[roots], sizes)
-    left = np.where(split, 2 * k + 1, -1)
-    return left, np.where(split, left + 1, -1)
 
 
 def _concat(parts) -> TreeArrays:
     """Trees of every part, in order, as one TreeArrays."""
     offsets = np.cumsum([0] + [p.feature.size for p in parts])
     fields = [np.concatenate([getattr(p, name) for p in parts])
-              for name in _NODE_FIELDS]
+              for name in ("feature", "threshold", "value")]
     roots = np.concatenate([p.roots + o for p, o in zip(parts, offsets)])
     return TreeArrays(*fields, roots=roots)
 
@@ -249,7 +238,8 @@ def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
           min_leaf: int):
     """Grow one tree level by level on per-row statistics w (n, k).
 
-    Returns the tree and the node (a leaf) each training row ends in.
+    Returns the tree and the leaf (its row of `value`) each training row
+    ends in.
     """
     values, cell_row, cell_code = coded
     n, p = x.shape
@@ -282,7 +272,7 @@ def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
             threshold[node[take]] = (values[lo[take]] + values[hi[take]]) / 2.0
         split = feature >= 0
         n_split = int(split.sum())
-        levels.append((feature, threshold, value))
+        levels.append((feature, threshold[split], value[~split]))
         if n_split == 0:
             break
         # route the rows of split nodes; children keep their parents' order
@@ -302,10 +292,10 @@ def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
             order = np.argsort(cell_child[cell_row], kind="stable")[:rows.size * p]
             cell_row, cell_code = cell_row[order], cell_code[order]
     feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
-    roots = np.zeros(1, dtype=np.int64)
-    tree = TreeArrays(feature, threshold, *level_order_children(feature, roots),
-                      value, roots)
-    return tree, row_node
+    split = feature >= 0
+    before = np.cumsum(split) - split
+    tree = TreeArrays(feature, threshold, value, np.zeros(1, dtype=np.int64))
+    return tree, row_node - before[row_node]
 
 
 def _check_xy(x, y):
@@ -330,22 +320,23 @@ def tree_fit(x, y, max_depth: int = 10, min_samples_leaf: int = 5) -> TreeArrays
     return tree
 
 
-def _leaves(trees: TreeArrays, x: np.ndarray) -> np.ndarray:
-    """(n, t) node index of the leaf each row reaches in each tree.
+def _leaves(trees: TreeArrays, before: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(n, t) row of `value` of the leaf each row reaches in each tree.
 
-    Every row walks every tree at once, one vectorized step per level.
+    Every row walks every tree at once, one vectorized step per level;
+    before[i] counts the split nodes before node i.
     """
     t = trees.n_trees
-    sizes = np.diff(np.append(trees.roots, trees.feature.size))
-    start = np.repeat(trees.roots, sizes)
-    left, right = trees.left + start, trees.right + start
     node = np.tile(trees.roots, x.shape[0])  # entry e: row e // t, tree e % t
     live = np.flatnonzero(trees.feature[node] >= 0)
     while live.size:
         at = node[live]
-        go_left = x[live // t, trees.feature[at]] <= trees.threshold[at]
-        node[live] = np.where(go_left, left[at], right[at])
+        s = before[at]
+        go_left = x[live // t, trees.feature[at]] <= trees.threshold[s]
+        # split i of tree t: left child 2 S(i) + t + 1, right child next to it
+        node[live] = 2 * s + live % t + 2 - go_left
         live = live[trees.feature[node[live]] >= 0]
+    node -= before[node]
     return node.reshape(x.shape[0], t)
 
 
@@ -358,9 +349,12 @@ def _leaf_blocks(trees: TreeArrays, x: np.ndarray):
     if trees.feature.size and trees.feature.max() >= x.shape[1]:
         raise ValueError(f"tree splits on feature {trees.feature.max()} "
                          f"but input has {x.shape[1]} columns")
+    split = trees.feature >= 0
+    before = np.cumsum(split)
+    before -= split
     step = max(1, _ROUTE_ENTRIES // max(trees.n_trees, 1))
     for lo in range(0, x.shape[0], step):
-        yield slice(lo, lo + step), _leaves(trees, x[lo:lo + step])
+        yield slice(lo, lo + step), _leaves(trees, before, x[lo:lo + step])
 
 
 def tree_predict(trees: TreeArrays, x) -> np.ndarray:

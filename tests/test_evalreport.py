@@ -32,7 +32,7 @@ def constant_mean_model(table):
     """A gbt shell with no boosting rounds: always predicts train means."""
     inner = GbtModel(base_score=table.y.mean(axis=0), learning_rate=0.3,
                      reg_lambda=1.0, gamma=0.0,
-                     trees=TreeArrays(feature=[], threshold=[], left=[], right=[],
+                     trees=TreeArrays(feature=[], threshold=[],
                                       value=np.zeros((0, 1)), roots=[]))
     return TrainedModel(kind="gbt", target_mode=table.target_mode,
                         feature_names=table.feature_names,

@@ -67,9 +67,8 @@ def test_save_is_deterministic(split_tables, tmp_path):
 
 class TestTreeMatrix:
     # root splits on feature 2; its right child splits on feature 0
-    NODES = dict(feature=[2, -1, 0, -1, -1], threshold=[1.5, 0.0, -3.0, 0.0, 0.0],
-                 left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
-                 value=[[0.0], [1.0], [0.0], [3.0], [5.0]], roots=[0])
+    NODES = dict(feature=[2, -1, 0, -1, -1], threshold=[1.5, -3.0],
+                 value=[[1.0], [3.0], [5.0]], roots=[0])
 
     def trained(self, **changes):
         tree = TreeArrays(**{**self.NODES, **changes})
@@ -89,11 +88,12 @@ class TestTreeMatrix:
 
     def test_level_order_layout(self, tmp_path):
         _, tensors = read_container(self.saved(tmp_path))
+        assert list(tensors) == ["trees.threshold", "trees.value", "trees.roots",
+                                 "trees.feature"]
         assert tensors["trees.feature"].dtype == np.int8
         assert tensors["trees.feature"].tolist() == [2, -1, 0, -1, -1]
         assert tensors["trees.threshold"].tolist() == [1.5, -3.0]
-        assert "trees.left" not in tensors and "trees.right" not in tensors
-        assert tensors["trees.value"].shape == (5, 1)
+        assert tensors["trees.value"].tolist() == [[1.0], [3.0], [5.0]]
         assert tensors["trees.roots"].tolist() == [0]
 
     def test_round_trip_routes_identically(self, tmp_path):
@@ -103,20 +103,28 @@ class TestTreeMatrix:
         assert np.array_equal(tree_predict(tree, x), tree_predict(rebuilt, x))
 
     def test_leaf_width_checked(self, tmp_path):
-        path = self.saved(tmp_path, value=np.zeros((5, 2)))
+        path = self.saved(tmp_path, value=np.zeros((3, 2)))
         with pytest.raises(ModelFileError, match="wide"):
             load_model(path)
 
     def test_bad_child_index(self, tmp_path):
         # three splits in five nodes: the third's children would be 5 and 6
         path = self.saved(tmp_path, feature=[2, 0, 0, -1, -1],
-                          threshold=[1.5, 0.5, -3.0])
-        with pytest.raises(ModelFileError, match="child index"):
+                          threshold=[1.5, 0.5, -3.0], value=[[1.0], [2.0]])
+        with pytest.raises(ModelFileError, match="level by level"):
+            load_model(path)
+
+    def test_leaf_root_followed_by_split(self, tmp_path):
+        path = self.saved(tmp_path, feature=[-1, 2, -1, -1, -1], threshold=[1.5],
+                          value=np.zeros((4, 1)))
+        with pytest.raises(ModelFileError, match="level by level"):
             load_model(path)
 
     def test_unreachable_rows(self, tmp_path):
-        path = self.saved(tmp_path, feature=[2, -1, -1, -1, -1], threshold=[1.5])
-        with pytest.raises(ModelFileError, match="unreachable"):
+        # one split in five nodes: nodes 3 and 4 have no parent
+        path = self.saved(tmp_path, feature=[2, -1, -1, -1, -1], threshold=[1.5],
+                          value=np.zeros((4, 1)))
+        with pytest.raises(ModelFileError, match="level by level"):
             load_model(path)
 
     def test_non_integral_feature_refused(self, tmp_path):
@@ -124,30 +132,27 @@ class TestTreeMatrix:
         with pytest.raises(ModelFileError, match="integers"):
             load_model(path)
 
-    def test_save_refuses_other_layouts(self, tmp_path):
-        # the root's children swapped places: valid, but not level order
-        swapped = self.trained(feature=[2, 0, -1, -1, -1],
-                               threshold=[1.5, -3.0, 0.0, 0.0, 0.0],
-                               left=[2, 3, -1, -1, -1], right=[1, 4, -1, -1, -1])
-        with pytest.raises(ModelFileError, match="level by level"):
-            save_model(swapped, tmp_path / "swapped.model")
-        for leaf_threshold in (0.25, -0.0):
-            odd = self.trained(threshold=[1.5, leaf_threshold, -3.0, 0.0, 0.0])
-            with pytest.raises(ModelFileError, match="leaf thresholds"):
-                save_model(odd, tmp_path / "odd.model")
+    @pytest.mark.parametrize("field,bad", [("threshold", [1.5, np.inf]),
+                                           ("value", [[1.0], [np.nan], [5.0]])])
+    def test_non_finite_refused(self, tmp_path, field, bad):
+        with pytest.raises(ModelFileError, match="finite"):
+            load_model(self.saved(tmp_path, **{field: bad}))
 
-    def test_wrong_width(self, tmp_path):
-        path = self.saved(tmp_path, threshold=[1.5, 0.0, -3.0, 0.0])
+    @pytest.mark.parametrize("field,bad", [("threshold", [1.5, -3.0, 0.0]),
+                                           ("value", [[1.0], [3.0]])])
+    def test_wrong_width(self, tmp_path, field, bad):
         with pytest.raises(ModelFileError, match="disagree"):
-            load_model(path)
+            load_model(self.saved(tmp_path, **{field: bad}))
 
 
-@pytest.mark.parametrize("kind", ["forest", "gbt"])
+@pytest.mark.parametrize("kind", ["tree", "forest", "gbt"])
 def test_grown_trees_round_trip_bit_for_bit(kind, split_tables, tmp_path):
     trained, _ = train_model(split_tables[0], kind, KIND_OPTIONS[kind])
     save_model(trained, tmp_path / "m.model")
-    before, after = trained.inner.trees, load_model(tmp_path / "m.model").inner.trees
-    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+    before, after = trained.inner, load_model(tmp_path / "m.model").inner
+    if kind != "tree":
+        before, after = before.trees, after.trees
+    for name in ("feature", "threshold", "value", "roots"):
         a, b = getattr(before, name), getattr(after, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name
@@ -234,9 +239,9 @@ class TestCorruption:
     def test_header_tamper(self, split_tables, tmp_path):
         path = self._saved(split_tables, tmp_path)
         blob = path.read_bytes()
-        assert b'"version":4' in blob
-        path.write_bytes(blob.replace(b'"version":4', b'"version":3', 1))
-        with pytest.raises(ModelFileError, match="unsupported container version 3"):
+        assert b'"version":5' in blob
+        path.write_bytes(blob.replace(b'"version":5', b'"version":4', 1))
+        with pytest.raises(ModelFileError, match="unsupported container version 4"):
             load_model(path)
 
 

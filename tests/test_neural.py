@@ -146,7 +146,7 @@ class TestLstmCell:
         x = np.zeros((1, 3))
         h, c, cache = lstm_cell_forward(x, np.zeros((1, 2)), np.zeros((1, 2)),
                                         params)
-        i, f, o, g = np.split(cache[4], 4, axis=1)
+        i, f, o, g = cache[4]
         assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
         assert np.allclose(i, 0.5) and np.allclose(f, 0.5)
         assert np.allclose(o, 0.5) and np.allclose(g, 0.0)

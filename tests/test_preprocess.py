@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaycast.preprocess import (
@@ -209,12 +209,18 @@ def test_report_pct_of_entering_differs_from_pct_of_input():
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+@example([0.0, 0.0, 0.0, 239567.1842733752, 258965.06108600972,
+          258971.06108600972, 258984.06108600972, 258986.06108600972,
+          258998.06108600972, 541589.0004330613, 541591.0004330613,
+          -0.010036840961199908])
 @settings(max_examples=60, deadline=None)
 def test_delay_stats_sum_left_to_right(values):
     # bit-identical to Python's left-to-right sum over the rows, not np.sum's
-    # pairwise sum, so the report's floats stay the same
+    # pairwise sum, so the report's floats stay the same; deviations square
+    # by one exact product, as numpy's d * d does, not by `**` (libm pow)
     stats = _delay_stats(flights([make_record(arr_delay=v) for v in values]))
     mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1) if len(values) > 1 else 0.0
+    var = (sum((v - mean) * (v - mean) for v in values) / (len(values) - 1)
+           if len(values) > 1 else 0.0)
     assert (stats.count, stats.mean, stats.std) == (len(values), mean, math.sqrt(var))
     assert (stats.minimum, stats.maximum) == (min(values), max(values))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -103,12 +104,32 @@ def brute_force_tree(x, y, depth, min_leaf):
     return grow(np.arange(x.shape[0]), depth)
 
 
+def splits_before(tree: TreeArrays, i: int) -> int:
+    return int((tree.feature[:i] >= 0).sum())
+
+
+def children(tree: TreeArrays, i: int):
+    """Level order: a tree's k-th split node has children 2k+1 and 2k+2."""
+    k = splits_before(tree, i)
+    return 2 * k + 1, 2 * k + 2
+
+
+def threshold_of(tree: TreeArrays, i: int) -> float:
+    return float(tree.threshold[splits_before(tree, i)])
+
+
+def value_of(tree: TreeArrays, i: int) -> np.ndarray:
+    """Leaf i's value: value holds leaves only, in node order."""
+    return tree.value[i - splits_before(tree, i)]
+
+
 def nested(tree: TreeArrays, i: int = 0):
     """("leaf", value) or (feature, threshold, left, right) from node i down."""
     if tree.feature[i] < 0:
-        return ("leaf", tree.value[i])
-    return (int(tree.feature[i]), float(tree.threshold[i]),
-            nested(tree, tree.left[i]), nested(tree, tree.right[i]))
+        return ("leaf", value_of(tree, i))
+    left, right = children(tree, i)
+    return (int(tree.feature[i]), threshold_of(tree, i),
+            nested(tree, left), nested(tree, right))
 
 
 def same_nested(a, b, thresholds=True) -> bool:
@@ -130,17 +151,45 @@ def same_shape(a: TreeArrays, b: TreeArrays) -> bool:
 def max_path(tree: TreeArrays, i: int = 0) -> int:
     if tree.feature[i] < 0:
         return 0
-    return 1 + max(max_path(tree, tree.left[i]), max_path(tree, tree.right[i]))
+    return 1 + max(max_path(tree, child) for child in children(tree, i))
 
 
 def leaf_tree(*value):
-    return TreeArrays(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-                      value=[value], roots=[0])
+    return TreeArrays(feature=[-1], threshold=[], value=[value], roots=[0])
 
 
 def no_trees():
-    return TreeArrays(feature=[], threshold=[], left=[], right=[],
-                      value=np.zeros((0, 1)), roots=[])
+    return TreeArrays(feature=[], threshold=[], value=np.zeros((0, 1)), roots=[])
+
+
+def walk_builds_tree(is_split) -> bool:
+    """Explicit oracle: give each tree's k-th split node children 2k+1 and
+    2k+2 and walk them from the root; a tree needs every child past its
+    parent and inside the sequence, and reaches each node exactly once.
+    """
+    before = list(itertools.accumulate(is_split, initial=0))
+    seen, stack = set(), [0]
+    while stack:
+        i = stack.pop()
+        if i in seen:
+            return False
+        seen.add(i)
+        if is_split[i]:
+            for child in (2 * before[i] + 1, 2 * before[i] + 2):
+                if not i < child < len(is_split):
+                    return False
+                stack.append(child)
+    return len(seen) == len(is_split)
+
+
+def from_splits(*trees_is_split) -> TreeArrays:
+    """Trees of the given split/leaf sequences back to back; feature 0 splits."""
+    is_split = [s for tree in trees_is_split for s in tree]
+    sizes = [len(tree) for tree in trees_is_split]
+    return TreeArrays(feature=[0 if s else -1 for s in is_split],
+                      threshold=[0.5] * sum(is_split),
+                      value=np.ones((len(is_split) - sum(is_split), 1)),
+                      roots=np.cumsum([0] + sizes[:-1]))
 
 
 STEP_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -167,8 +216,8 @@ class TestTree:
         assert tree.feature[0] == f
         assert tree.threshold[0] == pytest.approx(thr)
         assert 2.0 < tree.threshold[0] <= 3.0
-        assert np.allclose(tree.value[tree.left[0]], [0.0])
-        assert np.allclose(tree.value[tree.right[0]], [10.0])
+        assert np.allclose(value_of(tree, 1), [0.0])
+        assert np.allclose(value_of(tree, 2), [10.0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_first_split_matches_oracle_on_random_data(self, seed):
@@ -226,17 +275,17 @@ class TestTree:
             if tree.feature[i] < 0:
                 counts[i] = len(idx)
                 return
-            mask = x[idx, tree.feature[i]] <= tree.threshold[i]
-            walk(tree.left[i], idx[mask])
-            walk(tree.right[i], idx[~mask])
+            mask = x[idx, tree.feature[i]] <= threshold_of(tree, i)
+            left, right = children(tree, i)
+            walk(left, idx[mask])
+            walk(right, idx[~mask])
         walk(0, np.arange(200))
         assert min(counts.values()) >= 10
 
     def test_boundary_value_routes_left(self):
         tree = tree_fit(STEP_X, STEP_Y, max_depth=1, min_samples_leaf=1)
         at_threshold = np.array([[tree.threshold[0]]])
-        assert np.allclose(tree_predict(tree, at_threshold),
-                           tree.value[tree.left[0]])
+        assert np.allclose(tree_predict(tree, at_threshold), value_of(tree, 1))
 
     def test_leaf_only_tree_predicts_constant(self):
         got = tree_predict(leaf_tree(7.0, -1.0), np.zeros((5, 9)))
@@ -266,25 +315,61 @@ class TestTree:
 
     def test_node_construction_rules(self):
         def split_root(**changes):
-            fields = dict(feature=[0, -1, -1], threshold=[1.0, 0.0, 0.0],
-                          left=[1, -1, -1], right=[2, -1, -1],
-                          value=[[0.0], [1.0], [2.0]], roots=[0])
+            fields = dict(feature=[0, -1, -1], threshold=[1.0],
+                          value=[[1.0], [2.0]], roots=[0])
             fields.update(changes)
             return TreeArrays(**fields)
 
         split_root()  # well-formed
-        with pytest.raises(ValueError):
-            split_root(left=[1, 2, -1])   # a leaf with a child
-        with pytest.raises(ValueError):
-            split_root(right=[-1, -1, -1])  # a split without its right child
-        with pytest.raises(ValueError):
-            split_root(value=[[0.0], [np.inf], [2.0]])
-        with pytest.raises(ValueError):
-            split_root(threshold=[np.nan, 0.0, 0.0])
-        with pytest.raises(ValueError, match="child index"):
-            split_root(left=[0, -1, -1])  # a cycle back to the root
-        with pytest.raises(ValueError, match="unreachable"):
-            split_root(right=[1, -1, -1])  # node 2 orphaned, node 1 shared
+        with pytest.raises(ValueError, match="level by level"):
+            split_root(feature=[-1, 0, -1])  # a leaf root followed by a split
+        with pytest.raises(ValueError, match="level by level"):
+            split_root(feature=[0, 0, 0, -1, -1], threshold=[1.0] * 3)  # 3 in 5
+        with pytest.raises(ValueError, match="disagree"):
+            split_root(threshold=[1.0, 2.0])
+        with pytest.raises(ValueError, match="disagree"):
+            split_root(value=[[1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="integers"):
+            split_root(feature=[0.5, -1, -1])
+        with pytest.raises(ValueError, match="column indices"):
+            split_root(feature=[0, -2, -1])
+        with pytest.raises(ValueError, match="finite"):
+            split_root(value=[[1.0], [np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            split_root(threshold=[np.nan])
+        with pytest.raises(ValueError, match="roots"):
+            split_root(roots=[1])
+
+    def test_feature_takes_the_smallest_signed_type(self):
+        assert leaf_tree(1.0).feature.dtype == np.int8
+        wide = TreeArrays(feature=[300, -1, -1], threshold=[0.5],
+                          value=np.ones((2, 1)), roots=[0])
+        assert wide.feature.dtype == np.int16 and wide.feature[0] == 300
+
+    def test_accepts_exactly_what_an_explicit_walk_builds(self):
+        # every split/leaf sequence of 1-13 nodes; full binary trees of 2n+1
+        # nodes in level order number Catalan(n): 1+1+2+5+14+42+132 in all
+        accepted = 0
+        for m in range(1, 14):
+            for is_split in itertools.product((False, True), repeat=m):
+                try:
+                    from_splits(is_split)
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == walk_builds_tree(is_split), is_split
+                accepted += ok
+        assert accepted == 197
+        # back to back, trees are accepted exactly when each one is alone
+        short = [s for m in range(1, 6)
+                 for s in itertools.product((False, True), repeat=m)]
+        for a, b in itertools.product(short, repeat=2):
+            try:
+                from_splits(a, b)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == (walk_builds_tree(a) and walk_builds_tree(b)), (a, b)
 
 
 class TestForest:
@@ -295,7 +380,7 @@ class TestForest:
         a = forest_fit(x, y, n_estimators=12, max_depth=5, seed=77)
         b = forest_fit(x, y, n_estimators=12, max_depth=5, seed=77)
         assert np.array_equal(forest_predict(a, x), forest_predict(b, x))
-        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        for name in ("feature", "threshold", "value", "roots"):
             assert np.array_equal(getattr(a.trees, name), getattr(b.trees, name))
 
     def test_members_are_trees_on_the_seeded_bootstraps(self):
@@ -307,7 +392,7 @@ class TestForest:
             idx = Rng(11).spawn(t).integers(0, 40, 40)
             again = tree_fit(x[idx], y[idx], max_depth=4, min_samples_leaf=1)
             member = forest.trees.member(t)
-            for name in ("feature", "threshold", "left", "right", "value"):
+            for name in ("feature", "threshold", "value"):
                 assert np.array_equal(getattr(member, name), getattr(again, name))
 
     def test_different_seed_changes_bootstrap(self):

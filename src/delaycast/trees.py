@@ -43,6 +43,7 @@ _TIE_REL = 1e-12
 # (row, tree) pairs routed per block at prediction: bounds its index arrays
 _ROUTE_ENTRIES = 1 << 20
 
+
 def _index_array(name: str, data) -> np.ndarray:
     a = np.asarray(data)
     if a.ndim != 1:

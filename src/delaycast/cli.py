@@ -22,7 +22,10 @@ Pearson r as the table prints it. The train manifest adds `rows_train`,
 + 1), `rows_validation` (the examples at their end a neural kind holds out
 for early stopping, 0 for the others) and `timings` (`read_s` for the CSV,
 `table_s` for the codebook, table build and split, `fit_s` for the fit
-alone, `save_s`); the evaluate manifest adds `rows_scored` and `timings`
+alone, `save_s`); for tree, forest and gbt it also adds `trees`, the
+`nodes`, `leaves` and `depth` reached of each fitted tree in model order
+(gbt: target j's round r is tree j * rounds + r), in the manifest only,
+not in the model file's settings. The evaluate manifest adds `rows_scored` and `timings`
 (`read_s` for the model file and CSV, `score_s` for the table build and
 scoring). Train and evaluate both split chronologically at
 `DEFAULT_TRAIN_FRACTION`, so evaluate's test split is the rows train held
@@ -102,6 +105,7 @@ from .stats import (
     screening_columns,
 )
 from .synth import LABELS, SynthConfig, generate, write_labels
+from .trees import tree_shapes
 
 _REDUNDANCY_PAIRS = (("AIRLINE", "AIRLINE_DOT", "airline", "airline_dot"),
                      ("AIRLINE", "AIRLINE_CODE", "airline", "airline_code"),
@@ -502,6 +506,10 @@ def cmd_train(args) -> int:
     with _timed(timings, "fit_s"):
         trained, history = train_model(train_t, model_kind, options)
     windows = len(train_t) - window + 1
+    shapes = {}
+    if model_kind in ("tree", "forest", "gbt"):
+        fitted = trained.inner if model_kind == "tree" else trained.inner.trees
+        shapes["trees"] = tree_shapes(fitted)
     with _timed(timings, "save_s"):
         save_model(trained, out)
     _write_manifest("train", out, config=flags.resolved,
@@ -513,7 +521,7 @@ def cmd_train(args) -> int:
                     rows_train=len(train_t), rows_held_out=len(test_t),
                     rows_windows=windows, rows_validation=validation_rows(
                         windows, trained.settings.get("validation_fraction", 0.0)),
-                    timings=timings, read_reused=reused)
+                    timings=timings, read_reused=reused, **shapes)
     print(f"trained {model_kind} on {len(train_t)} rows "
           f"({len(test_t)} held out); saved {out}")
     if history:

@@ -8,24 +8,30 @@ in how many trees the arrays hold and how their leaves are combined.
 Children are not stored: trees are numbered level by level, so a tree's
 k-th split node has its children at 2k+1 and 2k+2 from its root.
 
-All three grow through one level-wise exact split search (`_grow`). Each
-feature is rank-coded once; the (row, feature) cells stay sorted by (node,
-feature, rank) and are stably partitioned into the children at each level,
-and one cumulative sum per level yields every node's left-side sums. The
-frozen split rules: candidates are the midpoints between a node's adjacent
-*present* feature values, boundary ties route left (`x[f] <= threshold`),
-and equal-gain ties resolve to the lowest feature index, then the lowest
-threshold. Gains that tie in real arithmetic can differ by a rounding step
-once sums are taken in another order, so gains within a relative
-`_TIE_REL` = 1e-12 of a node's best count as tied. Categorical codes are
-treated as ordinal numerics; that is a documented consequence of the
-integer label encoding.
+Two level-wise exact split searches grow them. A single tree and each
+forest member grow through `_grow`: each feature is rank-coded once; the
+(row, feature) cells stay sorted by (node, feature, rank) and are stably
+partitioned into the children at each level, and one cumulative sum per
+level yields every node's left-side sums. A boosting round grows its k
+target trees together through `_grow_chains`, with no partition: each
+(tree, row) pair is an entry, each (feature, entry) cell is keyed by its
+entry's node and its value, two `np.bincount`s per level give every present
+(node, value) its row count and gradient sum, and running sums over those
+bins yield the left-side sums. Both keep the frozen split rules, and pick
+through one helper (`_first_best`): candidates are the midpoints between a
+node's adjacent *present* feature values, boundary ties route left
+(`x[f] <= threshold`), and equal-gain ties resolve to the lowest feature
+index, then the lowest threshold. Gains that tie in real arithmetic can
+differ by a rounding step once sums are taken in another order, so gains
+within a relative `_TIE_REL` = 1e-12 of a node's best count as tied.
+Categorical codes are treated as ordinal numerics; that is a documented
+consequence of the integer label encoding.
 
 The split gain of the boosted trees is XGBoost's (Chen & Guestrin, KDD
-2016); grouping cells by rank follows LightGBM's histograms (Ke et al.,
-NeurIPS 2017), kept exact by grouping on each node's distinct values.
-LightGBM's model format likewise keeps split thresholds and leaf values as
-separate arrays.
+2016); grouping cells by rank, and the boosting histograms, follow
+LightGBM's histograms (Ke et al., NeurIPS 2017) and XGBoost's "hist"
+method, kept exact by one bin per distinct value. LightGBM's model format
+likewise keeps split thresholds and leaf values as separate arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ _GAIN_EPS = 1e-10
 _TIE_REL = 1e-12
 # (row, tree) pairs routed per block at prediction: bounds its index arrays
 _ROUTE_ENTRIES = 1 << 20
+# (node, value) bins of one dense boosting histogram: a level of more runs in
+# blocks of whole nodes
+_HIST_BINS = 1 << 22
 
 
 def _index_array(name: str, data) -> np.ndarray:
@@ -139,10 +148,9 @@ def _concat(parts) -> TreeArrays:
 def _rank_code(x: np.ndarray):
     """Rank-code every feature once.
 
-    Returns (values, cell_row, cell_code): `values` concatenates the features'
-    sorted distinct values, and the root's (row, feature) cells are listed
-    feature by feature in (rank, row) order, each with its row and the index
-    of its value in `values`.
+    Returns (values, codes): `values` concatenates the features' sorted
+    distinct values, and codes[f, i] is the index in `values` of row i's
+    value of feature f.
     """
     p = x.shape[1]
     uniques, codes = [], np.empty((p, x.shape[0]), dtype=np.int64)
@@ -152,41 +160,7 @@ def _rank_code(x: np.ndarray):
         codes[f] = inverse + offset
         uniques.append(u)
         offset += u.size
-    order = np.argsort(codes, axis=1, kind="stable")
-    return (np.concatenate(uniques), order.ravel(),
-            np.take_along_axis(codes, order, axis=1).ravel())
-
-
-class _Variance:
-    """Summed per-target SSE reduction; nodes predict their target means."""
-
-    def node(self, sums, sizes, sse):
-        floor = np.where(sse > 0.0, _GAIN_EPS * (1.0 + sse), np.inf)
-        return sums / sizes[:, None], floor
-
-    def gain(self, lc, rc, nl, nr, mean):
-        # lc, rc: sums of (target - node mean), so the gain carries no
-        # cancellation against the targets' own scale
-        tc = lc + rc
-        return (lc * lc / nl[:, None] + rc * rc / nr[:, None]
-                - tc * tc / (nl + nr)[:, None]).sum(axis=1)
-
-
-class _Boost:
-    """XGBoost gain for squared error (h = 1 per row); nodes hold -G/(H+lambda)."""
-
-    def __init__(self, reg_lambda: float, gamma: float):
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-
-    def node(self, sums, sizes, sse):
-        weight = gbt_leaf_weight(sums[:, 0], sizes, self.reg_lambda)
-        return weight[:, None], np.zeros(sizes.size)  # strictly positive gain
-
-    def gain(self, lc, rc, nl, nr, mean):
-        gl = lc[:, 0] + nl * mean[:, 0]
-        gr = rc[:, 0] + nr * mean[:, 0]
-        return gbt_split_gain(gl, nl, gr, nr, self.reg_lambda, self.gamma)
+    return np.concatenate(uniques), codes
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -197,13 +171,26 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _best_splits(cell_code, centered, mean, sizes, p, objective, min_leaf):
+def _first_best(node: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Index of each node's first candidate within _TIE_REL of its best gain.
+
+    Candidates come in (node, feature, threshold) order, so the first tied
+    one has the lowest feature, then the lowest threshold.
+    """
+    head = np.flatnonzero(_run_starts(node))
+    top = np.repeat(np.maximum.reduceat(gain, head), np.diff(head, append=node.size))
+    tied = np.flatnonzero(gain >= top - _TIE_REL * np.abs(top))
+    return tied[_run_starts(node[tied])]
+
+
+def _best_splits(cell_code, centered, sizes, p, min_leaf):
     """Each node's best candidate as (node, feature, low code, high code, gain).
 
     Nodes without a candidate are left out. Cells come in (node, feature,
     rank) order, so each node's feature block is one segment; `centered`
-    holds each cell's row statistics minus its node's mean. A candidate is
-    a segment's last cell of one value, followed by a cell of the next.
+    holds each cell's targets minus its node's means. A candidate is a
+    segment's last cell of one value, followed by a cell of the next; its
+    gain is the summed per-target SSE reduction.
     """
     seg_len = np.repeat(sizes, p)
     seg_end = np.cumsum(seg_len)
@@ -222,67 +209,59 @@ def _best_splits(cell_code, centered, mean, sizes, p, objective, min_leaf):
     cand, seg, nl, nr = cand[ok], seg[ok], nl[ok], nr[ok]
     node = seg // p
     base = np.take(prefix, seg_start[seg], axis=0)
+    # sums of (target - node mean), so the gain carries no cancellation
+    # against the targets' own scale
     lc = np.take(prefix, cand + 1, axis=0) - base
     rc = np.take(prefix, seg_end[seg], axis=0) - base - lc
-    gain = objective.gain(lc, rc, nl, nr, np.take(mean, node, axis=0))
-    if gain.size == 0:
-        return node, node, cand, cand, gain
-    head = np.flatnonzero(_run_starts(node))
-    top = np.repeat(np.maximum.reduceat(gain, head), np.diff(head, append=node.size))
-    tied = np.flatnonzero(gain >= top - _TIE_REL * np.abs(top))
-    pick = tied[_run_starts(node[tied])]
+    tc = lc + rc
+    gain = (lc * lc / nl[:, None] + rc * rc / nr[:, None]
+            - tc * tc / (nl + nr)[:, None]).sum(axis=1)
+    pick = _first_best(node, gain)
     at = cand[pick]
     return node[pick], seg[pick] % p, cell_code[at], cell_code[at + 1], gain[pick]
 
 
-def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
-          min_leaf: int):
-    """Grow one tree level by level on per-row statistics w (n, k).
-
-    Returns the tree and the leaf (its row of `value`) each training row
-    ends in.
-    """
-    values, cell_row, cell_code = coded
+def _grow(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> TreeArrays:
+    """Grow one variance-reduction tree level by level; leaves hold target means."""
+    values, codes = _rank_code(x)
+    order = np.argsort(codes, axis=1, kind="stable")
+    cell_row = order.ravel()
+    cell_code = np.take_along_axis(codes, order, axis=1).ravel()
     n, p = x.shape
     rows = np.arange(n)                     # rows of this level's nodes
     row_pos = np.zeros(n, dtype=np.int64)   # row -> its node's place in the level
-    row_node = np.zeros(n, dtype=np.int64)  # row -> node id
-    centered = np.zeros_like(w)             # row -> w minus its node's mean
+    centered = np.zeros_like(y)             # row -> y minus its node's mean
     sizes = np.array([n])
-    first = 0                               # id of the level's first node
     levels = []
     for depth in range(max_depth + 1):
         count = sizes.size
         pos = row_pos[rows]
-        w_rows = np.take(w, rows, axis=0)
-        sums = np.stack([np.bincount(pos, w_rows[:, j], minlength=count)
-                         for j in range(w.shape[1])], axis=1)
+        y_rows = np.take(y, rows, axis=0)
+        sums = np.stack([np.bincount(pos, y_rows[:, j], minlength=count)
+                         for j in range(y.shape[1])], axis=1)
         mean = sums / sizes[:, None]
-        level_centered = w_rows - np.take(mean, pos, axis=0)
+        level_centered = y_rows - np.take(mean, pos, axis=0)
         centered[rows] = level_centered
-        sse = np.bincount(pos, (level_centered ** 2).sum(axis=1), minlength=count)
-        value, floor = objective.node(sums, sizes, sse)
         feature = np.full(count, -1, dtype=np.int64)
         threshold = np.zeros(count)
         if depth < max_depth:
+            sse = np.bincount(pos, (level_centered ** 2).sum(axis=1), minlength=count)
+            floor = np.where(sse > 0.0, _GAIN_EPS * (1.0 + sse), np.inf)
             node, f, lo, hi, gain = _best_splits(
-                cell_code, np.take(centered, cell_row, axis=0), mean, sizes, p,
-                objective, min_leaf)
+                cell_code, np.take(centered, cell_row, axis=0), sizes, p, min_leaf)
             take = gain > floor[node]
             feature[node[take]] = f[take]
             threshold[node[take]] = (values[lo[take]] + values[hi[take]]) / 2.0
         split = feature >= 0
         n_split = int(split.sum())
-        levels.append((feature, threshold[split], value[~split]))
+        levels.append((feature, threshold[split], mean[~split]))
         if n_split == 0:
             break
         # route the rows of split nodes; children keep their parents' order
         keep = split[pos]
         rows, pos = rows[keep], pos[keep]
         child = 2 * (np.cumsum(split) - 1)[pos] + (x[rows, feature[pos]] > threshold[pos])
-        first += count
         row_pos[rows] = child
-        row_node[rows] = first + child
         sizes = np.bincount(child, minlength=2 * n_split)
         if depth + 1 < max_depth:
             # cells follow their rows, stably, so they come in (child,
@@ -293,10 +272,7 @@ def _grow(coded, x: np.ndarray, w: np.ndarray, objective, max_depth: int,
             order = np.argsort(cell_child[cell_row], kind="stable")[:rows.size * p]
             cell_row, cell_code = cell_row[order], cell_code[order]
     feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
-    split = feature >= 0
-    before = np.cumsum(split) - split
-    tree = TreeArrays(feature, threshold, value, np.zeros(1, dtype=np.int64))
-    return tree, row_node - before[row_node]
+    return TreeArrays(feature, threshold, value, np.zeros(1, dtype=np.int64))
 
 
 def _check_xy(x, y):
@@ -317,8 +293,7 @@ def tree_fit(x, y, max_depth: int = 10, min_samples_leaf: int = 5) -> TreeArrays
     if x.shape[0] < 2 * min_samples_leaf:
         raise ValueError(
             f"need at least {2 * min_samples_leaf} rows, got {x.shape[0]}")
-    tree, _ = _grow(_rank_code(x), x, y, _Variance(), max_depth, min_samples_leaf)
-    return tree
+    return _grow(x, y, max_depth, min_samples_leaf)
 
 
 def _leaves(trees: TreeArrays, before: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -332,13 +307,25 @@ def _leaves(trees: TreeArrays, before: np.ndarray, x: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(trees.feature[node] >= 0)
     while live.size:
         at = node[live]
-        s = before[at]
+        s = before[at].astype(np.intp)  # one cast, not one per use
         go_left = x[live // t, trees.feature[at]] <= trees.threshold[s]
         # split i of tree t: left child 2 S(i) + t + 1, right child next to it
         node[live] = 2 * s + live % t + 2 - go_left
         live = live[trees.feature[node[live]] >= 0]
     node -= before[node]
     return node.reshape(x.shape[0], t)
+
+
+def _splits_before(trees: TreeArrays) -> np.ndarray:
+    """S(i) for every node: the split nodes before it, in int32 below 2**31 nodes.
+
+    Counted in place, so a call holds the count and the split mask only.
+    """
+    split = trees.feature >= 0
+    before = split.astype(np.int32 if split.size < 2**31 else np.int64)
+    np.cumsum(before, out=before)
+    before -= split
+    return before
 
 
 def _leaf_blocks(trees: TreeArrays, x: np.ndarray):
@@ -350,12 +337,28 @@ def _leaf_blocks(trees: TreeArrays, x: np.ndarray):
     if trees.feature.size and trees.feature.max() >= x.shape[1]:
         raise ValueError(f"tree splits on feature {trees.feature.max()} "
                          f"but input has {x.shape[1]} columns")
-    split = trees.feature >= 0
-    before = np.cumsum(split)
-    before -= split
+    before = _splits_before(trees)
     step = max(1, _ROUTE_ENTRIES // max(trees.n_trees, 1))
     for lo in range(0, x.shape[0], step):
         yield slice(lo, lo + step), _leaves(trees, before, x[lo:lo + step])
+
+
+def tree_shapes(trees: TreeArrays) -> dict:
+    """Each tree's node count, leaf count and depth reached, in tree order."""
+    before = _splits_before(trees)
+    nodes = np.diff(trees.roots, append=trees.feature.size)
+    depth = np.zeros(trees.n_trees, dtype=np.int64)
+    node, tree = trees.roots, np.arange(trees.n_trees)  # one level's nodes
+    level = 0
+    while node.size:
+        depth[tree] = level
+        split = trees.feature[node] >= 0
+        node, tree = node[split], tree[split]
+        left = 2 * before[node] + tree + 1  # split i of tree t: 2 S(i) + t + 1
+        node, tree = np.concatenate([left, left + 1]), np.concatenate([tree, tree])
+        level += 1
+    return {"nodes": nodes.tolist(), "leaves": ((nodes + 1) // 2).tolist(),
+            "depth": depth.tolist()}
 
 
 def tree_predict(trees: TreeArrays, x) -> np.ndarray:
@@ -470,10 +473,135 @@ class GbtModel:
         return self.trees.n_trees // self.base_score.shape[0]
 
 
+def _chain_splits(coded, owner, place, centered, tree, sizes, mean,
+                  reg_lambda: float, gamma: float):
+    """The level's splits as (node, feature, threshold), for each node whose
+    best gain is positive.
+
+    Every (feature, entry) cell is keyed node * v + value, so one dense
+    histogram per block of whole nodes (at most about _HIST_BINS bins) gives
+    each present (node, value) its row count and sum of `centered`; entries
+    outside the block get its sentinel place, so their keys fall past its
+    bins. The nonzero bins come in (node, feature, rank) order. A candidate
+    is a bin followed by another of its (node, feature), and running sums
+    over the bins give its left side; they restart at each tree, so no
+    tree's splits depend on another's sums.
+    """
+    values, codes = coded
+    (k, n), p, v = place.shape, codes.shape[0], values.size
+    weights = np.broadcast_to(centered, (p, k, n)).ravel()
+    step = max(1, _HIST_BINS // v)
+    keys, counts, sums = [], [], []
+    for lo in range(0, tree.size, step):
+        width = min(step, tree.size - lo)
+        local = place - lo
+        local[(local < 0) | (local > width)] = width
+        local *= v
+        key = (codes[:, None, :] + local).ravel()
+        bins = np.bincount(key, minlength=width * v)[:width * v]
+        nz = np.flatnonzero(bins != 0)  # a bool mask scans several times faster
+        keys.append(nz + lo * v)
+        counts.append(bins[nz])
+        sums.append(np.bincount(key, weights, minlength=width * v)[nz])
+    key, cnt, wsum = (np.concatenate(parts) for parts in (keys, counts, sums))
+    node = key // v
+    val = key - node * v
+    starts = _run_starts(node * p + owner[val])
+    first = np.flatnonzero(starts)
+    span = np.diff(first, append=key.size)
+    cand = np.flatnonzero(~starts[1:])
+    start = np.repeat(first, span)[cand]
+    last = np.repeat(first + span - 1, span)[cand]
+    # centered sums return to about zero at every segment end, so a running
+    # sum gives each segment's sums at the precision of its own
+    through = np.empty(key.size)
+    tree_first = np.flatnonzero(_run_starts(tree[node]))
+    for lo, hi in zip(tree_first, np.append(tree_first[1:], key.size)):
+        np.cumsum(wsum[lo:hi], out=through[lo:hi])
+    before = np.append(0.0, through[:-1])
+    before[tree_first] = 0.0
+    rows = np.cumsum(cnt)
+    node = node[cand]
+    nl = rows[cand] - rows[start] + cnt[start]
+    nr = sizes[node] - nl
+    lc = through[cand] - before[start]
+    rc = through[last] - before[start] - lc
+    gain = gbt_split_gain(lc + nl * mean[node], nl, rc + nr * mean[node], nr,
+                          reg_lambda, gamma)
+    pick = _first_best(node, gain)
+    pick = pick[gain[pick] > 0.0]
+    at = cand[pick]
+    return node[pick], owner[val[at]], (values[val[at]] + values[val[at + 1]]) / 2.0
+
+
+def _grow_chains(coded, x: np.ndarray, g: np.ndarray, max_depth: int,
+                 reg_lambda: float, gamma: float):
+    """Grow one boosted tree per column of the gradients g (n, k), together.
+
+    Each (tree, row) pair is an entry, and each level searches the splits of
+    all k trees' nodes at once on exact (node, value) histograms
+    (`_chain_splits`). Each candidate leaves at least one row on either side,
+    and a node splits when its best gain is positive. Leaves hold
+    -G/(H+lambda) with h = 1 per row, G summed in row order.
+
+    Returns the k trees and, as (n, k), the value of the leaf each row
+    reaches in each.
+    """
+    values, codes = coded
+    n, k = g.shape
+    owner = np.searchsorted(codes.min(axis=1), np.arange(values.size),
+                            side="right") - 1  # value -> its feature
+    g = np.ascontiguousarray(g.T)           # entry (j, i): tree j, row i
+    xt = np.ascontiguousarray(x.T)
+    place = np.repeat(np.arange(k), n).reshape(k, n)  # entry -> node in level
+    tree = np.arange(k)                     # node in level -> its tree
+    reached = np.empty((k, n))
+    levels = []
+    for depth in range(max_depth + 1):
+        # place `count` marks entries that ended in a leaf at an earlier level
+        count = tree.size
+        sizes = np.bincount(place.ravel(), minlength=count + 1)[:count]
+        sums = np.bincount(place.ravel(), g.ravel(), minlength=count + 1)[:count]
+        mean = np.append(sums / sizes, 0.0)
+        value = gbt_leaf_weight(sums, sizes, reg_lambda)
+        feature = np.full(count, -1, dtype=np.int64)
+        threshold = np.zeros(count)
+        if depth < max_depth:
+            node, f, cut = _chain_splits(coded, owner, place, g - mean[place], tree,
+                                         sizes, mean, reg_lambda, gamma)
+            feature[node] = f
+            threshold[node] = cut
+        split = feature >= 0
+        levels.append((tree, feature, threshold[split], value[~split]))
+        ends = np.append(~split, False)[place]
+        np.copyto(reached, np.append(value, 0.0)[place], where=ends)
+        if not split.any():
+            break
+        # route the entries of split nodes; children keep their parents' order,
+        # and entries of leaves (and the sentinel) go to the next sentinel
+        rank = np.cumsum(split)
+        child = np.append(np.where(split, 2 * rank - 2, 2 * rank[-1]), 2 * rank[-1])
+        column = np.append(np.maximum(feature, 0), 0)
+        cut = np.append(np.where(split, threshold, np.inf), np.inf)
+        right = np.take_along_axis(xt, column[place], axis=0) > cut[place]
+        place = child[place] + right
+        tree = np.repeat(tree[split], 2)
+    tree, feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
+    split = feature >= 0
+    grown = [TreeArrays(feature[tree == j], threshold[tree[split] == j],
+                        value[tree[~split] == j, None], np.zeros(1, dtype=np.int64))
+             for j in range(k)]
+    return grown, reached.T
+
+
 def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
             max_depth: int = 6, reg_lambda: float = 1.0,
             gamma: float = 0.0) -> GbtModel:
-    """Boosted squared-error chains: g = prediction - y, h = 1, per target."""
+    """Boosted squared-error chains: g = prediction - y, h = 1, per target.
+
+    Each round grows every target's tree in one pass (`_grow_chains`); the
+    chain of target j depends on column j of y alone.
+    """
     x, y = _check_xy(x, y)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {x.shape[0]}")
@@ -484,18 +612,16 @@ def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
     if not (0.0 <= learning_rate <= 1.0):
         raise ValueError("learning_rate must be in [0, 1]")
     coded = _rank_code(x)
-    boost = _Boost(reg_lambda, gamma)
     base = y.mean(axis=0)
-    trees = []
-    for j in range(y.shape[1]):
-        pred = np.full(x.shape[0], base[j])
-        for _ in range(rounds):
-            tree, leaf = _grow(coded, x, (pred - y[:, j])[:, None], boost,
-                               max_depth, 1)
-            pred += learning_rate * tree.value[leaf, 0]
-            trees.append(tree)
+    pred = np.tile(base, (x.shape[0], 1))
+    grown = []
+    for _ in range(rounds):
+        trees, reached = _grow_chains(coded, x, pred - y, max_depth, reg_lambda, gamma)
+        pred += learning_rate * reached
+        grown.append(trees)
     return GbtModel(base_score=base, learning_rate=learning_rate,
-                    reg_lambda=reg_lambda, gamma=gamma, trees=_concat(trees))
+                    reg_lambda=reg_lambda, gamma=gamma,
+                    trees=_concat([r[j] for j in range(y.shape[1]) for r in grown]))
 
 
 def gbt_predict(model: GbtModel, x) -> np.ndarray:

@@ -395,6 +395,43 @@ class TestManifests:
         # timings go in the manifest only, never in a byte-gated output
         assert "read_s" not in rep.read_text()
 
+    def test_tree_manifests_record_each_tree_shape(self, tmp_path):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 5, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+
+        def walked_depth(tree):  # children of the k-th split at 2k+1, 2k+2
+            split = tree.feature >= 0
+            before = np.cumsum(split) - split
+            stack, deepest = [(0, 0)], 0
+            while stack:
+                i, depth = stack.pop()
+                deepest = max(deepest, depth)
+                if split[i]:
+                    stack += [(2 * before[i] + 1, depth + 1), (2 * before[i] + 2, depth + 1)]
+            return deepest
+
+        for kind, flags, depth, count in (("tree", ["--depth", 4], 4, 1),
+                                          ("forest", ["--trees", 3, "--depth", 5], 5, 3),
+                                          ("gbt", ["--rounds", 2, "--depth", 3], 3, 10)):
+            model = tmp_path / f"{kind}.bin"
+            assert run(["train", "--in", pruned, "--model", kind, "--out", model,
+                        *flags]) == 0
+            manifest = json.loads((tmp_path / f"{kind}.bin.manifest.json").read_text())
+            inner = load_model(model).inner
+            fitted = inner if kind == "tree" else inner.trees
+            members = [fitted.member(t) for t in range(fitted.n_trees)]
+            assert len(members) == count
+            assert manifest["trees"] == {
+                "nodes": [m.feature.size for m in members],
+                "leaves": [int((m.feature < 0).sum()) for m in members],
+                "depth": [walked_depth(m) for m in members]}
+            assert 0 < max(manifest["trees"]["depth"]) <= depth
+            # the manifest only: settings go into the model file
+            assert "trees" not in manifest["decisions"]["settings"]
+        assert run(["train", "--in", pruned, "--model", "ols", "--out", tmp_path / "o.bin"]) == 0
+        assert "trees" not in json.loads((tmp_path / "o.bin.manifest.json").read_text())
+
     def test_train_manifest_counts_windows_and_validation_rows(self, tmp_path, monkeypatch):
         flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
         assert run(["synth", "--count", 300, "--seed", 5, "--out", flights]) == 0

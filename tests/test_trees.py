@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from delaycast import trees
+from delaycast.features import build_table, fit_codebook
 from delaycast.numerics import Rng
+from delaycast.preprocess import run_pipeline
+from delaycast.synth import SynthConfig, generate
 from delaycast.trees import (
     ForestModel,
     GbtModel,
@@ -57,6 +60,27 @@ def brute_force_gbt_split(x, g, reg_lambda, gamma):
             if best is None or key < best:
                 best = key
     return None if best is None else (best[1], best[2], -best[0])
+
+
+def brute_force_gbt_tree(x, g, depth, reg_lambda, gamma):
+    """Reference boosted tree for one round: recursive, every midpoint.
+
+    Each node splits at `brute_force_gbt_split`'s pick when its gain is
+    positive; leaves hold -G/(H+lambda). Returns the nested form of `nested`.
+    """
+    def grow(idx, depth_left):
+        leaf = ("leaf", np.array([-g[idx].sum() / (idx.size + reg_lambda)]))
+        if depth_left == 0:
+            return leaf
+        best = brute_force_gbt_split(x[idx], g[idx], reg_lambda, gamma)
+        if best is None or not best[2] > 0.0:
+            return leaf
+        f, thr, _ = best
+        mask = x[idx, f] <= thr
+        return (f, thr, grow(idx[mask], depth_left - 1),
+                grow(idx[~mask], depth_left - 1))
+
+    return grow(np.arange(x.shape[0]), depth)
 
 
 def brute_force_tree(x, y, depth, min_leaf):
@@ -466,6 +490,23 @@ def chain_tree(model: GbtModel, j: int, r: int) -> TreeArrays:
     return model.trees.member(j * model.rounds + r)
 
 
+def assert_same_chain(model: GbtModel, j: int, alone: GbtModel):
+    """Chain j of `model` equals the one chain of `alone`, array for array."""
+    assert model.rounds == alone.rounds
+    assert model.base_score[j] == alone.base_score[0]
+    for r in range(model.rounds):
+        a, b = chain_tree(model, j, r), chain_tree(alone, 0, r)
+        for name in ("feature", "threshold", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (j, r, name)
+
+
+def models_table(count=500, seed=4):
+    """A table shaped like the models workload's: 11 features, 5 targets."""
+    records, _ = run_pipeline(generate(SynthConfig(count=count, seed=seed)).flights)
+    table = build_table(records, fit_codebook(records), "components")
+    return table.x, table.y
+
+
 class TestGbt:
     def test_single_full_round_matches_plain_tree_on_step(self):
         model = gbt_fit(STEP_X, STEP_Y, rounds=1, learning_rate=1.0,
@@ -486,6 +527,46 @@ class TestGbt:
         assert gain > 0.0
         root = chain_tree(model, 0, 0)
         assert (root.feature[0], root.threshold[0]) == (f, pytest.approx(thr))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("reg_lambda,gamma", [(1.0, 0.0), (0.0, 0.0), (5.0, 0.1)])
+    def test_whole_round_matches_recursive_brute_force(self, seed, reg_lambda, gamma):
+        # integer features: repeated values, and candidates of different
+        # features that cut the rows alike tie exactly
+        rng = Rng(40 + seed)
+        x = np.floor(rng.uniform_array((40, 3), 0.0, 5.0))
+        y = rng.uniform_array((40, 2), -3.0, 3.0)
+        model = gbt_fit(x, y, rounds=1, learning_rate=1.0, max_depth=3,
+                        reg_lambda=reg_lambda, gamma=gamma)
+        for j in range(2):
+            want = brute_force_gbt_tree(x, model.base_score[j] - y[:, j], 3,
+                                        reg_lambda, gamma)
+            assert same_nested(nested(chain_tree(model, j, 0)), want)
+
+    @pytest.mark.parametrize("block_nodes", [None, 1, 3])
+    @pytest.mark.parametrize("data", ["models", "ties"])
+    def test_chains_do_not_couple(self, monkeypatch, data, block_nodes):
+        # integer targets: each column's mean is exact, so the base scores
+        # agree whether numpy sums one column or several
+        if data == "models":
+            x, y = models_table()
+            kw = {"rounds": 3, "max_depth": 6}
+        else:
+            rng = Rng(27)
+            x = np.floor(rng.uniform_array((60, 3), 0.0, 4.0))
+            y = np.floor(rng.uniform_array((60, 3), -4.0, 5.0))
+            kw = {"rounds": 4, "max_depth": 4, "reg_lambda": 0.0}
+        whole = gbt_fit(x, y, **kw)
+        if block_nodes is not None:
+            # dense histograms of `block_nodes` nodes: every level in blocks
+            values = sum(np.unique(column).size for column in x.T)
+            monkeypatch.setattr(trees, "_HIST_BINS", block_nodes * values)
+            blocked = gbt_fit(x, y, **kw)
+            for name in ("feature", "threshold", "value", "roots"):
+                assert np.array_equal(getattr(blocked.trees, name),
+                                      getattr(whole.trees, name))
+        for j in range(y.shape[1]):
+            assert_same_chain(whole, j, gbt_fit(x, y[:, [j]], **kw))
 
     def test_exact_tie_goes_to_lowest_feature_then_threshold(self):
         g = TIE_Y.mean() - TIE_Y[:, 0]
@@ -576,7 +657,9 @@ class TestGbt:
         def grow(*args, **kwargs):
             raise AssertionError("a tree was grown")
 
-        monkeypatch.setattr(trees, "_grow", grow)
+        monkeypatch.setattr(trees, "_grow_chains", grow)
         x = Rng(26).uniform_array((40, 3))
+        with pytest.raises(AssertionError, match="a tree was grown"):
+            gbt_fit(x, x[:, :1], rounds=20, learning_rate=0.3)  # the patch is live
         with pytest.raises(ValueError, match="learning_rate"):
             gbt_fit(x, x[:, :1], rounds=20, learning_rate=rate)

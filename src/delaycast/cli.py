@@ -24,7 +24,12 @@ for early stopping, 0 for the others) and `timings` (`read_s` for the CSV,
 `table_s` for the codebook, table build and split, `fit_s` for the fit
 alone, `save_s`); for tree, forest and gbt it also adds `trees`, the
 `nodes`, `leaves` and `depth` reached of each fitted tree in model order
-(gbt: target j's round r is tree j * rounds + r), in the manifest only,
+(gbt: target j's round r is tree j * rounds + r); for the neural kinds it
+adds `history`, one entry per epoch run with the `EpochStats` fields
+(`train_mse`, `train_mae`, `val_mse`, `val_mae`, the epoch's wall
+`seconds`, the `max_norm` and `mean_norm` of the pre-clip gradient norm,
+null without a clip, and the `clipped` batch count), and `best_epoch`, the
+epoch whose parameters the model file holds. These go in the manifest only,
 not in the model file's settings. The evaluate manifest adds `rows_scored` and `timings`
 (`read_s` for the model file and CSV, `score_s` for the table build and
 scoring). Train and evaluate both split chronologically at
@@ -506,10 +511,13 @@ def cmd_train(args) -> int:
     with _timed(timings, "fit_s"):
         trained, history = train_model(train_t, model_kind, options)
     windows = len(train_t) - window + 1
-    shapes = {}
+    fit_record = {}
     if model_kind in ("tree", "forest", "gbt"):
         fitted = trained.inner if model_kind == "tree" else trained.inner.trees
-        shapes["trees"] = tree_shapes(fitted)
+        fit_record["trees"] = tree_shapes(fitted)
+    if history:
+        fit_record["history"] = [dataclasses.asdict(h) for h in history]
+        fit_record["best_epoch"] = min(history, key=lambda h: h.val_mse).epoch
     with _timed(timings, "save_s"):
         save_model(trained, out)
     _write_manifest("train", out, config=flags.resolved,
@@ -521,7 +529,7 @@ def cmd_train(args) -> int:
                     rows_train=len(train_t), rows_held_out=len(test_t),
                     rows_windows=windows, rows_validation=validation_rows(
                         windows, trained.settings.get("validation_fraction", 0.0)),
-                    timings=timings, read_reused=reused, **shapes)
+                    timings=timings, read_reused=reused, **fit_record)
     print(f"trained {model_kind} on {len(train_t)} rows "
           f"({len(test_t)} held out); saved {out}")
     if history:

@@ -8,7 +8,8 @@ recent data the model has not memorized batch-by-batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,11 +41,27 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of `train`.
+
+    With validation rows, `train_mse`/`train_mae` are the epoch's batch
+    errors, each taken before that batch's update, summed and divided by the
+    training targets (Keras reports its training loss the same way); with
+    none, both pairs come from one pass over the training rows after the
+    epoch. `seconds` is the epoch's wall time and takes no part in equality.
+    `max_norm`/`mean_norm` are the largest and mean pre-clip global gradient
+    norm over the epoch's batches and `clipped` the batches the clip scaled;
+    the norms are None without a clip.
+    """
+
     epoch: int
     train_mse: float
     train_mae: float
     val_mse: float
     val_mae: float
+    seconds: float = field(default=0.0, compare=False)
+    max_norm: Optional[float] = None
+    mean_norm: Optional[float] = None
+    clipped: int = 0
 
 
 class TrainingError(RuntimeError):
@@ -62,12 +79,15 @@ def validation_rows(examples: int, fraction: float) -> int:
 
 
 def train(model, x, y, config: TrainConfig):
-    """Fit in place; returns the per-epoch history tuple.
+    """Fit in place; returns the per-epoch history tuple of `EpochStats`.
 
     The model is left holding the best-validation parameters. Stops early
-    once `patience` consecutive epochs fail to improve validation MSE; with
-    no validation rows (fraction 0) the train metrics are monitored instead.
-    A non-finite loss restores the best parameters and raises.
+    once `patience` consecutive epochs fail to improve validation MSE. With
+    validation rows, the train metrics come from the batch loop's own errors,
+    so an epoch passes over the training rows once; with none (fraction 0)
+    one pass over the training rows after the epoch gives the train metrics,
+    and they are monitored instead. A non-finite loss restores the best
+    parameters and raises.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -90,6 +110,9 @@ def train(model, x, y, config: TrainConfig):
     best = vector.copy()
 
     for epoch in range(1, config.epochs + 1):
+        clock = time.perf_counter()
+        squared = absolute = 0.0
+        norms = []
         for start in range(0, x_train.shape[0], config.batch_size):
             xb = x_train[start:start + config.batch_size]
             yb = y_train[start:start + config.batch_size]
@@ -97,24 +120,31 @@ def train(model, x, y, config: TrainConfig):
             with np.errstate(over="ignore", invalid="ignore"):
                 pred, caches = model.forward_cached(xb)
                 diff = pred - yb
-                loss = float((diff * diff).mean())
-            if not math.isfinite(loss):
+                batch_squared = float((diff * diff).sum())
+            if not math.isfinite(batch_squared):
                 vector[...] = best
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch at row {start}; "
                     f"best parameters (epoch {best_epoch}) restored")
+            squared += batch_squared
+            absolute += float(np.abs(diff).sum())
             # per-layer views of grad_vector in filing order, the clip's sum order
             filed, _ = model.backward(caches, 2.0 * diff / diff.size)
             if config.clip_max_norm is not None:
-                clip_global_norm(filed, config.clip_max_norm)
+                norms.append(clip_global_norm(filed, config.clip_max_norm)[1])
             adam_step(params, grads, opt)
 
-        train_mse, train_mae = _metrics(model, x_train, y_train)
         if n_val:
+            train_mse, train_mae = squared / y_train.size, absolute / y_train.size
             val_mse, val_mae = _metrics(model, x_val, y_val)
         else:
-            val_mse, val_mae = train_mse, train_mae
-        stats = EpochStats(epoch, train_mse, train_mae, val_mse, val_mae)
+            train_mse, train_mae = val_mse, val_mae = _metrics(model, x_train, y_train)
+        clip = {}
+        if norms:
+            clip = {"max_norm": max(norms), "mean_norm": sum(norms) / len(norms),
+                    "clipped": sum(norm > config.clip_max_norm for norm in norms)}
+        stats = EpochStats(epoch, train_mse, train_mae, val_mse, val_mae,
+                           time.perf_counter() - clock, **clip)
         history.append(stats)
         if val_mse < best_mse:
             best_mse = val_mse

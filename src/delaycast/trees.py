@@ -612,7 +612,8 @@ def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
     if not (0.0 <= learning_rate <= 1.0):
         raise ValueError("learning_rate must be in [0, 1]")
     coded = _rank_code(x)
-    base = y.mean(axis=0)
+    # each column summed on its own (pairwise), as a one-target fit sums it
+    base = np.ascontiguousarray(y.T).mean(axis=1)
     pred = np.tile(base, (x.shape[0], 1))
     grown = []
     for _ in range(rounds):

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior: chains, flag resolution, error paths."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import runpy
@@ -458,6 +459,50 @@ class TestManifests:
             assert manifest["rows_windows"] == examples == manifest["rows_train"] - window + 1
             assert manifest["rows_validation"] == int(fraction * examples) > 0
         assert fitted == []
+
+    def test_neural_train_manifest_records_history(self, tmp_path, monkeypatch):
+        flights, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 300, "--seed", 5, "--out", flights]) == 0
+        assert run(["preprocess", "--in", flights, "--out", pruned]) == 0
+        histories = []
+
+        def recording_train(model, x, y, config):
+            histories.append(train(model, x, y, config))
+            return histories[-1]
+
+        monkeypatch.setattr(regressors, "train", recording_train)
+        # mlp trains without a clip; the sequence kinds clip at 1 by default
+        for kind, flags in (("mlp", ["--epochs", 3]),
+                            ("lstm", ["--window", 3, "--epochs", 2, "--batch", 16])):
+            model = tmp_path / f"{kind}.bin"
+            assert run(["train", "--in", pruned, "--model", kind, "--out", model,
+                        *flags]) == 0
+            manifest = json.loads((tmp_path / f"{kind}.bin.manifest.json").read_text())
+            history = histories.pop()
+            recorded = manifest["history"]
+            assert len(recorded) == len(history) == manifest["decisions"]["settings"]["epochs_run"]
+            for entry, stats in zip(recorded, history):
+                assert set(entry) == {"epoch", "train_mse", "train_mae", "val_mse", "val_mae",
+                                      "seconds", "max_norm", "mean_norm", "clipped"}
+                assert entry == {**dataclasses.asdict(stats), "seconds": entry["seconds"]}
+                assert entry["seconds"] > 0.0
+                if kind == "mlp":
+                    assert (entry["max_norm"], entry["mean_norm"], entry["clipped"]) == (None, None, 0)
+                else:
+                    assert entry["max_norm"] >= entry["mean_norm"] > 0.0
+                    fit_rows = manifest["rows_windows"] - manifest["rows_validation"]
+                    batches = -(-fit_rows // 16)
+                    assert 0 <= entry["clipped"] <= batches
+            assert sum(entry["seconds"] for entry in recorded) <= manifest["timings"]["fit_s"]
+            best = min(recorded, key=lambda entry: entry["val_mse"])
+            assert manifest["best_epoch"] == best["epoch"]
+            assert best["val_mse"] == manifest["decisions"]["settings"]["best_val_mse"]
+            # the manifest only: settings go into the model file
+            assert not {"history", "best_epoch"} & set(manifest["decisions"]["settings"])
+            assert b"seconds" not in model.read_bytes()
+        assert run(["train", "--in", pruned, "--model", "ols", "--out", tmp_path / "o.bin"]) == 0
+        assert not {"history", "best_epoch"} & set(
+            json.loads((tmp_path / "o.bin.manifest.json").read_text()))
 
     def test_synth_manifest_counts_labels_fences_and_memory(self, tmp_path):
         flights = tmp_path / "f.csv"

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from delaycast.numerics import Rng, grad_check
+from delaycast.numerics import Rng, clip_global_norm, grad_check
 from delaycast.neural import (
     Bidirectional,
     Conv1d,
@@ -24,6 +24,7 @@ from delaycast.neural import (
     sliding_windows,
     train,
 )
+from delaycast.neural import training
 from delaycast.neural.layers import glorot
 
 
@@ -466,6 +467,69 @@ class TestTrainer:
         config = TrainConfig(epochs=2, batch_size=5, validation_fraction=0.0)
         history = train(mlp_build(output=5, seed=14), x, y5, config)
         assert history[0].val_mse == history[0].train_mse
+
+    @staticmethod
+    def _frozen_fit(kind, clip=None):
+        """Three epochs at learning rate 0: every batch sees the initial model."""
+        x, y = _toy_problem(n=50, seed=10)
+        y = 4.0 * np.hstack([y, y, y[:, :1]])
+        if kind == "lstm":
+            x, y = sliding_windows(x, 4), y[3:]
+        model = _BUILDERS[kind](3)
+        config = TrainConfig(epochs=3, batch_size=8, patience=3, clip_max_norm=clip,
+                             learning_rate=0.0)
+        history = train(model, x, y, config)
+        n_train = len(x) - training.validation_rows(len(x), config.validation_fraction)
+        return model, x[:n_train], y[:n_train], history
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_train_metrics_are_the_batch_errors(self, kind):
+        # a frozen model's batch errors over an epoch are one pass's errors
+        model, x_train, y_train, history = self._frozen_fit(kind)
+        mse, mae = training._metrics(model, x_train, y_train)
+        assert len(history) == 3
+        for h in history:
+            assert h.train_mse == pytest.approx(mse, rel=1e-12)
+            assert h.train_mae == pytest.approx(mae, rel=1e-12)
+
+    def test_metrics_pass_sees_only_the_validation_rows(self, monkeypatch):
+        x, y = _toy_problem(n=40, seed=11)
+        seen = []
+
+        def spy(model, xs, ys):
+            seen.append(xs)
+            return metrics(model, xs, ys)
+
+        metrics = training._metrics
+        monkeypatch.setattr(training, "_metrics", spy)
+        config = TrainConfig(epochs=3, batch_size=8, patience=3)
+        train(mlp_build(output=1, seed=15), x, y[:, :1], config)
+        n_val = training.validation_rows(len(x), config.validation_fraction)
+        assert len(seen) == 3
+        for xs in seen:
+            assert xs.shape[0] == n_val > 0
+            assert np.shares_memory(xs, x[-n_val:]) and xs[0, 0] == x[-n_val, 0]
+
+    def test_history_records_the_clip(self):
+        # the frozen lstm's batches give the same gradients every epoch, so
+        # the norms the clip saw can be taken again batch by batch
+        model, x_train, y_train, history = self._frozen_fit("lstm", clip=2.5)
+        norms = []
+        for start in range(0, len(x_train), 8):
+            pred, caches = model.forward_cached(x_train[start:start + 8])
+            diff = pred - y_train[start:start + 8]
+            filed, _ = model.backward(caches, 2.0 * diff / diff.size)
+            norms.append(clip_global_norm(filed, 1e300)[1])
+        clipped = sum(norm > 2.5 for norm in norms)
+        assert 0 < clipped < len(norms)  # the count is not trivially all or none
+        for h in history:
+            assert (h.max_norm, h.mean_norm, h.clipped) == (
+                max(norms), sum(norms) / len(norms), clipped)
+            assert h.seconds > 0.0
+        _, _, _, unclipped = self._frozen_fit("lstm")
+        for h in unclipped:
+            assert (h.max_norm, h.mean_norm, h.clipped) == (None, None, 0)
+            assert h.seconds > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

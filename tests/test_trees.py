@@ -568,6 +568,18 @@ class TestGbt:
         for j in range(y.shape[1]):
             assert_same_chain(whole, j, gbt_fit(x, y[:, [j]], **kw))
 
+    def test_chains_do_not_couple_on_fractional_targets(self):
+        # each base score is its own column's pairwise mean, as a one-target
+        # fit takes it; numpy's mean over axis 0 of several columns sums row
+        # by row and differs from it in the last bit on these targets
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=(5000, 3))
+        x = np.floor(rng.uniform(0.0, 6.0, size=(5000, 3)))
+        assert not np.array_equal(y.mean(axis=0), [y[:, [j]].mean() for j in range(3)])
+        whole = gbt_fit(x, y, rounds=2, max_depth=3)
+        for j in range(3):
+            assert_same_chain(whole, j, gbt_fit(x, y[:, [j]], rounds=2, max_depth=3))
+
     def test_exact_tie_goes_to_lowest_feature_then_threshold(self):
         g = TIE_Y.mean() - TIE_Y[:, 0]
         f, thr, _ = brute_force_gbt_split(TIE_X, g, 1.0, 0.0)

@@ -516,8 +516,9 @@ def cmd_train(args) -> int:
         fitted = trained.inner if model_kind == "tree" else trained.inner.trees
         fit_record["trees"] = tree_shapes(fitted)
     if history:
+        best = min(history, key=lambda h: h.val_mse)
         fit_record["history"] = [dataclasses.asdict(h) for h in history]
-        fit_record["best_epoch"] = min(history, key=lambda h: h.val_mse).epoch
+        fit_record["best_epoch"] = best.epoch
     with _timed(timings, "save_s"):
         save_model(trained, out)
     _write_manifest("train", out, config=flags.resolved,
@@ -533,8 +534,7 @@ def cmd_train(args) -> int:
     print(f"trained {model_kind} on {len(train_t)} rows "
           f"({len(test_t)} held out); saved {out}")
     if history:
-        best = min(h.val_mse for h in history)
-        print(f"epochs run: {len(history)}; best validation mse: {best:.6f}")
+        print(f"epochs run: {len(history)}; best validation mse: {best.val_mse:.6f}")
     return 0
 
 

@@ -8,30 +8,43 @@ in how many trees the arrays hold and how their leaves are combined.
 Children are not stored: trees are numbered level by level, so a tree's
 k-th split node has its children at 2k+1 and 2k+2 from its root.
 
-Two level-wise exact split searches grow them. A single tree and each
-forest member grow through `_grow`: each feature is rank-coded once; the
-(row, feature) cells stay sorted by (node, feature, rank) and are stably
-partitioned into the children at each level, and one cumulative sum per
-level yields every node's left-side sums. A boosting round grows its k
-target trees together through `_grow_chains`, with no partition: each
-(tree, row) pair is an entry, each (feature, entry) cell is keyed by its
-entry's node and its value, two `np.bincount`s per level give every present
-(node, value) its row count and gradient sum, and running sums over those
-bins yield the left-side sums. Both keep the frozen split rules, and pick
-through one helper (`_first_best`): candidates are the midpoints between a
-node's adjacent *present* feature values, boundary ties route left
-(`x[f] <= threshold`), and equal-gain ties resolve to the lowest feature
-index, then the lowest threshold. Gains that tie in real arithmetic can
-differ by a rounding step once sums are taken in another order, so gains
-within a relative `_TIE_REL` = 1e-12 of a node's best count as tied.
+One level-wise exact split search, `_grow`, grows all of them, several
+trees at once: a boosting round grows its k target trees, one gradient
+column each, and a single tree or a forest member is one tree that owns all
+k targets. Each feature is rank-coded once per fit. A tree's cells are its
+distinct drawn rows, each weighted by its draw count (1, except in a
+forest's bootstraps). At each level every (feature, cell) pair is keyed
+node * V + value, over the V distinct values of all features; the level's
+present (node, value) bins get their row counts and sums of node-centered
+targets, and running sums over the bins, restarted at each tree, give every
+candidate's left side. The bins are counted one of two ways, chosen per
+level: a dense `np.bincount` over all node * V of them while they are at
+most `_DENSE_BINS` per live cell (shallow levels, where it is fastest), else
+one sort of the keys (deep levels, where dense bins would far outnumber the
+cells and scanning them would cost more than the sort). Both sum each bin's
+cells in the same order, so they give the same bits, and neither holds more
+than a few arrays the size of the cells.
+
+Both objectives keep the frozen split rules and pick through one helper
+(`_first_best`): candidates are the midpoints between a node's adjacent
+*present* feature values, boundary ties route left (`x[f] <= threshold`),
+and equal-gain ties resolve to the lowest feature index, then the lowest
+threshold. Gains that tie in real arithmetic can differ by a rounding step
+once sums are taken in another order, so gains within a relative `_TIE_REL`
+= 1e-12 of a node's best count as tied, and a node splits only when its best
+gain beats the noise floor `_GAIN_EPS` * (1 + its SSE). The objectives
+differ in two formulas only: the split gain (summed SSE reduction, or
+XGBoost's regularized gain) and the leaf value (the mean, or -G/(H+lambda)).
 Categorical codes are treated as ordinal numerics; that is a documented
 consequence of the integer label encoding.
 
 The split gain of the boosted trees is XGBoost's (Chen & Guestrin, KDD
-2016); grouping cells by rank, and the boosting histograms, follow
-LightGBM's histograms (Ke et al., NeurIPS 2017) and XGBoost's "hist"
-method, kept exact by one bin per distinct value. LightGBM's model format
-likewise keeps split thresholds and leaf values as separate arrays.
+2016); the (node, value) bins follow LightGBM's histograms (Ke et al.,
+NeurIPS 2017) and XGBoost's "hist" method, kept exact by one bin per
+distinct value. A forest member takes its bootstrap draws as row weights,
+as scikit-learn's forests do, after Breiman ("Random Forests", 2001).
+LightGBM's model format likewise keeps split thresholds and leaf values as
+separate arrays.
 """
 
 from __future__ import annotations
@@ -48,9 +61,9 @@ _GAIN_EPS = 1e-10
 _TIE_REL = 1e-12
 # (row, tree) pairs routed per block at prediction: bounds its index arrays
 _ROUTE_ENTRIES = 1 << 20
-# (node, value) bins of one dense boosting histogram: a level of more runs in
-# blocks of whole nodes
-_HIST_BINS = 1 << 22
+# (node, value) bins a level counts densely per live cell; a level that could
+# have more sorts its keys instead
+_DENSE_BINS = 4
 
 
 def _index_array(name: str, data) -> np.ndarray:
@@ -133,13 +146,11 @@ class TreeArrays:
                           roots=np.zeros(1, dtype=np.int64))
 
 
-def _concat(parts) -> TreeArrays:
-    """Trees of every part, in order, as one TreeArrays."""
-    offsets = np.cumsum([0] + [p.feature.size for p in parts])
-    fields = [np.concatenate([getattr(p, name) for p in parts])
-              for name in ("feature", "threshold", "value")]
-    roots = np.concatenate([p.roots + o for p, o in zip(parts, offsets)])
-    return TreeArrays(*fields, roots=roots)
+def _concat(trees) -> TreeArrays:
+    """The (feature, threshold, value) trees, in order, as one TreeArrays."""
+    feature, threshold, value = (np.concatenate(parts) for parts in zip(*trees))
+    roots = np.cumsum([0] + [f.size for f, _, _ in trees[:-1]])
+    return TreeArrays(feature, threshold, value, roots)
 
 
 # --- the shared split search ---------------------------------------------------
@@ -148,9 +159,9 @@ def _concat(parts) -> TreeArrays:
 def _rank_code(x: np.ndarray):
     """Rank-code every feature once.
 
-    Returns (values, codes): `values` concatenates the features' sorted
-    distinct values, and codes[f, i] is the index in `values` of row i's
-    value of feature f.
+    Returns (values, codes, owner): `values` concatenates the features'
+    sorted distinct values, codes[f, i] is the index in `values` of row i's
+    value of feature f, and owner[v] is the feature of value v.
     """
     p = x.shape[1]
     uniques, codes = [], np.empty((p, x.shape[0]), dtype=np.int64)
@@ -160,7 +171,8 @@ def _rank_code(x: np.ndarray):
         codes[f] = inverse + offset
         uniques.append(u)
         offset += u.size
-    return np.concatenate(uniques), codes
+    owner = np.repeat(np.arange(p), [u.size for u in uniques])
+    return np.concatenate(uniques), codes, owner
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -183,96 +195,167 @@ def _first_best(node: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return tied[_run_starts(node[tied])]
 
 
-def _best_splits(cell_code, centered, sizes, p, min_leaf):
-    """Each node's best candidate as (node, feature, low code, high code, gain).
+def _bins(key: np.ndarray, size: int, cells: int, weights, columns):
+    """The present bins of `key` below `size`, in increasing order, their
+    counts, and each of `columns`' sums over them; keys from `size` on are
+    dropped.
 
-    Nodes without a candidate are left out. Cells come in (node, feature,
-    rank) order, so each node's feature block is one segment; `centered`
-    holds each cell's targets minus its node's means. A candidate is a
-    segment's last cell of one value, followed by a cell of the next; its
-    gain is the summed per-target SSE reduction.
+    A cell counts `weights` (positive; None counts 1 each). The bins are
+    counted densely, one `np.bincount` over all `size` of them, while they
+    are at most `_DENSE_BINS` per live cell (`cells`), and else on one sort
+    of the keys. Either way each bin sums its cells in their order, so both
+    give the same bits. Columns are summed one at a time, so an iterator
+    of them holds one at once.
     """
-    seg_len = np.repeat(sizes, p)
-    seg_end = np.cumsum(seg_len)
-    seg_start = seg_end - seg_len
-    # centered sums return to about zero at every segment end, so one running
-    # sum gives each segment's prefix sums at the precision of its own
-    prefix = np.zeros((cell_code.size + 1, centered.shape[1]))
-    np.cumsum(centered, axis=0, out=prefix[1:])
-    step = cell_code[1:] != cell_code[:-1]
-    step[seg_end[:-1] - 1] = False
-    cand = np.flatnonzero(step)
-    seg = np.searchsorted(seg_end, cand, side="right")
-    nl = cand + 1 - seg_start[seg]
-    nr = seg_len[seg] - nl
-    ok = (nl >= min_leaf) & (nr >= min_leaf)
-    cand, seg, nl, nr = cand[ok], seg[ok], nl[ok], nr[ok]
-    node = seg // p
-    base = np.take(prefix, seg_start[seg], axis=0)
-    # sums of (target - node mean), so the gain carries no cancellation
-    # against the targets' own scale
-    lc = np.take(prefix, cand + 1, axis=0) - base
-    rc = np.take(prefix, seg_end[seg], axis=0) - base - lc
-    tc = lc + rc
-    gain = (lc * lc / nl[:, None] + rc * rc / nr[:, None]
-            - tc * tc / (nl + nr)[:, None]).sum(axis=1)
-    pick = _first_best(node, gain)
-    at = cand[pick]
-    return node[pick], seg[pick] % p, cell_code[at], cell_code[at + 1], gain[pick]
+    if size <= _DENSE_BINS * cells:
+        counts = np.bincount(key, weights, minlength=size)[:size]
+        present = np.flatnonzero(counts != 0)  # a bool mask scans several times faster
+        return present, counts[present], [np.bincount(key, column, minlength=size)[present]
+                                          for column in columns]
+    present, inverse = np.unique(key, return_inverse=True)
+    below = np.searchsorted(present, size)
+    return (present[:below], np.bincount(inverse, weights)[:below],
+            [np.bincount(inverse, column)[:below] for column in columns])
 
 
-def _grow(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> TreeArrays:
-    """Grow one variance-reduction tree level by level; leaves hold target means."""
-    values, codes = _rank_code(x)
-    order = np.argsort(codes, axis=1, kind="stable")
-    cell_row = order.ravel()
-    cell_code = np.take_along_axis(codes, order, axis=1).ravel()
-    n, p = x.shape
-    rows = np.arange(n)                     # rows of this level's nodes
-    row_pos = np.zeros(n, dtype=np.int64)   # row -> its node's place in the level
-    centered = np.zeros_like(y)             # row -> y minus its node's mean
-    sizes = np.array([n])
+def _grow(coded, x: np.ndarray, target: np.ndarray, draw: np.ndarray,
+          max_depth: int, min_leaf: int, leaf_value, split_gain):
+    """Grow t trees together, level by level, on exact (node, value) bins.
+
+    Tree j is fit on target[:, j] (c columns over the n rows of x) at the
+    rows `draw`, in that order; a row may be drawn more than once. Node
+    sizes, sums and SSE are summed over the draws in draw order, so a tree
+    is the one grown on its drawn rows themselves. The split search runs on
+    cells, one per tree and distinct drawn row, each weighted by its draw
+    count: each level keys every (feature, cell) pair by its cell's node and
+    its value, counts the bins (`_bins`), and running sums over the bins,
+    restarted at each tree, give every candidate's left side. A node splits
+    at its best candidate (`_first_best`) that leaves at least `min_leaf`
+    draws on either side, if that gain beats `_GAIN_EPS` * (1 + its SSE).
+
+    The objective is `leaf_value(sums, sizes)` and `split_gain(left sums,
+    left size, right sums, right size, node means)`, per target column on
+    sums of node-centered targets; a candidate's gain sums its columns.
+
+    Returns each tree's (feature, threshold, value) in `TreeArrays` order
+    and, as (c, t, m) over the m distinct drawn rows in increasing order,
+    the value of the leaf each reaches in each tree.
+    """
+    values, codes, owner = coded
+    c, t, n = target.shape
+    p, v = codes.shape[0], values.size
+    weight = np.bincount(draw, minlength=n)
+    rows = np.flatnonzero(weight)
+    m = rows.size
+    # cell j * m + i is tree j's row rows[i]; draws keep their tree's cells
+    draw_cell = (np.arange(t)[:, None] * m + (np.cumsum(weight > 0) - 1)[draw]).ravel()
+    draw_y = target[:, :, draw].reshape(c, -1)
+    cell_y = target[:, :, rows].reshape(c, -1)
+    cell_w = np.tile(weight[rows].astype(np.float64), t)
+    cell_x = np.tile(rows * p, t)      # where each cell's row starts in x
+    cell_at = np.arange(t * m)         # each cell's column in `reached`
+    # rows drawn once weigh 1, and np.bincount counts cells faster unweighted
+    weighted = m < draw.size
+    flat_x = x.ravel()
+    cell_pos = np.repeat(np.arange(t), m)  # cell -> its node's place in the level
+    tree = np.arange(t)                    # node in the level -> its tree
+    # each (feature, cell) pair's bin, node * v + value; it moves with the cell
+    keys = (np.take(codes, rows, axis=1)[:, None, :] + tree[:, None] * v).reshape(p, -1)
+    live = t * m
+    reached = np.empty((c, t * m))
     levels = []
     for depth in range(max_depth + 1):
-        count = sizes.size
-        pos = row_pos[rows]
-        y_rows = np.take(y, rows, axis=0)
-        sums = np.stack([np.bincount(pos, y_rows[:, j], minlength=count)
-                         for j in range(y.shape[1])], axis=1)
-        mean = sums / sizes[:, None]
-        level_centered = y_rows - np.take(mean, pos, axis=0)
-        centered[rows] = level_centered
+        # place `count` marks the cells, and draws, past their last leaf
+        count = tree.size
+        pos = cell_pos[draw_cell]
+        sizes = np.bincount(pos, minlength=count + 1)[:count]
+        sums = np.stack([np.bincount(pos, y, minlength=count + 1)[:count] for y in draw_y])
+        mean = np.append(sums / sizes, np.zeros((c, 1)), axis=1)
+        value = leaf_value(sums, sizes)
         feature = np.full(count, -1, dtype=np.int64)
         threshold = np.zeros(count)
         if depth < max_depth:
-            sse = np.bincount(pos, (level_centered ** 2).sum(axis=1), minlength=count)
+            centered = cell_y - np.take(mean, cell_pos, axis=1)
+            squares = np.take(centered, draw_cell, axis=1) ** 2
+            sse = np.bincount(pos, squares.sum(axis=0), minlength=count + 1)[:count]
             floor = np.where(sse > 0.0, _GAIN_EPS * (1.0 + sse), np.inf)
-            node, f, lo, hi, gain = _best_splits(
-                cell_code, np.take(centered, cell_row, axis=0), sizes, p, min_leaf)
-            take = gain > floor[node]
-            feature[node[take]] = f[take]
-            threshold[node[take]] = (values[lo[take]] + values[hi[take]]) / 2.0
+            centered *= cell_w
+            key, cnt, bin_sums = _bins(
+                keys.ravel(), count * v, p * live,
+                np.broadcast_to(cell_w, (p, cell_w.size)).ravel() if weighted else None,
+                (np.broadcast_to(a, (p, a.size)).ravel() for a in centered))
+            node = key // v
+            val = key - node * v
+            # a candidate is a bin followed by another of its (node, feature)
+            starts = _run_starts(node * p + owner[val])
+            head = np.flatnonzero(starts)
+            span = np.diff(head, append=key.size)
+            cand = np.flatnonzero(~starts[1:])
+            start = np.repeat(head, span)[cand]
+            last = np.repeat(head + span - 1, span)[cand]
+            # centered sums return to about zero at every segment end, so a
+            # running sum per tree gives each segment's sums at the precision
+            # of its own, and no tree's splits depend on another's sums
+            through = np.stack(bin_sums)
+            tree_head = np.flatnonzero(_run_starts(tree[node]))
+            for lo, hi in zip(tree_head, np.append(tree_head[1:], key.size)):
+                np.cumsum(through[:, lo:hi], axis=1, out=through[:, lo:hi])
+            before = np.zeros_like(through)
+            before[:, 1:] = through[:, :-1]
+            before[:, tree_head] = 0.0
+            upto = np.cumsum(cnt)
+            node = node[cand]
+            nl = upto[cand] - upto[start] + cnt[start]
+            nr = sizes[node] - nl
+            base = np.take(before, start, axis=1)
+            lc = np.take(through, cand, axis=1) - base
+            rc = np.take(through, last, axis=1) - base - lc
+            gain = split_gain(lc, nl, rc, nr, np.take(mean, node, axis=1)).sum(axis=0)
+            gain[np.minimum(nl, nr) < min_leaf] = -np.inf
+            pick = _first_best(node, gain)
+            pick = pick[gain[pick] > floor[node[pick]]]
+            at = cand[pick]
+            feature[node[pick]] = owner[val[at]]
+            threshold[node[pick]] = (values[val[at]] + values[val[at + 1]]) / 2.0
         split = feature >= 0
-        n_split = int(split.sum())
-        levels.append((feature, threshold[split], mean[~split]))
-        if n_split == 0:
+        levels.append((tree, feature, threshold[split], value[:, ~split].T))
+        ends = np.append(~split, False)[cell_pos]
+        reached[:, cell_at[ends]] = np.take(value, cell_pos[ends], axis=1)
+        if not split.any():
             break
-        # route the rows of split nodes; children keep their parents' order
-        keep = split[pos]
-        rows, pos = rows[keep], pos[keep]
-        child = 2 * (np.cumsum(split) - 1)[pos] + (x[rows, feature[pos]] > threshold[pos])
-        row_pos[rows] = child
-        sizes = np.bincount(child, minlength=2 * n_split)
-        if depth + 1 < max_depth:
-            # cells follow their rows, stably, so they come in (child,
-            # feature, rank) order; cells of leaves sort last and drop off
-            cell_child = np.full(n, 2 * n_split,
-                                 dtype=np.min_scalar_type(2 * n_split))
-            cell_child[rows] = child
-            order = np.argsort(cell_child[cell_row], kind="stable")[:rows.size * p]
-            cell_row, cell_code = cell_row[order], cell_code[order]
-    feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
-    return TreeArrays(feature, threshold, value, np.zeros(1, dtype=np.int64))
+        # route the cells of split nodes; children keep their parents' order,
+        # and cells of leaves, or past them, go past the next level's nodes
+        rank = np.cumsum(split)
+        child = np.append(np.where(split, 2 * rank - 2, 2 * rank[-1]), 2 * rank[-1])
+        column = np.append(np.maximum(feature, 0), 0)
+        cut = np.append(np.where(split, threshold, np.inf), np.inf)
+        right = np.take(flat_x, cell_x + column[cell_pos]) > cut[cell_pos]
+        moved = child[cell_pos] + right
+        keys += (moved - cell_pos) * v
+        cell_pos = moved
+        tree = np.repeat(tree[split], 2)
+        on = cell_pos < tree.size
+        live = np.count_nonzero(on)
+        if 2 * live < on.size:
+            # drop the cells past their last leaf once they are most of
+            # them, so a level costs at most about twice its live cells
+            renumber = np.cumsum(on) - 1
+            drawn = on[draw_cell]
+            draw_cell, draw_y = renumber[draw_cell[drawn]], draw_y[:, drawn]
+            cell_pos, cell_w, cell_y, keys, cell_x, cell_at = (
+                a[..., on] for a in (cell_pos, cell_w, cell_y, keys, cell_x, cell_at))
+    tree, feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
+    split = feature >= 0
+    grown = [(feature[tree == j], threshold[tree[split] == j], value[tree[~split] == j])
+             for j in range(t)]
+    return grown, reached.reshape(c, t, m)
+
+
+def _sse_gain(lc, nl, rc, nr, mean):
+    """Each target's SSE reduction of a split, from node-centered sums, so
+    the gain carries no cancellation against the targets' own scale."""
+    tc = lc + rc
+    return lc * lc / nl + rc * rc / nr - tc * tc / (nl + nr)
 
 
 def _check_xy(x, y):
@@ -285,15 +368,21 @@ def _check_xy(x, y):
     return x, y
 
 
+def _check_tree(rows: int, max_depth: int, min_samples_leaf: int):
+    if max_depth < 0 or min_samples_leaf < 1:
+        raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
+    if rows < 2 * min_samples_leaf:
+        raise ValueError(f"need at least {2 * min_samples_leaf} rows, got {rows}")
+
+
 def tree_fit(x, y, max_depth: int = 10, min_samples_leaf: int = 5) -> TreeArrays:
     """Greedy variance-reduction tree; leaves hold per-target means."""
     x, y = _check_xy(x, y)
-    if max_depth < 0 or min_samples_leaf < 1:
-        raise ValueError("max_depth must be >= 0 and min_samples_leaf >= 1")
-    if x.shape[0] < 2 * min_samples_leaf:
-        raise ValueError(
-            f"need at least {2 * min_samples_leaf} rows, got {x.shape[0]}")
-    return _grow(x, y, max_depth, min_samples_leaf)
+    n = x.shape[0]
+    _check_tree(n, max_depth, min_samples_leaf)
+    grown, _ = _grow(_rank_code(x), x, y.T[:, None], np.arange(n), max_depth,
+                     min_samples_leaf, np.divide, _sse_gain)
+    return _concat(grown)
 
 
 def _leaves(trees: TreeArrays, before: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -380,6 +469,11 @@ def tree_predict(trees: TreeArrays, x) -> np.ndarray:
 class ForestModel:
     """Bagged trees. Member t was fit on rows Rng(seed).spawn(t).integers(0, n, n)
     of the n training rows, so the seed alone reproduces every member.
+
+    A member is the tree `tree_fit` grows on those draws, x[idx] and y[idx],
+    though it is grown without copying them: each distinct drawn row is one
+    cell weighted by its draw count, and node sizes, sums and SSE are summed
+    over the draws in draw order.
     """
 
     trees: TreeArrays
@@ -396,17 +490,24 @@ def forest_fit(x, y, n_estimators: int = 100, max_depth: int = 20,
 
     Each tree owns an independent substream, so the forest is reproducible
     from `seed` alone and trees could be grown in any order or in parallel.
+    `x` is rank-coded once for all members, and member t takes its draws idx
+    as row weights, `np.bincount(idx, minlength=n)`: the same tree as
+    `tree_fit(x[idx], y[idx])`, with no resample copied, rank-coded or
+    sorted per member.
     """
     x, y = _check_xy(x, y)
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
     n = x.shape[0]
+    _check_tree(n, max_depth, min_samples_leaf)
+    coded = _rank_code(x)
     root = Rng(seed)
     trees = []
     for t in range(n_estimators):
         idx = root.spawn(t).integers(0, n, n)
-        trees.append(tree_fit(x[idx], y[idx], max_depth=max_depth,
-                              min_samples_leaf=min_samples_leaf))
+        grown, _ = _grow(coded, x, y.T[:, None], idx, max_depth, min_samples_leaf,
+                         np.divide, _sse_gain)
+        trees.extend(grown)
     return ForestModel(trees=_concat(trees), seed=seed)
 
 
@@ -473,152 +574,39 @@ class GbtModel:
         return self.trees.n_trees // self.base_score.shape[0]
 
 
-def _chain_splits(coded, owner, place, centered, tree, sizes, mean,
-                  reg_lambda: float, gamma: float):
-    """The level's splits as (node, feature, threshold), for each node whose
-    best gain is positive.
-
-    Every (feature, entry) cell is keyed node * v + value, so one dense
-    histogram per block of whole nodes (at most about _HIST_BINS bins) gives
-    each present (node, value) its row count and sum of `centered`; entries
-    outside the block get its sentinel place, so their keys fall past its
-    bins. The nonzero bins come in (node, feature, rank) order. A candidate
-    is a bin followed by another of its (node, feature), and running sums
-    over the bins give its left side; they restart at each tree, so no
-    tree's splits depend on another's sums.
-    """
-    values, codes = coded
-    (k, n), p, v = place.shape, codes.shape[0], values.size
-    weights = np.broadcast_to(centered, (p, k, n)).ravel()
-    step = max(1, _HIST_BINS // v)
-    keys, counts, sums = [], [], []
-    for lo in range(0, tree.size, step):
-        width = min(step, tree.size - lo)
-        local = place - lo
-        local[(local < 0) | (local > width)] = width
-        local *= v
-        key = (codes[:, None, :] + local).ravel()
-        bins = np.bincount(key, minlength=width * v)[:width * v]
-        nz = np.flatnonzero(bins != 0)  # a bool mask scans several times faster
-        keys.append(nz + lo * v)
-        counts.append(bins[nz])
-        sums.append(np.bincount(key, weights, minlength=width * v)[nz])
-    key, cnt, wsum = (np.concatenate(parts) for parts in (keys, counts, sums))
-    node = key // v
-    val = key - node * v
-    starts = _run_starts(node * p + owner[val])
-    first = np.flatnonzero(starts)
-    span = np.diff(first, append=key.size)
-    cand = np.flatnonzero(~starts[1:])
-    start = np.repeat(first, span)[cand]
-    last = np.repeat(first + span - 1, span)[cand]
-    # centered sums return to about zero at every segment end, so a running
-    # sum gives each segment's sums at the precision of its own
-    through = np.empty(key.size)
-    tree_first = np.flatnonzero(_run_starts(tree[node]))
-    for lo, hi in zip(tree_first, np.append(tree_first[1:], key.size)):
-        np.cumsum(wsum[lo:hi], out=through[lo:hi])
-    before = np.append(0.0, through[:-1])
-    before[tree_first] = 0.0
-    rows = np.cumsum(cnt)
-    node = node[cand]
-    nl = rows[cand] - rows[start] + cnt[start]
-    nr = sizes[node] - nl
-    lc = through[cand] - before[start]
-    rc = through[last] - before[start] - lc
-    gain = gbt_split_gain(lc + nl * mean[node], nl, rc + nr * mean[node], nr,
-                          reg_lambda, gamma)
-    pick = _first_best(node, gain)
-    pick = pick[gain[pick] > 0.0]
-    at = cand[pick]
-    return node[pick], owner[val[at]], (values[val[at]] + values[val[at + 1]]) / 2.0
-
-
-def _grow_chains(coded, x: np.ndarray, g: np.ndarray, max_depth: int,
-                 reg_lambda: float, gamma: float):
-    """Grow one boosted tree per column of the gradients g (n, k), together.
-
-    Each (tree, row) pair is an entry, and each level searches the splits of
-    all k trees' nodes at once on exact (node, value) histograms
-    (`_chain_splits`). Each candidate leaves at least one row on either side,
-    and a node splits when its best gain is positive. Leaves hold
-    -G/(H+lambda) with h = 1 per row, G summed in row order.
-
-    Returns the k trees and, as (n, k), the value of the leaf each row
-    reaches in each.
-    """
-    values, codes = coded
-    n, k = g.shape
-    owner = np.searchsorted(codes.min(axis=1), np.arange(values.size),
-                            side="right") - 1  # value -> its feature
-    g = np.ascontiguousarray(g.T)           # entry (j, i): tree j, row i
-    xt = np.ascontiguousarray(x.T)
-    place = np.repeat(np.arange(k), n).reshape(k, n)  # entry -> node in level
-    tree = np.arange(k)                     # node in level -> its tree
-    reached = np.empty((k, n))
-    levels = []
-    for depth in range(max_depth + 1):
-        # place `count` marks entries that ended in a leaf at an earlier level
-        count = tree.size
-        sizes = np.bincount(place.ravel(), minlength=count + 1)[:count]
-        sums = np.bincount(place.ravel(), g.ravel(), minlength=count + 1)[:count]
-        mean = np.append(sums / sizes, 0.0)
-        value = gbt_leaf_weight(sums, sizes, reg_lambda)
-        feature = np.full(count, -1, dtype=np.int64)
-        threshold = np.zeros(count)
-        if depth < max_depth:
-            node, f, cut = _chain_splits(coded, owner, place, g - mean[place], tree,
-                                         sizes, mean, reg_lambda, gamma)
-            feature[node] = f
-            threshold[node] = cut
-        split = feature >= 0
-        levels.append((tree, feature, threshold[split], value[~split]))
-        ends = np.append(~split, False)[place]
-        np.copyto(reached, np.append(value, 0.0)[place], where=ends)
-        if not split.any():
-            break
-        # route the entries of split nodes; children keep their parents' order,
-        # and entries of leaves (and the sentinel) go to the next sentinel
-        rank = np.cumsum(split)
-        child = np.append(np.where(split, 2 * rank - 2, 2 * rank[-1]), 2 * rank[-1])
-        column = np.append(np.maximum(feature, 0), 0)
-        cut = np.append(np.where(split, threshold, np.inf), np.inf)
-        right = np.take_along_axis(xt, column[place], axis=0) > cut[place]
-        place = child[place] + right
-        tree = np.repeat(tree[split], 2)
-    tree, feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))
-    split = feature >= 0
-    grown = [TreeArrays(feature[tree == j], threshold[tree[split] == j],
-                        value[tree[~split] == j, None], np.zeros(1, dtype=np.int64))
-             for j in range(k)]
-    return grown, reached.T
-
-
 def gbt_fit(x, y, rounds: int = 100, learning_rate: float = 0.3,
             max_depth: int = 6, reg_lambda: float = 1.0,
             gamma: float = 0.0) -> GbtModel:
     """Boosted squared-error chains: g = prediction - y, h = 1, per target.
 
-    Each round grows every target's tree in one pass (`_grow_chains`); the
-    chain of target j depends on column j of y alone.
+    Each round grows every target's tree in one pass of `_grow`, one tree
+    per gradient column; the chain of target j depends on column j of y alone.
     """
     x, y = _check_xy(x, y)
-    if x.shape[0] < 2:
-        raise ValueError(f"need at least 2 rows, got {x.shape[0]}")
+    n = x.shape[0]
+    _check_tree(n, max_depth, 1)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if reg_lambda < 0.0 or gamma < 0.0:
         raise ValueError("reg_lambda and gamma must be >= 0")
     if not (0.0 <= learning_rate <= 1.0):
         raise ValueError("learning_rate must be in [0, 1]")
+
+    def leaf_value(grad_sum, hess_sum):
+        return gbt_leaf_weight(grad_sum, hess_sum, reg_lambda)
+
+    def split_gain(lc, nl, rc, nr, mean):
+        return gbt_split_gain(lc + nl * mean, nl, rc + nr * mean, nr, reg_lambda, gamma)
+
     coded = _rank_code(x)
     # each column summed on its own (pairwise), as a one-target fit sums it
     base = np.ascontiguousarray(y.T).mean(axis=1)
-    pred = np.tile(base, (x.shape[0], 1))
+    pred = np.tile(base, (n, 1))
     grown = []
     for _ in range(rounds):
-        trees, reached = _grow_chains(coded, x, pred - y, max_depth, reg_lambda, gamma)
-        pred += learning_rate * reached
+        trees, reached = _grow(coded, x, (pred - y).T[None], np.arange(n), max_depth, 1,
+                               leaf_value, split_gain)
+        pred += learning_rate * reached[0].T
         grown.append(trees)
     return GbtModel(base_score=base, learning_rate=learning_rate,
                     reg_lambda=reg_lambda, gamma=gamma,

@@ -1,10 +1,11 @@
 """Dead-code guard: every name defined in src/delaycast is referenced somewhere.
 
-Lists each top-level function and class, and each non-dunder method, defined
-in src/delaycast/, and fails when no code in src/ or scripts/ refers to the
-name: a reference is a `Name` id, an `Attribute` attr or an imported name in
-the parsed source, so docstrings, comments and strings do not count, and
-neither do tests.
+Lists each top-level function, class and constant (a name a module-level
+assignment binds), and each non-dunder method, defined in src/delaycast/,
+and fails when no code in src/ or scripts/ refers to the name: a reference
+is a `Name` read, an `Attribute` attr or an imported name in the parsed
+source, so docstrings, comments, strings and the binding itself do not
+count, and neither do tests.
 """
 
 import ast
@@ -26,13 +27,19 @@ ALLOWED = {
 
 
 def _definitions():
-    """(qualified name, bare name) per top-level def/class and method."""
+    """(qualified name, bare name) per top-level def/class/constant and method."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 found.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.extend((f"{module}.{name.id}", name.id)
+                             for target in targets for name in ast.walk(target)
+                             if isinstance(name, ast.Name)
+                             and not re.fullmatch(r"__\w+__", name.id))
             if isinstance(node, ast.ClassDef):
                 found.extend((f"{node.name}.{item.name}", item.name)
                              for item in node.body
@@ -47,7 +54,7 @@ def _references():
     for base in SEARCHED:
         for path in sorted(base.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)

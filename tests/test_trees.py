@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -65,15 +66,17 @@ def brute_force_gbt_split(x, g, reg_lambda, gamma):
 def brute_force_gbt_tree(x, g, depth, reg_lambda, gamma):
     """Reference boosted tree for one round: recursive, every midpoint.
 
-    Each node splits at `brute_force_gbt_split`'s pick when its gain is
-    positive; leaves hold -G/(H+lambda). Returns the nested form of `nested`.
+    Each node splits at `brute_force_gbt_split`'s pick when its gain is above
+    1e-10 * (1 + the node's gradient SSE), as in trees._GAIN_EPS; leaves hold
+    -G/(H+lambda). Returns the nested form of `nested`.
     """
     def grow(idx, depth_left):
         leaf = ("leaf", np.array([-g[idx].sum() / (idx.size + reg_lambda)]))
         if depth_left == 0:
             return leaf
         best = brute_force_gbt_split(x[idx], g[idx], reg_lambda, gamma)
-        if best is None or not best[2] > 0.0:
+        sse = ((g[idx] - g[idx].mean()) ** 2).sum()
+        if best is None or not best[2] > 1e-10 * (1.0 + sse):
             return leaf
         f, thr, _ = best
         mask = x[idx, f] <= thr
@@ -460,6 +463,23 @@ class TestForest:
         with pytest.raises(ValueError):
             ForestModel(trees=no_trees(), seed=0)
 
+    @pytest.mark.parametrize("limits", [{"max_depth": -1}, {"min_samples_leaf": 0},
+                                        {"min_samples_leaf": 3}])
+    def test_tree_limits_are_checked_before_any_bootstrap(self, monkeypatch, limits):
+        # 5 rows: a leaf of 3 needs 6
+        x = np.arange(10.0).reshape(5, 2)
+        y = np.arange(5.0).reshape(5, 1)
+        kw = {"max_depth": 3, "min_samples_leaf": 1, **limits}
+        with pytest.raises(ValueError) as alone:
+            tree_fit(x, y, **kw)
+
+        def no_draws(seed):
+            raise AssertionError("a bootstrap was drawn")
+
+        monkeypatch.setattr(trees, "Rng", no_draws)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            forest_fit(x, y, n_estimators=2, **kw)
+
 
 class TestGbtPieces:
     def test_leaf_weight_hand_values(self):
@@ -507,6 +527,41 @@ def models_table(count=500, seed=4):
     return table.x, table.y
 
 
+def gbt_table(data):
+    """(x, y, gbt_fit keywords): the models-shaped table, or small integer
+    features and targets full of ties."""
+    if data == "models":
+        x, y = models_table()
+        return x, y, {"rounds": 3, "max_depth": 6}
+    rng = Rng(27)
+    x = np.floor(rng.uniform_array((60, 3), 0.0, 4.0))
+    y = np.floor(rng.uniform_array((60, 3), -4.0, 5.0))
+    return x, y, {"rounds": 4, "max_depth": 4, "reg_lambda": 0.0}
+
+
+def force_bins(monkeypatch, bins):
+    """Count every level's (node, value) bins one way: all dense or all sorted."""
+    monkeypatch.setattr(trees, "_DENSE_BINS", {"dense": np.inf, "sorted": 0}[bins])
+
+
+@pytest.mark.parametrize("bins", ["dense", "sorted"])
+@pytest.mark.parametrize("data", ["models", "ties"])
+def test_bin_modes_grow_identical_models(monkeypatch, data, bins):
+    x, y, kw = gbt_table(data)
+
+    def fits():
+        return (tree_fit(x, y, max_depth=20, min_samples_leaf=1),
+                tree_fit(x, y, max_depth=6, min_samples_leaf=5),
+                forest_fit(x, y, n_estimators=3, max_depth=20, seed=3).trees,
+                gbt_fit(x, y, **kw).trees)
+
+    chosen = fits()
+    force_bins(monkeypatch, bins)
+    for a, b in zip(fits(), chosen):
+        for name in ("feature", "threshold", "value", "roots"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestGbt:
     def test_single_full_round_matches_plain_tree_on_step(self):
         model = gbt_fit(STEP_X, STEP_Y, rounds=1, learning_rate=1.0,
@@ -543,27 +598,18 @@ class TestGbt:
                                         reg_lambda, gamma)
             assert same_nested(nested(chain_tree(model, j, 0)), want)
 
-    @pytest.mark.parametrize("block_nodes", [None, 1, 3])
+    @pytest.mark.parametrize("bins", [None, "dense", "sorted"])
     @pytest.mark.parametrize("data", ["models", "ties"])
-    def test_chains_do_not_couple(self, monkeypatch, data, block_nodes):
+    def test_chains_do_not_couple(self, monkeypatch, data, bins):
         # integer targets: each column's mean is exact, so the base scores
         # agree whether numpy sums one column or several
-        if data == "models":
-            x, y = models_table()
-            kw = {"rounds": 3, "max_depth": 6}
-        else:
-            rng = Rng(27)
-            x = np.floor(rng.uniform_array((60, 3), 0.0, 4.0))
-            y = np.floor(rng.uniform_array((60, 3), -4.0, 5.0))
-            kw = {"rounds": 4, "max_depth": 4, "reg_lambda": 0.0}
+        x, y, kw = gbt_table(data)
         whole = gbt_fit(x, y, **kw)
-        if block_nodes is not None:
-            # dense histograms of `block_nodes` nodes: every level in blocks
-            values = sum(np.unique(column).size for column in x.T)
-            monkeypatch.setattr(trees, "_HIST_BINS", block_nodes * values)
-            blocked = gbt_fit(x, y, **kw)
+        if bins is not None:
+            force_bins(monkeypatch, bins)
+            forced = gbt_fit(x, y, **kw)
             for name in ("feature", "threshold", "value", "roots"):
-                assert np.array_equal(getattr(blocked.trees, name),
+                assert np.array_equal(getattr(forced.trees, name),
                                       getattr(whole.trees, name))
         for j in range(y.shape[1]):
             assert_same_chain(whole, j, gbt_fit(x, y[:, [j]], **kw))
@@ -641,6 +687,19 @@ class TestGbt:
         got = gbt_predict(model, np.zeros((4, 6)))
         assert np.allclose(got, np.tile([2.0, -1.0], (4, 1)))
 
+    def test_zero_exact_gain_does_not_split(self):
+        # the one candidate leaves the same gradients on either side, so its
+        # exact gain is 0; summed in floats it can come out a rounding step
+        # above 0, and only the noise floor keeps it from splitting
+        x = np.repeat([0.0, 1.0], 3)[:, None]
+        y = np.array([[-2.37], [0.77], [2.56], [2.56], [-2.37], [0.77]])
+        model = gbt_fit(x, y, rounds=1, learning_rate=1.0, max_depth=1,
+                        reg_lambda=0.0, gamma=0.0)
+        g = [Fraction(float(model.base_score[0] - v)) for v in y[:, 0]]
+        left, right = sum(g[:3]), sum(g[3:])
+        assert left * left / 3 + right * right / 3 - (left + right) ** 2 / 6 == 0
+        assert (model.trees.feature == -1).all()
+
     def test_large_gamma_blocks_every_split(self):
         rng = Rng(24)
         x = rng.uniform_array((50, 2))
@@ -669,7 +728,7 @@ class TestGbt:
         def grow(*args, **kwargs):
             raise AssertionError("a tree was grown")
 
-        monkeypatch.setattr(trees, "_grow_chains", grow)
+        monkeypatch.setattr(trees, "_grow", grow)
         x = Rng(26).uniform_array((40, 3))
         with pytest.raises(AssertionError, match="a tree was grown"):
             gbt_fit(x, x[:, :1], rounds=20, learning_rate=0.3)  # the patch is live

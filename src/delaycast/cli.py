@@ -12,7 +12,8 @@ also records `peak_rss_mb`, this process's peak resident memory so far, and
 `resource.getrusage`). The preprocess manifest adds `rows_in`, the count of
 skipped-cell `diagnostics`, `rows_out` after each prune stage, and
 `timings`, the wall seconds spent reading, pruning and writing (`read_s`,
-`prune_s`, `write_s`). The synth manifest adds `rows_out`, the
+`prune_s`, `write_s`, which includes reading the output back for its
+CRC-32, below). The synth manifest adds `rows_out`, the
 `label_counts`, the planted IQR fences (`iqr_lower`, `iqr_upper`) among its
 decisions, and `timings` (`generate_s`, `write_s` for the flights CSV,
 `labels_s` for the label file). The analyze manifest adds `rows_in`, `rows_usable` (the rows
@@ -39,10 +40,14 @@ out.
 Preprocess, analyze, train and evaluate read their CSV through one path,
 `_read_flights`, which keeps the last parse of the process and hands it
 back while the file still holds the same bytes (checked by its stat fields
-and a CRC-32 of its bytes). So a chain run in one process, such as the
-driver script's, parses its pruned file once for every train and evaluate;
-each of these commands records whether it did in `read_reused`. A command
-run on its own starts with nothing kept.
+and a CRC-32 of its bytes). Preprocess also hands its retained rows on: once
+it has written them to a regular file, it keeps them as that file's parse,
+in the form `read_csv` gives back (`Flights.canonical`), under the file's
+stat fields and a CRC-32 of the bytes read back. So a chain run in one
+process, such as the driver script's, never parses its pruned file:
+analyze, train and evaluate reuse preprocess's rows, and each records
+whether it reused a parse in `read_reused`. A command run on its own starts
+with nothing kept.
 
 Flag resolution order: command line, then --config JSON (keys are the long
 flag names; dashes or underscores both work), then DELAYCAST_SEED for seeds,
@@ -70,6 +75,7 @@ import sys
 import time
 import zlib
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -128,7 +134,7 @@ class Flags:
     def __init__(self, args):
         self._args = vars(args)
         self._config = self._load_config(self._args.get("config"))
-        flags = set(self._args) - {"command", "func", "config"}
+        flags = set(self._args) - {"command", "config"}
         unknown = [k for k in self._config if k.replace("-", "_") not in flags]
         if unknown:
             raise ValueError(f"config keys name no flag of {self._args['command']}: "
@@ -223,16 +229,18 @@ def _stat_key(stat) -> tuple:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _crc32(path) -> int:
+def _fingerprint(path) -> tuple:
+    """(stat key, CRC-32) of a file, the stat taken once its bytes are read."""
     with open(path, "rb") as stream:
         reader = _Crc32Reader(stream, path)
         while reader.read(BLOCK_BYTES):
             pass
-    return reader.crc
+        return _stat_key(os.fstat(stream.fileno())), reader.crc
 
 
-# (stat key, CRC-32, flights, diagnostics) of the last CSV parsed, or None;
-# its arrays are read-only, so the commands of one process can share them
+# (stat key, CRC-32, flights, diagnostics) of the last CSV parsed, or
+# written by preprocess (`_hand_off`), or None; its arrays are read-only, so
+# the commands of one process can share them
 _last_parse = None
 
 
@@ -248,7 +256,7 @@ def _read_flights(path):
     global _last_parse
     reused = (_last_parse is not None
               and _stat_key(os.stat(path)) == _last_parse[0]
-              and _crc32(path) == _last_parse[1])
+              and _fingerprint(path) == _last_parse[:2])
     if not reused:
         _last_parse = None
         with open(path, "rb") as stream:
@@ -263,6 +271,19 @@ def _read_flights(path):
     if not len(flights):
         raise ValueError(f"no usable records in {path}")
     return flights, diagnostics, reused
+
+
+def _hand_off(path, flights) -> None:
+    """Keep `flights`, just written to `path` by `write_csv`, as the last parse of `path`.
+
+    The rows kept are `flights.canonical()`, which is what `read_csv(path)`
+    would give, with no diagnostics; the fingerprint is taken by reading the
+    file back. Only a regular file is kept: a device or a pipe need not
+    read back what was written to it.
+    """
+    global _last_parse
+    if S_ISREG(os.stat(path).st_mode):
+        _last_parse = (*_fingerprint(path), flights.canonical(), [])
 
 
 # mallopt(3) parameters and the values glibc's dynamic rule reaches after one
@@ -389,6 +410,7 @@ def cmd_preprocess(args) -> int:
         retained, report = run_pipeline(flights, sum_tolerance=tolerance)
     with _timed(timings, "write_s"):
         write_csv(retained, out)
+        _hand_off(out, retained)
     Path(report_path).write_text(
         json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -635,41 +657,45 @@ def cmd_report(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    It names each command but holds none of the functions: `main` looks
+    the command's function up each time it runs one.
+    """
     parser = argparse.ArgumentParser(
         prog="delaycast",
         description="Flight-delay component modeling pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, helptext, flags):
+    def add(name, helptext, flags):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON file supplying any flag")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-        return p
 
     num = {"type": int}
     dec = {"type": float}
-    add("synth", cmd_synth, "generate labeled synthetic flight records", [
+    add("synth", "generate labeled synthetic flight records", [
         ("--count", num), ("--seed", num), ("--out", {}), ("--labels", {}),
         ("--cancelled-rate", dec), ("--missing-rate", dec),
         ("--mismatch-rate", dec), ("--outlier-rate", dec),
         ("--flights-per-day", num), ("--airlines", num), ("--airports", num)])
-    add("preprocess", cmd_preprocess, "run the four-stage pruning pipeline", [
+    add("preprocess", "run the four-stage pruning pipeline", [
         ("--in", {}), ("--out", {}), ("--report", {}), ("--sum-tolerance", dec)])
-    add("analyze", cmd_analyze, "correlation and redundancy screening", [
+    add("analyze", "correlation and redundancy screening", [
         ("--in", {}), ("--out", {}), ("--threshold", dec)])
-    add("train", cmd_train, "fit one model kind on pruned records", [
+    add("train", "fit one model kind on pruned records", [
         ("--in", {}), ("--out", {}), ("--model", {}), ("--targets", {}),
         ("--window", num), ("--seed", num), ("--epochs", num), ("--batch", num),
         ("--trees", num), ("--rounds", num),
         ("--depth", num), ("--min-leaf", num), ("--learning-rate", dec),
         ("--patience", num), ("--clip", dec)])
-    add("evaluate", cmd_evaluate, "score a saved model on held-out rows", [
+    add("evaluate", "score a saved model on held-out rows", [
         ("--model-file", {}), ("--in", {}), ("--report-out", {}),
         ("--split", {})])
-    add("report", cmd_report, "merge and rank evaluation reports", [
+    add("report", "merge and rank evaluation reports", [
         ("--summaries", {"nargs": "+"}), ("--format", {}), ("--out", {}),
         ("--chart-out", {})])
     return parser
@@ -678,8 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
+    # looked up per call, so the parser is built once and holds no functions
+    command = {"synth": cmd_synth, "preprocess": cmd_preprocess, "analyze": cmd_analyze,
+               "train": cmd_train, "evaluate": cmd_evaluate, "report": cmd_report}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (ValueError, OSError, KeyError, ModelFileError, TrainingError) as exc:
         detail = str(exc) or exc.__class__.__name__
         print("error: " + " ".join(detail.split()), file=sys.stderr)

@@ -280,6 +280,10 @@ _DOMAINS = {"number": "a finite number", "component": "a finite number >= 0",
             "date": f"a day ordinal from 1 to {_LAST_DAY}"}
 
 
+# the bits of the one NaN the reader gives a blank cell
+_NAN_BITS = np.float64(np.nan).view(np.int64)
+
+
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
@@ -340,8 +344,9 @@ class Flights:
     A non-text column is one array of its kind's dtype; a text column is a
     `TextColumn`. Every column has one entry per row and holds only values a
     CSV cell of its kind can carry (module docstring); the arrays are
-    read-only. `len()` counts rows and `select(index)` keeps the rows a
-    boolean mask or an index array picks, in that order.
+    read-only. `len()` counts rows, `select(index)` keeps the rows a
+    boolean mask or an index array picks, in that order, and `canonical()`
+    gives the rows as a CSV of them reads back.
     """
 
     FIELDS = tuple(_FIELD_INFO)
@@ -396,6 +401,31 @@ class Flights:
             setattr(subset, name, values if isinstance(values, TextColumn) else _read_only(values))
         subset._n = len(subset.fl_date)
         return subset
+
+    def canonical(self) -> "Flights":
+        """These rows as `read_csv` reads them back once `write_csv` wrote them.
+
+        Each text vocabulary shrinks to the values some row uses, its codes
+        renumbered, and each float column holds 0.0 where it held -0.0 (both
+        are written "0") and numpy's one NaN for any NaN (written blank).
+        A column already in that form is shared, not copied.
+        """
+        out = object.__new__(Flights)
+        for name in self.FIELDS:
+            values = getattr(self, name)
+            if isinstance(values, TextColumn):
+                used = np.bincount(values.codes, minlength=len(values.vocabulary)) > 0
+                if not used.all():
+                    renumber = np.cumsum(used, dtype=np.int32) - 1
+                    values = TextColumn(renumber[values.codes], values.vocabulary[used])
+            elif values.dtype.kind == "f":  # masks, not copies, until a value differs
+                nan = np.isnan(values)
+                if (((values == 0) & np.signbit(values)).any()
+                        or (values[nan].view(np.int64) != _NAN_BITS).any()):
+                    values = _read_only(np.where(nan, np.nan, values + 0.0))
+            setattr(out, name, values)
+        out._n = self._n
+        return out
 
 
 # --- vectorized decoding/encoding --------------------------------------------------------
@@ -824,8 +854,12 @@ def write_csv(flights: Flights, sink) -> int:
     """Write flights in the standard column order; returns the row count.
 
     Cells are formatted and quoted as the module docstring says. Values
-    round-trip: read_csv(write_csv(flights)) reproduces the columns, except
-    that text reads back stripped of surrounding whitespace and "NA" blank.
+    round-trip as `Flights.canonical` gives them: read_csv(write_csv(flights))
+    equals flights.canonical() bit for bit, so -0.0 reads back as 0.0 and
+    each vocabulary holds only the values some row uses. That holds for
+    rows `read_csv` gave (or any selection of them), whose text is already
+    as it reads back; other text reads back stripped of surrounding
+    whitespace, "NA" blank, and a row blank in a required column is skipped.
     """
     # per column: the array sliced per chunk, and slice -> its cells, each
     # ending in the column's separator

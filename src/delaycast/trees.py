@@ -247,9 +247,13 @@ def _grow(coded, x: np.ndarray, target: np.ndarray, draw: np.ndarray,
     weight = np.bincount(draw, minlength=n)
     rows = np.flatnonzero(weight)
     m = rows.size
+    # each row drawn once, in order (a single tree, a boosting round): the
+    # draws are the cells, so nothing maps between them
+    once = m == draw.size and np.array_equal(draw, rows)
     # cell j * m + i is tree j's row rows[i]; draws keep their tree's cells
-    draw_cell = (np.arange(t)[:, None] * m + (np.cumsum(weight > 0) - 1)[draw]).ravel()
-    draw_y = target[:, :, draw].reshape(c, -1)
+    if not once:
+        draw_cell = (np.arange(t)[:, None] * m + (np.cumsum(weight > 0) - 1)[draw]).ravel()
+        draw_y = target[:, :, draw].reshape(c, -1)
     cell_y = target[:, :, rows].reshape(c, -1)
     cell_w = np.tile(weight[rows].astype(np.float64), t)
     cell_x = np.tile(rows * p, t)      # where each cell's row starts in x
@@ -267,19 +271,20 @@ def _grow(coded, x: np.ndarray, target: np.ndarray, draw: np.ndarray,
     for depth in range(max_depth + 1):
         # place `count` marks the cells, and draws, past their last leaf
         count = tree.size
-        pos = cell_pos[draw_cell]
+        pos, ys = (cell_pos, cell_y) if once else (cell_pos[draw_cell], draw_y)
         sizes = np.bincount(pos, minlength=count + 1)[:count]
-        sums = np.stack([np.bincount(pos, y, minlength=count + 1)[:count] for y in draw_y])
+        sums = np.stack([np.bincount(pos, y, minlength=count + 1)[:count] for y in ys])
         mean = np.append(sums / sizes, np.zeros((c, 1)), axis=1)
         value = leaf_value(sums, sizes)
         feature = np.full(count, -1, dtype=np.int64)
         threshold = np.zeros(count)
         if depth < max_depth:
             centered = cell_y - np.take(mean, cell_pos, axis=1)
-            squares = np.take(centered, draw_cell, axis=1) ** 2
+            squares = (centered if once else np.take(centered, draw_cell, axis=1)) ** 2
             sse = np.bincount(pos, squares.sum(axis=0), minlength=count + 1)[:count]
             floor = np.where(sse > 0.0, _GAIN_EPS * (1.0 + sse), np.inf)
-            centered *= cell_w
+            if weighted:
+                centered *= cell_w
             key, cnt, bin_sums = _bins(
                 keys.ravel(), count * v, p * live,
                 np.broadcast_to(cell_w, (p, cell_w.size)).ravel() if weighted else None,
@@ -339,9 +344,10 @@ def _grow(coded, x: np.ndarray, target: np.ndarray, draw: np.ndarray,
         if 2 * live < on.size:
             # drop the cells past their last leaf once they are most of
             # them, so a level costs at most about twice its live cells
-            renumber = np.cumsum(on) - 1
-            drawn = on[draw_cell]
-            draw_cell, draw_y = renumber[draw_cell[drawn]], draw_y[:, drawn]
+            if not once:
+                drawn = on[draw_cell]
+                draw_cell = (np.cumsum(on) - 1)[draw_cell[drawn]]
+                draw_y = draw_y[:, drawn]
             cell_pos, cell_w, cell_y, keys, cell_x, cell_at = (
                 a[..., on] for a in (cell_pos, cell_w, cell_y, keys, cell_x, cell_at))
     tree, feature, threshold, value = (np.concatenate(parts) for parts in zip(*levels))

@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior: chains, flag resolution, error paths."""
 
+import csv
 import ctypes
 import dataclasses
 import json
@@ -20,6 +21,7 @@ from delaycast import regressors, schema
 from delaycast.cli import main
 from delaycast.modelfile import load_model
 from delaycast.neural import train
+from delaycast.preprocess import run_pipeline
 from delaycast.schema import Flights, SchemaError, read_csv, write_csv
 from delaycast.stats import correlation_table, redundancy_test, screening_columns
 from delaycast.synth import LABELS, SynthConfig, generate, read_labels
@@ -153,6 +155,19 @@ class TestEvaluateCommand:
 
 
 class TestFlagResolution:
+    def test_one_parser_serves_calls_with_different_commands(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        reported = []
+        # looked up when main runs the command, not when the parser was built
+        monkeypatch.setattr(cli, "cmd_report", lambda args: reported.append(vars(args)) or 0)
+        assert run(["synth", "--count", 20, "--seed", 3, "--out", tmp_path / "f.csv"]) == 0
+        assert run(["report", "--summaries", "a.json", "b.json"]) == 0
+        assert reported == [{"command": "report", "config": None,
+                             "summaries": ["a.json", "b.json"], "format": None,
+                             "out": None, "chart_out": None}]
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        assert (manifest["config"]["count"], manifest["seeds"]["seed"]) == (20, 3)
+
     def test_cli_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"count": 30, "seed": 2}))
@@ -274,8 +289,8 @@ class TestManifests:
             assert manifest["minor_faults"] >= 0
         assert commands == ["synth", "preprocess", "analyze", "train", "evaluate",
                             "report"]
-        # analyze parses p.csv; train and evaluate reuse that parse
-        assert reused == {"preprocess": False, "analyze": False, "train": True,
+        # preprocess hands its rows on as p.csv's parse; the others reuse it
+        assert reused == {"preprocess": False, "analyze": True, "train": True,
                           "evaluate": True}
 
     def test_preprocess_manifest_counts_rows_and_memory(self, tmp_path):
@@ -387,7 +402,7 @@ class TestManifests:
         assert trained["rows_held_out"] == scored["rows_scored"] > 0
         bundle = json.loads(rep.read_text())
         assert scored["rows_scored"] == bundle["models"][0]["manifest"]["rows_scored"]
-        assert (trained["read_reused"], scored["read_reused"]) == (False, True)
+        assert (trained["read_reused"], scored["read_reused"]) == (True, True)
         for manifest, phases in ((trained, {"read_s", "table_s", "fit_s", "save_s"}),
                                  (scored, {"read_s", "score_s"})):
             assert set(manifest["timings"]) == phases
@@ -576,6 +591,98 @@ def pruned_csv(tmp_path, seed=5):
     return pruned
 
 
+def signed_zero_csv(tmp_path, seed=5):
+    """A synth CSV whose zero delay components are written "-0".
+
+    Its cancelled rows hold the only CANCELLATION_CODE values but "", so
+    the pruned rows leave those vocabulary entries unused.
+    """
+    path = tmp_path / "f.csv"
+    assert run(["synth", "--count", 300, "--seed", seed, "--cancelled-rate", 0.1,
+                "--out", path]) == 0
+    header, *rows = csv.reader(path.open(newline="", encoding="utf-8"))
+    components = [i for i, column in enumerate(header) if column.startswith("DELAY_DUE_")]
+    for row in rows:
+        for i in components:
+            row[i] = "-0" if row[i] == "0" else row[i]
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path
+
+
+class TestHandOff:
+    def test_preprocess_hands_on_its_rows_as_they_read_back(self, tmp_path, cold):
+        source, pruned = signed_zero_csv(tmp_path), tmp_path / "p.csv"
+        retained, _ = run_pipeline(read_csv(source)[0])
+        assert np.signbit(retained.delay_due_weather).any()
+        assert len(retained.cancellation_code.vocabulary) > 1
+        assert run(["preprocess", "--in", source, "--out", pruned]) == 0
+        assert cold == [str(source)]
+        key, crc, handed, diagnostics = cli._last_parse
+        fresh, fresh_diagnostics = read_csv(pruned)
+        assert diagnostics == fresh_diagnostics == []
+        test_schema.assert_identical(handed, fresh)
+        assert (key, crc) == cli._fingerprint(pruned)
+        assert cli._read_flights(pruned)[0] is handed
+
+    def test_chain_in_one_process_writes_what_cold_commands_write(self, tmp_path, cold):
+        source = signed_zero_csv(tmp_path)
+        outputs, reused = {}, {}
+        for mode in ("warm", "cold"):
+            out = tmp_path / mode
+            out.mkdir()
+            pruned, model, bundle = out / "p.csv", out / "m.bin", out / "r.json"
+            for argv in (["preprocess", "--in", source, "--out", pruned],
+                         ["analyze", "--in", pruned, "--out", out / "analyze.txt"],
+                         ["train", "--in", pruned, "--model", "tree", "--out", model],
+                         ["evaluate", "--model-file", model, "--in", pruned,
+                          "--report-out", bundle],
+                         ["report", "--summaries", bundle, "--out", out / "report.txt",
+                          "--chart-out", out / "chart.csv"]):
+                if mode == "cold":
+                    cli._last_parse = None
+                assert run(argv) == 0
+            outputs[mode] = {p.name: p.read_bytes() for p in out.iterdir()
+                             if not p.name.endswith(".manifest.json")}
+            reused[mode] = [json.loads(Path(f"{anchor}.manifest.json").read_text())
+                            ["read_reused"] for anchor in (out / "analyze.txt", model, bundle)]
+        assert sorted(outputs["warm"]) == ["analyze.txt", "chart.csv", "m.bin", "p.csv",
+                                           "p.csv.report.json", "r.json", "report.txt"]
+        assert outputs["warm"] == outputs["cold"]
+        assert reused == {"warm": [True] * 3, "cold": [False] * 3}
+        assert cold.count(str(source)) == 2 and len(cold) == 5
+
+    def test_output_that_is_not_a_regular_file_is_neither_read_nor_kept(
+            self, tmp_path, monkeypatch, cold):
+        source = tmp_path / "f.csv"
+        assert run(["synth", "--count", 100, "--seed", 3, "--out", source]) == 0
+        opened = []
+
+        def recorded(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recorded, raising=False)
+        # the manifest would go beside the output, in the device directory
+        monkeypatch.setattr(cli, "_write_manifest", lambda *args, **kwargs: None)
+        assert run(["preprocess", "--in", source, "--out", os.devnull,
+                    "--report", tmp_path / "prune.json"]) == 0
+        assert opened == [str(source)]
+        assert cli._last_parse[0] == cli._stat_key(os.stat(source))
+
+    def test_skipped_input_rows_are_not_handed_on(self, tmp_path, capsys, cold):
+        source, pruned = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert run(["synth", "--count", 100, "--seed", 2, "--out", source]) == 0
+        with open(source, "a", encoding="utf-8") as fh:
+            fh.write("2022-01-03,X\n")
+        assert run(["preprocess", "--in", source, "--out", pruned]) == 0
+        assert json.loads(Path(f"{pruned}.manifest.json").read_text())["diagnostics"] == 1
+        capsys.readouterr()
+        _, diagnostics, reused = cli._read_flights(pruned)
+        assert (diagnostics, reused) == ([], True)
+        assert capsys.readouterr().err == ""
+
+
 class TestParseReuse:
     def test_train_then_evaluate_parse_once_and_score_as_cold(self, tmp_path, cold):
         pruned = pruned_csv(tmp_path)
@@ -594,6 +701,7 @@ class TestParseReuse:
 
     def test_same_size_rewrite_with_restored_mtime_is_parsed_again(self, tmp_path, cold):
         pruned = pruned_csv(tmp_path)
+        cli._last_parse = None
         assert cli._read_flights(pruned)[2] is False
         assert cli._read_flights(pruned)[2] is True
         before = os.stat(pruned)

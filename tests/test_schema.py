@@ -81,6 +81,17 @@ def assert_same_rows(table, other):
                                       decoded(getattr(other, name)), err_msg=name)
 
 
+def assert_identical(table, other):
+    """Both tables hold the same arrays bit for bit: dtypes, signs of zero, vocabularies."""
+    assert len(table) == len(other)
+    for name in Flights.FIELDS:
+        a, b = getattr(table, name), getattr(other, name)
+        if isinstance(a, TextColumn):
+            assert a.vocabulary.tolist() == b.vocabulary.tolist(), name
+            a, b = a.codes, b.codes
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 _OPTIONAL_NUMBERS = [name for _, name, required, kind in schema._COLUMN_SPEC
                      if not required and kind != "text"]
 
@@ -206,6 +217,49 @@ def test_write_read_round_trip():
     back, diags = read_csv(io.BytesIO(text.encode()))
     assert diags == []
     assert_same_rows(back, flights(records))
+
+
+def test_read_back_is_the_canonical_form():
+    """read_csv(write_csv(rows)) is rows.canonical(): -0 reads as 0, vocabularies as used."""
+    records = [make_record(), make_record(fl_number=2, origin_city="Nowhere, XX"),
+               make_record(fl_number=3, dep_delay=7.5)]
+    buf = io.StringIO()
+    write_csv(flights(records), buf)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    for row in rows:
+        row[header.index("DEP_DELAY")] = row[header.index("DELAY_DUE_WEATHER")] = "-0"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    read, _ = read_csv(io.BytesIO(buf.getvalue().encode()))
+    kept = read.select(np.array([0, 2]))
+    assert np.signbit(kept.dep_delay).all() and np.signbit(kept.delay_due_weather).all()
+    assert "Nowhere, XX" in kept.origin_city.vocabulary.tolist()
+
+    canonical = kept.canonical()
+    buf = io.StringIO()
+    write_csv(kept, buf)
+    back, diags = read_csv(io.BytesIO(buf.getvalue().encode()))
+    assert diags == []
+    assert_identical(back, canonical)
+    assert not np.signbit(canonical.dep_delay).any()
+    assert canonical.origin_city.vocabulary.tolist() == ["Chicago, IL"]
+    assert canonical.distance is kept.distance  # already canonical: shared
+    assert_same_rows(canonical, kept)
+
+
+def test_read_back_has_the_readers_nan_and_no_negative_zero():
+    odd = np.array([np.nan, -0.0, 1.5])
+    odd.view(np.int64)[0] |= 1  # a NaN with another payload
+    table = flights([make_record(fl_number=i) for i in range(3)])
+    columns = {name: getattr(table, name) for name in Flights.FIELDS}
+    table = Flights({**columns, "dep_delay": odd, "taxi_in": -odd})
+    canonical = table.canonical()
+    buf = io.StringIO()
+    write_csv(table, buf)
+    back, _ = read_csv(io.BytesIO(buf.getvalue().encode()))
+    assert_identical(back, canonical)
+    assert canonical.dep_delay.view(np.int64)[0] == np.float64(np.nan).view(np.int64)
+    assert not np.signbit(canonical.dep_delay[1:]).any()
 
 
 def test_read_csv_missing_required_header():
@@ -768,6 +822,7 @@ def test_many_row_round_trip(round_trip_path, table_rows):
     back, diags = read_csv(round_trip_path)
     assert diags == []
     assert_same_rows(back, table)
+    assert_identical(back, table.canonical())
     buf = io.StringIO()
     write_csv(table, buf)
     buf.seek(0)
